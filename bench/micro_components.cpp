@@ -102,7 +102,7 @@ BM_TableLookup(benchmark::State &state)
     const auto &ms = store.moduleSigs().front();
     sig::TableReader reader(mem, ms.tableBase, vault);
 
-    const auto &blocks = ms.cfg.blocks();
+    const auto &blocks = ms.cfg->blocks();
     std::size_t i = 0;
     for (auto _ : state) {
         const auto &bb = blocks[i++ % blocks.size()];

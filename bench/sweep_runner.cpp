@@ -50,10 +50,10 @@ struct BenchPlan
     // Signature tables are deterministic in (program, mode, seeds,
     // limits, hash rounds), so configs differing only in timing
     // parameters share one build: prototypes are built once per mode
-    // here, and each job's Simulator clones the matching one.
+    // here, and each job's Simulator shares the matching one's build.
     std::optional<ProtoParams> protoParams;
     std::optional<crypto::KeyVault> protoVault;
-    std::map<sig::ValidationMode, std::unique_ptr<sig::SigStore>> protos;
+    std::map<sig::ValidationMode, sig::SigStore> protos;
 
     // Warmed memory images, loaded once and COW-forked by every job
     // (SimConfig::memoryImage): the program image alone for non-REV
@@ -308,12 +308,11 @@ SweepRunner::run()
             if (plan.protos.count(job.cfg.mode))
                 continue;
             const sig::SigStore *donor =
-                plan.protos.empty() ? nullptr
-                                    : plan.protos.begin()->second.get();
-            plan.protos[job.cfg.mode] = std::make_unique<sig::SigStore>(
-                *plan.program, job.cfg.mode, *plan.protoVault,
-                params.toolchainSeed, params.limits, params.hashRounds,
-                donor);
+                plan.protos.empty() ? nullptr : &plan.protos.begin()->second;
+            plan.protos.try_emplace(job.cfg.mode, *plan.program,
+                                    job.cfg.mode, *plan.protoVault,
+                                    params.toolchainSeed, params.limits,
+                                    params.hashRounds, donor);
         }
         if (!plan.staticsFromCache) {
             const prog::Cfg *main_cfg = nullptr;
@@ -321,7 +320,7 @@ SweepRunner::run()
                 plan.program->modules().size() == 1 &&
                 plan.protoParams->limits == prog::SplitLimits{})
                 main_cfg =
-                    &plan.protos.begin()->second->moduleSigs().front().cfg;
+                    plan.protos.begin()->second.moduleSigs().front().cfg.get();
             plan.statics = computeStatics(*plan.program, main_cfg);
         }
     });
@@ -337,7 +336,7 @@ SweepRunner::run()
         plan.program->loadInto(plan.baseImage);
         for (const auto &[mode, proto] : plan.protos) {
             SparseMemory img = plan.baseImage.fork();
-            proto->loadInto(img);
+            proto.loadInto(img);
             plan.modeImages.emplace(mode, std::move(img));
         }
         plan.hasImages = true;
@@ -353,7 +352,7 @@ SweepRunner::run()
             *plan.protoParams == protoParamsOf(job.cfg)) {
             auto it = plan.protos.find(job.cfg.mode);
             if (it != plan.protos.end()) {
-                job.cfg.sigStorePrototype = it->second.get();
+                job.cfg.sigStorePrototype = &it->second;
                 const auto im = plan.modeImages.find(job.cfg.mode);
                 if (plan.hasImages && im != plan.modeImages.end())
                     job.cfg.memoryImage = &im->second;

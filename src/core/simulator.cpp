@@ -42,20 +42,17 @@ Simulator::Simulator(const prog::Program &program, const SimConfig &cfg)
             cfg_.rev.sc.entryBytes == validate::ScConfig{}.entryBytes) {
             cfg_.rev.sc.entryBytes = 8;
         }
-        // Split limits of the toolchain and the front end must agree.
-        prog::SplitLimits limits = cfg_.core.splitLimits;
         if (cfg_.sigStorePrototype) {
             const sig::SigStore &proto = *cfg_.sigStorePrototype;
             REV_ASSERT(proto.mode() == cfg_.mode &&
                            proto.hashRounds() == cfg_.rev.chg.hashRounds,
                        "sigStorePrototype was built with different "
                        "validation parameters");
-            store_ = std::make_shared<sig::SigStore>(proto);
-            store_->rebindVault(vault_);
+            store_.emplace(proto); // shares the prototype's build
         } else {
-            store_ = std::make_shared<sig::SigStore>(
-                program_, cfg_.mode, vault_, cfg_.toolchainSeed, limits,
-                cfg_.rev.chg.hashRounds);
+            // Split limits of the toolchain and the front end must agree.
+            store_.emplace(program_, cfg_.mode, vault_, cfg_.toolchainSeed,
+                           cfg_.core.splitLimits, cfg_.rev.chg.hashRounds);
         }
         // A pre-loaded image already holds the tables this store built.
         if (!cfg_.memoryImage)
@@ -113,7 +110,7 @@ void
 Simulator::createValidator(CoreSlot &slot, unsigned core_id)
 {
     validate::BackendContext ctx;
-    ctx.store = store_.get();
+    ctx.store = store_ ? &*store_ : nullptr;
     ctx.vault = &vault_;
     ctx.mem = &slot.mem;
     ctx.memsys = &memsys_;
@@ -136,7 +133,7 @@ Simulator::Simulator(const Snapshot &snap)
 {
     // No loadInto(): the forked memories already hold the program image
     // and signature tables exactly as the source left them, and the
-    // shared store carries the (immutable) table build.
+    // store handle shares the snapshot's (immutable) table build.
     slots_.push_back(std::make_unique<CoreSlot>());
     CoreSlot &s0 = slot0();
     s0.mem = snap.mem.fork();
@@ -228,16 +225,10 @@ Simulator::reloadProgram()
     // decode different bytes than the recorded run executed.
     if (cfg_.traceRecorder)
         cfg_.traceRecorder->markExternalMutation();
-    if (store_) {
-        // The table build is shared by refcount with snapshots and
-        // sibling forks, and the attached validators reference this
-        // exact store: rebuilding a shared build would corrupt every
-        // fork. Dynamic linking therefore requires an owned build.
-        REV_ASSERT(store_.use_count() == 1,
-                   "reloadProgram() on a simulator sharing its table "
-                   "build with snapshots/forks");
+    // Copy-on-write: this simulator's handle gets a fresh build; the
+    // prototype, snapshots and forks sharing the old one keep it.
+    if (store_)
         store_->rebuild(program_);
-    }
     for (auto &sp : slots_) {
         program_.loadInto(sp->mem);
         if (store_)

@@ -92,14 +92,18 @@ struct SimConfig
     u64 toolchainSeed = 1; ///< per-module key generation
 
     /**
-     * Optional pre-built signature store to clone instead of deriving the
+     * Optional pre-built signature store to share instead of deriving the
      * CFGs and building the tables from scratch (the most expensive part
      * of constructing a Simulator). The prototype must have been built
      * for the same program with the same mode, seeds, split limits, and
      * hash rounds — the table build is deterministic in those inputs, so
-     * cloning yields byte-identical tables and therefore identical
-     * simulated statistics. The benchmark sweep uses this to share one
-     * build across configs that differ only in timing parameters.
+     * sharing yields byte-identical tables and therefore identical
+     * simulated statistics. The Simulator copies the handle, which shares
+     * the prototype's immutable build (no per-job copy); a later
+     * reloadProgram() rebuilds copy-on-write, so the prototype never
+     * changes. Concurrent simulators may share one prototype. The
+     * benchmark sweep uses this to share one build across configs that
+     * differ only in timing parameters.
      */
     const sig::SigStore *sigStorePrototype = nullptr;
 
@@ -197,8 +201,10 @@ struct SimResult
  *
  * Self-contained: the snapshot shares the (immutable) signature-table
  * build and the COW page set by refcount, so it remains valid after the
- * Simulator it was captured from is destroyed. Only the Program object
- * is borrowed and must outlive the snapshot and its forks.
+ * Simulator it was captured from is destroyed or reloads its program
+ * (the rebuild is copy-on-write; forks keep validating against the
+ * tables captured here). Only the Program object is borrowed and must
+ * outlive the snapshot and its forks.
  */
 struct Snapshot
 {
@@ -209,7 +215,7 @@ struct Snapshot
     mem::MemorySystem memsys; ///< warmed caches / TLBs / DRAM banks
     cpu::Core::Snapshot core; ///< core 0's arch regs + timing-loop state
     std::unique_ptr<validate::ValidatorSnapshot> validatorState;
-    std::shared_ptr<sig::SigStore> store; ///< shared table build
+    std::optional<sig::SigStore> store; ///< handle on the shared build
 
     /** State of one additional core (multicore capture). */
     struct ExtraSlot
@@ -291,7 +297,9 @@ class Simulator
      * linker, or trusted code generation produced new functions): reload
      * every module image into memory, rebuild + reload the signature
      * tables, and refresh the backend's cached state (Sec. IV.B/IV.E).
-     * Safe to call from a pre-step hook while a run is in progress.
+     * Safe to call from a pre-step hook while a run is in progress. The
+     * rebuild is private to this simulator (copy-on-write): a prototype,
+     * snapshot or fork sharing the previous build is unaffected.
      */
     void reloadProgram();
 
@@ -353,7 +361,10 @@ class Simulator
         return slots_[id]->mem;
     }
     mem::MemorySystem &memsys() { return memsys_; }
-    const sig::SigStore *sigStore() const { return store_.get(); }
+    const sig::SigStore *sigStore() const
+    {
+        return store_ ? &*store_ : nullptr;
+    }
 
     /** True while core 0 is consuming cfg.replayTrace (false when the
      *  trace did not attach or a PreStepHook canceled the replay). */
@@ -413,7 +424,9 @@ class Simulator
 
     mem::MemorySystem memsys_;
     crypto::KeyVault vault_;
-    std::shared_ptr<sig::SigStore> store_;
+    /** Handle on this simulator's table build (empty when the backend
+     *  needs no tables). Validators reference it; its address is stable. */
+    std::optional<sig::SigStore> store_;
     std::vector<std::unique_ptr<CoreSlot>> slots_; ///< core-id order
 };
 

@@ -1,10 +1,8 @@
 #include "program/cfg.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <deque>
-#include <map>
-#include <set>
-#include <unordered_set>
 
 #include "common/logging.hpp"
 #include "isa/codec.hpp"
@@ -43,22 +41,95 @@ termKindOf(InstrClass c)
 
 } // namespace
 
+void
+Cfg::OffsetRank::reset(std::size_t size)
+{
+    bits_.assign((size + 63) / 64, 0);
+    before_.clear();
+}
+
+void
+Cfg::OffsetRank::finalize()
+{
+    before_.resize(bits_.size() + 1);
+    u32 n = 0;
+    for (std::size_t w = 0; w < bits_.size(); ++w) {
+        before_[w] = n;
+        n += static_cast<u32>(std::popcount(bits_[w]));
+    }
+    before_.back() = n;
+}
+
+u32
+Cfg::OffsetRank::find(u64 off) const
+{
+    const u64 w = off >> 6;
+    if (w >= bits_.size())
+        return kNone;
+    const u64 bit = u64{1} << (off & 63);
+    if (!(bits_[w] & bit))
+        return kNone;
+    return before_[w] + static_cast<u32>(std::popcount(bits_[w] & (bit - 1)));
+}
+
+u32
+Cfg::idAtStart(Addr start) const
+{
+    // Unsigned wrap sends addresses below the base out of range too.
+    const u32 r = start - base_ < codeSize_ ? starts_.find(start - base_)
+                                            : OffsetRank::kNone;
+    return r == OffsetRank::kNone ? r : startIds_[r];
+}
+
+u32
+Cfg::termRank(Addr term) const
+{
+    return term - base_ < codeSize_ ? terms_.find(term - base_)
+                                    : OffsetRank::kNone;
+}
+
+void
+Cfg::index()
+{
+    starts_.reset(codeSize_);
+    terms_.reset(codeSize_);
+    for (const BasicBlock &bb : blocks_) {
+        starts_.set(bb.start - base_);
+        terms_.set(bb.term - base_);
+    }
+    starts_.finalize();
+    terms_.finalize();
+
+    startIds_.assign(blocks_.size(), 0);
+    termBegin_.assign(terms_.count() + 1, 0);
+    for (const BasicBlock &bb : blocks_) {
+        startIds_[starts_.find(bb.start - base_)] = bb.id;
+        ++termBegin_[terms_.find(bb.term - base_) + 1];
+    }
+    for (std::size_t r = 1; r < termBegin_.size(); ++r)
+        termBegin_[r] += termBegin_[r - 1];
+    // Counting sort in id order: each terminator's group lists its
+    // blocks by ascending id.
+    termIds_.assign(blocks_.size(), 0);
+    std::vector<u32> cursor(termBegin_.begin(), termBegin_.end() - 1);
+    for (const BasicBlock &bb : blocks_)
+        termIds_[cursor[terms_.find(bb.term - base_)]++] = bb.id;
+}
+
 const BasicBlock *
 Cfg::blockAtStart(Addr start) const
 {
-    auto it = byStart_.find(start);
-    return it == byStart_.end() ? nullptr : &blocks_[it->second];
+    const u32 id = idAtStart(start);
+    return id == OffsetRank::kNone ? nullptr : &blocks_[id];
 }
 
-std::vector<const BasicBlock *>
+Cfg::TermBlocks
 Cfg::blocksAtTerm(Addr term) const
 {
-    std::vector<const BasicBlock *> out;
-    auto it = byTerm_.find(term);
-    if (it != byTerm_.end())
-        for (u32 id : it->second)
-            out.push_back(&blocks_[id]);
-    return out;
+    const u32 r = termRank(term);
+    if (r == OffsetRank::kNone)
+        return {};
+    return {blocks_.data(), termIdsBegin(r), termIdsEnd(r)};
 }
 
 CfgStats
@@ -66,17 +137,14 @@ Cfg::stats() const
 {
     CfgStats s;
     s.numBlocks = blocks_.size();
-    s.numTerminators = byTerm_.size();
+    s.numTerminators = terms_.count();
+    s.numBranchInstrs = terms_.count();
     u64 instrs = 0, succs = 0;
-    std::set<Addr> seen_terms;
     for (const auto &bb : blocks_) {
         instrs += bb.numInstrs;
         succs += bb.succs.size();
-        if (seen_terms.insert(bb.term).second) {
-            ++s.numBranchInstrs;
-            if (termIsComputed(bb.kind))
-                ++s.numComputedSites;
-        }
+        if (termIsComputed(bb.kind) && firstAtTerm(bb))
+            ++s.numComputedSites;
     }
     if (!blocks_.empty()) {
         s.avgInstrsPerBlock = static_cast<double>(instrs) / blocks_.size();
@@ -86,10 +154,12 @@ Cfg::stats() const
 }
 
 Cfg
-buildCfg(const Module &mod, const SplitLimits &limits)
+deriveCfg(const Module &mod, const SplitLimits &limits)
 {
     Cfg cfg;
     cfg.limits_ = limits;
+    cfg.base_ = mod.base;
+    cfg.codeSize_ = mod.codeSize;
 
     // ---- pass 1: linear decode of the code region -----------------------
     // The code region is contiguous, so flat offset-indexed arrays replace
@@ -163,18 +233,15 @@ buildCfg(const Module &mod, const SplitLimits &limits)
     // ---- pass 3: walk each leader to its terminator ----------------------
     // Walking may create artificial-split fall-through leaders; use a
     // worklist. Leaders seed it in ascending address order (block IDs — and
-    // thus table layout — depend on it).
-    std::deque<Addr> work;
+    // thus table layout — depend on it). `queued` admits each start once.
+    std::vector<Addr> work;
     std::vector<u8> queued = is_leader;
     for (std::size_t off = 0; off < code_size; ++off)
         if (is_leader[off])
             work.push_back(mod.base + off);
 
-    while (!work.empty()) {
-        const Addr start = work.front();
-        work.pop_front();
-        if (cfg.byStart_.count(start))
-            continue;
+    for (std::size_t next = 0; next < work.size(); ++next) {
+        const Addr start = work[next];
 
         BasicBlock bb;
         bb.id = static_cast<u32>(cfg.blocks_.size());
@@ -217,60 +284,60 @@ buildCfg(const Module &mod, const SplitLimits &limits)
             }
         }
 
-        cfg.byStart_[start] = bb.id;
-        cfg.byTerm_[bb.term].push_back(bb.id);
         cfg.blocks_.push_back(std::move(bb));
     }
+    cfg.index();
 
     // ---- pass 4: successor sets per terminator ---------------------------
     // Successors are a property of the terminating instruction, shared by
     // every (suffix) block ending at it.
-    std::map<Addr, std::vector<Addr>> term_succs;
-
-    auto add_succ = [&](Addr term, Addr target) {
-        auto &v = term_succs[term];
-        if (std::find(v.begin(), v.end(), target) == v.end())
-            v.push_back(target);
+    std::vector<Addr> succs;
+    auto add_succ = [&](Addr target) {
+        if (std::find(succs.begin(), succs.end(), target) == succs.end())
+            succs.push_back(target);
     };
-
-    for (const auto &[term, ids] : cfg.byTerm_) {
-        const BasicBlock &bb = cfg.blocks_[ids.front()];
+    for (u32 r = 0; r < cfg.terms_.count(); ++r) {
+        const u32 *first = cfg.termIdsBegin(r);
+        const u32 *last = cfg.termIdsEnd(r);
+        const BasicBlock &bb = cfg.blocks_[*first];
+        const Addr term = bb.term;
         const Instr &ins = instrs[term - mod.base];
+        succs.clear();
         switch (bb.kind) {
           case TermKind::Branch:
-            add_succ(term, ins.directTarget(term));
-            add_succ(term, bb.end);
+            add_succ(ins.directTarget(term));
+            add_succ(bb.end);
             break;
           case TermKind::Jump:
           case TermKind::Call:
-            add_succ(term, ins.directTarget(term));
+            add_succ(ins.directTarget(term));
             break;
           case TermKind::CallIndirect:
           case TermKind::JumpIndirect: {
             auto it = mod.indirectTargets.find(term);
             if (it != mod.indirectTargets.end())
                 for (Addr t : it->second)
-                    add_succ(term, t);
+                    add_succ(t);
             break;
           }
           case TermKind::Split:
-            add_succ(term, bb.end);
+            add_succ(bb.end);
             break;
           case TermKind::Return:
           case TermKind::Halt:
-            break; // returns handled below; halt has no successor
+            break; // returns are linked later; halt has no successor
         }
+        for (const u32 *id = first; id != last; ++id)
+            cfg.blocks_[*id].succs = succs;
     }
+    return cfg;
+}
 
-    // ---- finalize ---------------------------------------------------------
-    for (auto &bb : cfg.blocks_) {
-        auto sit = term_succs.find(bb.term);
-        if (sit != term_succs.end())
-            bb.succs = sit->second;
-    }
-
-    // Return-site analysis for this module in isolation; SigStore re-runs
-    // it program-wide once every module's CFG exists.
+Cfg
+buildCfg(const Module &mod, const SplitLimits &limits)
+{
+    Cfg cfg = deriveCfg(mod, limits);
+    // Return-site analysis for this module in isolation.
     linkCfgs({&cfg});
     return cfg;
 }
@@ -278,100 +345,111 @@ buildCfg(const Module &mod, const SplitLimits &limits)
 void
 linkCfgs(const std::vector<Cfg *> &cfgs)
 {
-    // Global indices across all modules (module address ranges are
-    // disjoint, so starts and terminators are unique program-wide).
-    struct Ref
+    // Module code ranges are disjoint, so every start and terminator has
+    // exactly one owning CFG; per-CFG scratch is indexed by block id.
+    struct Scratch
     {
-        Cfg *cfg;
-        u32 idx;
+        std::vector<u32> visited; ///< BFS stamp per block
+        std::vector<u32> memo;    ///< block id -> slot in `rets`, or kNone
     };
-    // Hash containers: every traversal below iterates blocks_/worklists,
-    // never these indices, so edge order stays deterministic.
-    std::unordered_map<Addr, Ref> by_start;
-    std::unordered_map<Addr, std::vector<Ref>> by_term;
-
-    for (Cfg *cfg : cfgs) {
-        for (auto &bb : cfg->blocks_) {
+    constexpr u32 kNone = ~u32{0};
+    std::vector<Scratch> scratch(cfgs.size());
+    for (std::size_t c = 0; c < cfgs.size(); ++c) {
+        for (auto &bb : cfgs[c]->blocks_) {
             // Reset any previous return-edge information (idempotence).
             if (bb.kind == TermKind::Return)
                 bb.succs.clear();
             bb.retPreds.clear();
         }
-        for (const auto &[start, idx] : cfg->byStart_)
-            by_start.emplace(start, Ref{cfg, idx});
-        for (const auto &[term, ids] : cfg->byTerm_)
-            for (u32 id : ids)
-                by_term[term].push_back(Ref{cfg, id});
+        scratch[c].visited.assign(cfgs[c]->blocks_.size(), 0);
+        scratch[c].memo.assign(cfgs[c]->blocks_.size(), kNone);
     }
 
-    auto block_at = [&](Addr start) -> BasicBlock * {
-        auto it = by_start.find(start);
-        return it == by_start.end() ? nullptr
-                                    : &it->second.cfg->blocks_[it->second.idx];
+    // The CFG whose code holds @p a, as an index into cfgs, or kNone.
+    auto owner = [&](Addr a) -> u32 {
+        for (std::size_t c = 0; c < cfgs.size(); ++c)
+            if (a - cfgs[c]->base_ < cfgs[c]->codeSize_)
+                return static_cast<u32>(c);
+        return kNone;
     };
 
     // RET instructions reachable intra-procedurally from a function entry,
-    // following edges across modules.
-    std::unordered_map<Addr, std::vector<Addr>> rets_of_entry;
+    // following edges across modules. Memoized per entry block.
+    std::deque<std::vector<Addr>> rets_of_entry;
+    const std::vector<Addr> no_rets;
+    std::vector<Addr> bfs;
+    u32 stamp = 0;
     auto reachable_rets = [&](Addr entry) -> const std::vector<Addr> & {
-        auto memo = rets_of_entry.find(entry);
-        if (memo != rets_of_entry.end())
-            return memo->second;
+        const u32 ec = owner(entry);
+        const u32 eid = ec == kNone ? kNone : cfgs[ec]->idAtStart(entry);
+        if (eid == kNone)
+            return no_rets; // not a block entry of any known module
+        if (scratch[ec].memo[eid] != kNone)
+            return rets_of_entry[scratch[ec].memo[eid]];
 
         std::vector<Addr> rets;
-        std::unordered_set<Addr> visited;
-        std::deque<Addr> bfs{entry};
-        while (!bfs.empty()) {
-            const Addr s = bfs.front();
-            bfs.pop_front();
-            if (!visited.insert(s).second)
+        ++stamp;
+        bfs.assign(1, entry);
+        for (std::size_t head = 0; head < bfs.size(); ++head) {
+            const Addr s = bfs[head];
+            const u32 c = owner(s);
+            const u32 id = c == kNone ? kNone : cfgs[c]->idAtStart(s);
+            if (id == kNone)
+                continue; // target outside every known block
+            if (scratch[c].visited[id] == stamp)
                 continue;
-            const BasicBlock *bb = block_at(s);
-            if (!bb)
-                continue; // target outside every known module
-            switch (bb->kind) {
+            scratch[c].visited[id] = stamp;
+            const BasicBlock &bb = cfgs[c]->blocks_[id];
+            switch (bb.kind) {
               case TermKind::Return:
-                rets.push_back(bb->term);
+                rets.push_back(bb.term);
                 break;
               case TermKind::Halt:
                 break;
               case TermKind::Call:
               case TermKind::CallIndirect:
                 // Intra-procedural flow resumes at the return site.
-                bfs.push_back(bb->end);
+                bfs.push_back(bb.end);
                 break;
               default:
-                for (Addr t : bb->succs)
+                for (Addr t : bb.succs)
                     bfs.push_back(t);
                 break;
             }
         }
-        return rets_of_entry.emplace(entry, std::move(rets)).first->second;
+        scratch[ec].memo[eid] = static_cast<u32>(rets_of_entry.size());
+        rets_of_entry.push_back(std::move(rets));
+        return rets_of_entry.back();
     };
 
     // Visit every call site once (by terminator address).
-    std::unordered_set<Addr> call_terms_seen;
     for (Cfg *cfg : cfgs) {
         for (const auto &bb : cfg->blocks_) {
             if (bb.kind != TermKind::Call &&
                 bb.kind != TermKind::CallIndirect)
                 continue;
-            if (!call_terms_seen.insert(bb.term).second)
+            if (!cfg->firstAtTerm(bb))
                 continue;
             const Addr return_site = bb.end;
-            BasicBlock *rb = block_at(return_site);
-            if (!rb)
+            const u32 rc = owner(return_site);
+            const u32 rid =
+                rc == kNone ? kNone : cfgs[rc]->idAtStart(return_site);
+            if (rid == kNone)
                 continue;
+            BasicBlock &rb = cfgs[rc]->blocks_[rid];
             for (Addr entry : bb.succs) {
                 for (Addr r : reachable_rets(entry)) {
                     // The RET may transfer to this call's return site.
-                    for (const Ref &ref : by_term[r]) {
-                        auto &succs = ref.cfg->blocks_[ref.idx].succs;
+                    Cfg &rcfg = *cfgs[owner(r)];
+                    const u32 rank = rcfg.termRank(r);
+                    for (const u32 *id = rcfg.termIdsBegin(rank);
+                         id != rcfg.termIdsEnd(rank); ++id) {
+                        auto &succs = rcfg.blocks_[*id].succs;
                         if (std::find(succs.begin(), succs.end(),
                                       return_site) == succs.end())
                             succs.push_back(return_site);
                     }
-                    auto &preds = rb->retPreds;
+                    auto &preds = rb.retPreds;
                     if (std::find(preds.begin(), preds.end(), r) ==
                         preds.end())
                         preds.push_back(r);

@@ -20,7 +20,7 @@
 #ifndef REV_PROGRAM_CFG_HPP
 #define REV_PROGRAM_CFG_HPP
 
-#include <unordered_map>
+#include <cstddef>
 #include <vector>
 
 #include "program/module.hpp"
@@ -100,17 +100,84 @@ struct CfgStats
 
 /**
  * The reference CFG of one module.
+ *
+ * Block lookups index the module's contiguous code region by offset: one
+ * bit per code byte marks block starts (and, separately, terminators),
+ * and a running count per 64-byte word turns a marked offset into its
+ * rank, so both lookups are O(1) and allocation-free.
  */
 class Cfg
 {
   public:
+    /**
+     * Non-owning view of the blocks sharing one terminator, in block-id
+     * order. Valid while the Cfg lives; iterating yields block pointers.
+     */
+    class TermBlocks
+    {
+      public:
+        class iterator
+        {
+          public:
+            using value_type = const BasicBlock *;
+            using difference_type = std::ptrdiff_t;
+
+            iterator() = default;
+            iterator(const BasicBlock *blocks, const u32 *id)
+                : blocks_(blocks), id_(id)
+            {
+            }
+            const BasicBlock *operator*() const { return blocks_ + *id_; }
+            iterator &
+            operator++()
+            {
+                ++id_;
+                return *this;
+            }
+            iterator
+            operator++(int)
+            {
+                iterator old = *this;
+                ++id_;
+                return old;
+            }
+            bool operator==(const iterator &o) const { return id_ == o.id_; }
+
+          private:
+            const BasicBlock *blocks_ = nullptr;
+            const u32 *id_ = nullptr;
+        };
+
+        TermBlocks() = default;
+        TermBlocks(const BasicBlock *blocks, const u32 *first,
+                   const u32 *last)
+            : blocks_(blocks), first_(first), last_(last)
+        {
+        }
+
+        iterator begin() const { return {blocks_, first_}; }
+        iterator end() const { return {blocks_, last_}; }
+        std::size_t size() const { return last_ - first_; }
+        bool empty() const { return first_ == last_; }
+        const BasicBlock *operator[](std::size_t i) const
+        {
+            return blocks_ + first_[i];
+        }
+
+      private:
+        const BasicBlock *blocks_ = nullptr;
+        const u32 *first_ = nullptr;
+        const u32 *last_ = nullptr;
+    };
+
     const std::vector<BasicBlock> &blocks() const { return blocks_; }
 
     /** Block whose entry point is @p start; nullptr if not a valid entry. */
     const BasicBlock *blockAtStart(Addr start) const;
 
-    /** All blocks terminated by the instruction at @p term. */
-    std::vector<const BasicBlock *> blocksAtTerm(Addr term) const;
+    /** All blocks terminated by the instruction at @p term (empty view if
+     *  none). */
+    TermBlocks blocksAtTerm(Addr term) const;
 
     /** The split limits the analysis used (front end must match them). */
     const SplitLimits &splitLimits() const { return limits_; }
@@ -118,14 +185,70 @@ class Cfg
     CfgStats stats() const;
 
   private:
-    friend Cfg buildCfg(const Module &mod, const SplitLimits &limits);
+    friend Cfg deriveCfg(const Module &mod, const SplitLimits &limits);
     friend void linkCfgs(const std::vector<Cfg *> &cfgs);
 
+    /** Rank index over a set of code offsets (see the class comment). */
+    class OffsetRank
+    {
+      public:
+        static constexpr u32 kNone = ~u32{0};
+
+        /** Empty set over @p size code bytes. */
+        void reset(std::size_t size);
+        void set(std::size_t off) { bits_[off >> 6] |= u64{1} << (off & 63); }
+        /** Fix the running counts; call once every offset is set. */
+        void finalize();
+        /** Number of offsets in the set. */
+        u32 count() const { return before_.empty() ? 0 : before_.back(); }
+        /** Rank of @p off among the set's offsets, or kNone if absent. */
+        u32 find(u64 off) const;
+
+      private:
+        std::vector<u64> bits_;
+        std::vector<u32> before_; ///< set bits in words [0, w); one extra
+    };
+
+    /** Index of block @p start in blocks_, or OffsetRank::kNone. */
+    u32 idAtStart(Addr start) const;
+    /** Rank of terminator @p term, or OffsetRank::kNone. */
+    u32 termRank(Addr term) const;
+    /** Block ids terminated at the terminator of rank @p rank. */
+    const u32 *termIdsBegin(u32 rank) const
+    {
+        return termIds_.data() + termBegin_[rank];
+    }
+    const u32 *termIdsEnd(u32 rank) const
+    {
+        return termIds_.data() + termBegin_[rank + 1];
+    }
+    /** True iff @p bb is the lowest-id block at its terminator. */
+    bool firstAtTerm(const BasicBlock &bb) const
+    {
+        return *termIdsBegin(termRank(bb.term)) == bb.id;
+    }
+    /** Fill the start and terminator indices from blocks_. */
+    void index();
+
     std::vector<BasicBlock> blocks_;
-    std::unordered_map<Addr, u32> byStart_;
-    std::unordered_map<Addr, std::vector<u32>> byTerm_;
+    Addr base_ = 0;      ///< module code base
+    u64 codeSize_ = 0;   ///< bytes in the code region
+    OffsetRank starts_;  ///< offsets where a block starts
+    std::vector<u32> startIds_; ///< start rank -> block id
+    OffsetRank terms_;   ///< offsets of terminators
+    std::vector<u32> termBegin_; ///< term rank -> first slot in termIds_
+    std::vector<u32> termIds_;   ///< block ids grouped by terminator
     SplitLimits limits_;
 };
+
+/**
+ * Derive the reference CFG of @p mod without return-site analysis: RET
+ * blocks have no successors and no block has return predecessors until
+ * linkCfgs() runs over it (alone, or with every module of its program).
+ * The trusted linker derives each module this way and links the whole
+ * program once.
+ */
+Cfg deriveCfg(const Module &mod, const SplitLimits &limits = {});
 
 /**
  * Build the reference CFG of @p mod. The module's code region must decode
@@ -133,9 +256,11 @@ class Cfg
  * code is a fatal error. Computed-transfer sites with no annotated targets
  * are allowed here but will be flagged by the signature builder.
  *
- * Return-site analysis is run for the module in isolation; when a program
- * links several modules, call linkCfgs() over all of them so returns that
- * cross module boundaries resolve (the trusted linker's job, Sec. IV.B).
+ * Return-site analysis is run for the module in isolation (deriveCfg()
+ * plus linkCfgs() over this one CFG); when a program links several
+ * modules, derive each and call linkCfgs() over all of them so returns
+ * that cross module boundaries resolve (the trusted linker's job,
+ * Sec. IV.B).
  */
 Cfg buildCfg(const Module &mod, const SplitLimits &limits = {});
 

@@ -7,7 +7,7 @@
 #ifndef REV_PROGRAM_PROGRAM_HPP
 #define REV_PROGRAM_PROGRAM_HPP
 
-#include <vector>
+#include <deque>
 
 #include "common/sparse_memory.hpp"
 #include "program/module.hpp"
@@ -50,8 +50,8 @@ class Program
     /** Next free base address for linking another module. */
     Addr nextModuleBase() const;
 
-    const std::vector<Module> &modules() const { return modules_; }
-    std::vector<Module> &modules() { return modules_; }
+    const std::deque<Module> &modules() const { return modules_; }
+    std::deque<Module> &modules() { return modules_; }
 
     const Module &main() const { return modules_.front(); }
 
@@ -68,7 +68,9 @@ class Program
     void loadInto(SparseMemory &mem) const;
 
   private:
-    std::vector<Module> modules_;
+    /** A deque so adding a module (the dynamic linker) never moves the
+     *  others: signature builds and snapshots point at them. */
+    std::deque<Module> modules_;
 };
 
 } // namespace rev::prog

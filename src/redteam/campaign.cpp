@@ -272,7 +272,7 @@ Campaign::generatePlans() const
                     sig::kSigTableRegion + rng.below(4096);
             } else {
                 const sig::ModuleSig &ms =
-                    ctx.protos.at(plan.mode)->moduleSigs().front();
+                    ctx.protos.at(plan.mode).moduleSigs().front();
                 // Skip the cleartext header: the table reader caches it
                 // at first use, so corrupting it later is invisible by
                 // design; the record area is what walks keep reading.
@@ -436,7 +436,7 @@ Campaign::run(bool use_snapshots) const
             core::SimConfig cfg =
                 campaignSimConfig(spec_, g.mode, *g.timing);
             if (!spec_.disableRev)
-                cfg.sigStorePrototype = g.ctx->protos.at(g.mode).get();
+                cfg.sigStorePrototype = &g.ctx->protos.at(g.mode);
             core::Simulator source(g.ctx->program, cfg);
             std::optional<core::Snapshot> snap;
             // Once runUntil() reports the run finished, the source is

@@ -241,15 +241,14 @@ buildWorkloadContext(const workloads::WorkloadProfile &profile,
     // One signature-table build per mode; the first build donates its
     // CFGs and block hashes to the rest (mode-independent, and the
     // dominant build cost). Mirrors the benchmark sweep's prototype
-    // sharing; the Simulator clones these instead of rebuilding.
+    // sharing; each Simulator shares these builds instead of rebuilding.
     if (!spec.disableRev) {
-        ctx->vault = std::make_unique<crypto::KeyVault>(probe.cpuSeed);
+        const crypto::KeyVault vault(probe.cpuSeed);
         for (sig::ValidationMode mode : modes) {
             const sig::SigStore *donor =
-                ctx->protos.empty() ? nullptr
-                                    : ctx->protos.begin()->second.get();
-            ctx->protos[mode] = std::make_unique<sig::SigStore>(
-                ctx->program, mode, *ctx->vault, probe.toolchainSeed,
+                ctx->protos.empty() ? nullptr : &ctx->protos.begin()->second;
+            ctx->protos.try_emplace(
+                mode, ctx->program, mode, vault, probe.toolchainSeed,
                 probe.core.splitLimits, probe.rev.chg.hashRounds, donor);
         }
     }
@@ -259,7 +258,7 @@ buildWorkloadContext(const workloads::WorkloadProfile &profile,
     // collected through a pre-step hook.
     core::SimConfig cfg = probe;
     if (!spec.disableRev)
-        cfg.sigStorePrototype = ctx->protos.at(modes.front()).get();
+        cfg.sigStorePrototype = &ctx->protos.at(modes.front());
     prog::TraceRecorder recorder;
     if (!spec.disableRev)
         cfg.traceRecorder = &recorder;
@@ -345,10 +344,10 @@ buildWorkloadContext(const workloads::WorkloadProfile &profile,
         ctx->quiescenceHash = ctx->quiescenceExec;
         if (!spec.disableRev) {
             for (const sig::ModuleSig &ms :
-                 ctx->protos.at(modes.front())->moduleSigs()) {
+                 ctx->protos.at(modes.front()).moduleSigs()) {
                 if (ms.module->base != mm.base)
                     continue;
-                for (const prog::BasicBlock &bb : ms.cfg.blocks()) {
+                for (const prog::BasicBlock &bb : ms.cfg->blocks()) {
                     const auto it = exec_pos.find(bb.start);
                     if (it == exec_pos.end())
                         continue; // block never entered, never digested
@@ -457,7 +456,7 @@ addGolden(WorkloadContext &ctx, const CampaignSpec &spec,
         return;
     core::SimConfig cfg = campaignSimConfig(spec, mode, timing);
     if (!spec.disableRev)
-        cfg.sigStorePrototype = ctx.protos.at(mode).get();
+        cfg.sigStorePrototype = &ctx.protos.at(mode);
     if (!spec.disableRev && prog::replayEnabledFromEnv() &&
         ctx.trace.replayable())
         cfg.replayTrace = &ctx.trace;
@@ -622,7 +621,7 @@ runInjection(const WorkloadContext &ctx, const CampaignSpec &spec,
 
     core::SimConfig cfg = campaignSimConfig(spec, plan.mode, timing);
     if (!spec.disableRev)
-        cfg.sigStorePrototype = ctx.protos.at(plan.mode).get();
+        cfg.sigStorePrototype = &ctx.protos.at(plan.mode);
     core::Simulator sim(ctx.program, cfg);
     return runArmed(ctx, spec, plan, timing, sim);
 }

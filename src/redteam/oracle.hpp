@@ -115,8 +115,7 @@ struct WorkloadContext
 {
     std::string name;
     prog::Program program;
-    std::unique_ptr<crypto::KeyVault> vault;
-    std::map<sig::ValidationMode, std::unique_ptr<sig::SigStore>> protos;
+    std::map<sig::ValidationMode, sig::SigStore> protos;
 
     prog::Trace trace;        ///< recorded golden run (REV campaigns only)
     SparseMemory goldenMemory; ///< final functional memory of the record run

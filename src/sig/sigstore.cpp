@@ -13,7 +13,7 @@ SigStore::SigStore(const prog::Program &program, ValidationMode mode,
                    const crypto::KeyVault &vault, u64 seed,
                    const prog::SplitLimits &limits, unsigned hash_rounds,
                    const SigStore *cfg_donor)
-    : mode_(mode), hashRounds_(hash_rounds), vault_(&vault), seed_(seed),
+    : mode_(mode), hashRounds_(hash_rounds), vault_(vault), seed_(seed),
       limits_(limits)
 {
     rebuildWith(program, cfg_donor);
@@ -28,103 +28,104 @@ SigStore::rebuild(const prog::Program &program)
 void
 SigStore::rebuildWith(const prog::Program &program, const SigStore *cfg_donor)
 {
-    sigs_.clear();
-    images_.clear();
+    // A fresh build, published only when complete: other handles keep
+    // the one they share.
+    auto build = std::make_shared<Build>();
+    auto &sigs = build->sigs;
     Rng rng(seed_ ^ 0x5167a11eULL ^ (generation_ * 0x9e3779b9ULL));
     ++generation_;
     Addr next_base = kSigTableRegion;
 
     // A donor is usable only when it analyzed exactly these modules with
     // the same split limits; CFG derivation does not depend on the mode.
+    const auto &modules = program.modules();
     const bool donate = cfg_donor && cfg_donor->limits_ == limits_ &&
-                        cfg_donor->sigs_.size() == program.modules().size() &&
+                        cfg_donor->moduleSigs().size() == modules.size() &&
                         [&] {
-                            for (std::size_t i = 0;
-                                 i < cfg_donor->sigs_.size(); ++i)
-                                if (cfg_donor->sigs_[i].module !=
-                                    &program.modules()[i])
+                            for (std::size_t i = 0; i < modules.size(); ++i)
+                                if (cfg_donor->moduleSigs()[i].module !=
+                                    &modules[i])
                                     return false;
                             return true;
                         }();
 
-    // Derive every module's CFG, then resolve cross-module return edges
-    // (the trusted static linker's knowledge, Sec. IV.B). linkCfgs is
-    // idempotent, so donated CFGs (already linked) need no second pass.
-    for (std::size_t i = 0; i < program.modules().size(); ++i) {
-        const auto &mod = program.modules()[i];
-        ModuleSig sig;
-        sig.module = &mod;
-        sig.cfg = donate ? cfg_donor->sigs_[i].cfg
-                         : prog::buildCfg(mod, limits_);
-        sigs_.push_back(std::move(sig));
-    }
-    if (!donate) {
-        std::vector<prog::Cfg *> cfgs;
-        for (auto &sig : sigs_)
-            cfgs.push_back(&sig.cfg);
-        prog::linkCfgs(cfgs);
-    }
-
-    // Block hashes depend only on the module bytes and the round count, so
-    // a donor built with the same rounds (any non-CFI mode) supplies them.
-    const bool donate_hashes =
-        donate && cfg_donor->hashRounds_ == hashRounds_;
-
-    for (std::size_t i = 0; i < sigs_.size(); ++i) {
-        auto &sig = sigs_[i];
-        if (mode_ != ValidationMode::CfiOnly) {
-            if (donate_hashes && cfg_donor->sigs_[i].blockHashes.size() ==
-                                     sig.cfg.blocks().size()) {
-                sig.blockHashes = cfg_donor->sigs_[i].blockHashes;
-            } else {
-                // Hash the module's blocks four lanes at a time through
-                // the multi-lane CubeHash (bit-identical to bbHash).
-                const auto &blocks = sig.cfg.blocks();
-                const auto &mod = *sig.module;
-                sig.blockHashes.resize(blocks.size());
-                BbHashJob jobs[crypto::CubeHashX4::kLanes];
-                for (std::size_t b = 0; b < blocks.size();
-                     b += crypto::CubeHashX4::kLanes) {
-                    const unsigned n = static_cast<unsigned>(
-                        std::min<std::size_t>(crypto::CubeHashX4::kLanes,
-                                              blocks.size() - b));
-                    for (unsigned l = 0; l < n; ++l) {
-                        const auto &bb = blocks[b + l];
-                        REV_ASSERT(bb.start >= mod.base &&
-                                       bb.end <= mod.codeEnd(),
-                                   "SigStore: block outside module code");
-                        jobs[l] = {mod.image.data() + (bb.start - mod.base),
-                                   bb.sizeBytes(), bb.start, bb.term};
-                    }
-                    bbHashBatch(jobs, n, hashRounds_,
-                                sig.blockHashes.data() + b);
-                }
-            }
+    sigs.resize(modules.size());
+    if (donate) {
+        // Share the donor's CFGs; block hashes depend only on the module
+        // bytes and the round count.
+        const bool donate_hashes = cfg_donor->hashRounds_ == hashRounds_;
+        for (std::size_t i = 0; i < modules.size(); ++i) {
+            sigs[i].cfg = cfg_donor->moduleSigs()[i].cfg;
+            if (donate_hashes)
+                sigs[i].blockHashes = cfg_donor->moduleSigs()[i].blockHashes;
         }
-        const crypto::AesKey key = vault_->generateModuleKey(rng);
+    } else {
+        // Derive every module's CFG, then resolve cross-module return
+        // edges once (the trusted static linker's knowledge, Sec. IV.B).
+        std::vector<prog::Cfg> cfgs;
+        cfgs.reserve(modules.size());
+        for (const prog::Module &mod : modules)
+            cfgs.push_back(prog::deriveCfg(mod, limits_));
+        std::vector<prog::Cfg *> ptrs;
+        for (prog::Cfg &cfg : cfgs)
+            ptrs.push_back(&cfg);
+        prog::linkCfgs(ptrs);
+        for (std::size_t i = 0; i < modules.size(); ++i)
+            sigs[i].cfg =
+                std::make_shared<const prog::Cfg>(std::move(cfgs[i]));
+    }
+
+    for (std::size_t i = 0; i < sigs.size(); ++i) {
+        auto &sig = sigs[i];
+        sig.module = &modules[i];
+        const auto &blocks = sig.cfg->blocks();
+        if (mode_ != ValidationMode::CfiOnly &&
+            (!sig.blockHashes || sig.blockHashes->size() != blocks.size())) {
+            // Hash the module's blocks four lanes at a time through the
+            // multi-lane CubeHash (bit-identical to bbHash).
+            const auto &mod = *sig.module;
+            auto hashes = std::make_shared<std::vector<u32>>(blocks.size());
+            BbHashJob jobs[crypto::CubeHashX4::kLanes];
+            for (std::size_t b = 0; b < blocks.size();
+                 b += crypto::CubeHashX4::kLanes) {
+                const unsigned n = static_cast<unsigned>(std::min<std::size_t>(
+                    crypto::CubeHashX4::kLanes, blocks.size() - b));
+                for (unsigned l = 0; l < n; ++l) {
+                    const auto &bb = blocks[b + l];
+                    REV_ASSERT(bb.start >= mod.base &&
+                                   bb.end <= mod.codeEnd(),
+                               "SigStore: block outside module code");
+                    jobs[l] = {mod.image.data() + (bb.start - mod.base),
+                               bb.sizeBytes(), bb.start, bb.term};
+                }
+                bbHashBatch(jobs, n, hashRounds_, hashes->data() + b);
+            }
+            sig.blockHashes = std::move(hashes);
+        }
+        const crypto::AesKey key = vault_.generateModuleKey(rng);
         const u64 nonce = rng.next();
         BuiltTable built =
-            buildTable(*sig.module, sig.cfg, mode_, *vault_, key, nonce,
-                       hashRounds_,
-                       sig.blockHashes.empty() ? nullptr : &sig.blockHashes);
+            buildTable(*sig.module, *sig.cfg, mode_, vault_, key, nonce,
+                       hashRounds_, sig.blockHashes.get());
         sig.tableBase = next_base;
         sig.stats = built.stats;
         next_base = roundUp(next_base + built.bytes.size() + 0x100, 0x40);
-        images_.push_back(std::move(built.bytes));
+        build->images.push_back(std::move(built.bytes));
     }
+    build_ = std::move(build);
 }
 
 void
 SigStore::loadInto(SparseMemory &mem) const
 {
-    for (std::size_t i = 0; i < sigs_.size(); ++i)
-        mem.writeBytes(sigs_[i].tableBase, images_[i]);
+    for (std::size_t i = 0; i < build_->sigs.size(); ++i)
+        mem.writeBytes(build_->sigs[i].tableBase, build_->images[i]);
 }
 
 const ModuleSig *
 SigStore::findByCode(Addr addr) const
 {
-    for (const auto &sig : sigs_)
+    for (const auto &sig : build_->sigs)
         if (sig.module->containsCode(addr))
             return &sig;
     return nullptr;
@@ -134,7 +135,7 @@ u64
 SigStore::totalTableBytes() const
 {
     u64 total = 0;
-    for (const auto &img : images_)
+    for (const auto &img : build_->images)
         total += img.size();
     return total;
 }

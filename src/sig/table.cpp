@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
-#include <set>
 
 #include "common/logging.hpp"
 #include "crypto/cubehash.hpp"
@@ -199,9 +197,9 @@ buildTable(const prog::Module &mod, const prog::Cfg &cfg,
     if (mode == ValidationMode::CfiOnly) {
         // One (site, target) record per legitimate transfer of computed
         // sites and returns; code hashes are not validated (Sec. V.D).
-        std::set<Addr> seen_terms;
+        // The first block at each terminator stands for the site.
         for (const auto &bb : cfg.blocks()) {
-            if (!seen_terms.insert(bb.term).second)
+            if (cfg.blocksAtTerm(bb.term)[0] != &bb)
                 continue;
             if (!termIsComputed(bb.kind) && bb.kind != TermKind::Return)
                 continue;

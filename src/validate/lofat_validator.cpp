@@ -90,8 +90,7 @@ LoFatValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
         ++stats_.unattestedBlocks;
         return fail(info, verdict::reasonUnattested(info.term));
     }
-    const std::vector<const prog::BasicBlock *> blocks =
-        ms->cfg.blocksAtTerm(info.term);
+    const prog::Cfg::TermBlocks blocks = ms->cfg->blocksAtTerm(info.term);
     if (blocks.empty()) {
         ++stats_.unattestedBlocks;
         return fail(info, verdict::reasonUnattested(info.term));

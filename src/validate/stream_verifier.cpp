@@ -313,15 +313,10 @@ StreamVerifier::handleBlockLoFat(const MeasurementEvent &ev)
     if (!enabled_)
         return;
 
-    auto memo = lofatBlocks_.find(ev.term);
-    if (memo == lofatBlocks_.end()) {
-        const std::size_t shard = refs_.shardFor(ev.term);
-        std::vector<const prog::BasicBlock *> found;
-        if (shard != kNoShard)
-            found = refs_.moduleSig(shard).cfg.blocksAtTerm(ev.term);
-        memo = lofatBlocks_.emplace(ev.term, std::move(found)).first;
-    }
-    const std::vector<const prog::BasicBlock *> &blocks = memo->second;
+    const std::size_t shard = refs_.shardFor(ev.term);
+    const prog::Cfg::TermBlocks blocks =
+        shard == kNoShard ? prog::Cfg::TermBlocks{}
+                          : refs_.moduleSig(shard).cfg->blocksAtTerm(ev.term);
     if (blocks.empty()) {
         ++verdict_.unattestedBlocks;
         violation(ev, verdict::reasonUnattested(ev.term));

@@ -208,9 +208,6 @@ class StreamVerifier
     std::vector<Addr> shadowStack_;
 
     // --- LO-FAT session state (mirrors LoFatValidator) ------------------
-    // Per-session memo of cfg.blocksAtTerm so loops cost one CFG walk.
-    std::unordered_map<Addr, std::vector<const prog::BasicBlock *>>
-        lofatBlocks_;
     crypto::Digest chain_{};
     unsigned bufferUsed_ = 0;
     bool spillPending_ = false;
