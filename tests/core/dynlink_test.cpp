@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "core/simulator.hpp"
 #include "program/assembler.hpp"
 #include "testutil.hpp"
@@ -106,6 +109,122 @@ TEST(DynamicCode, TrustedRegenerationValidatesNewCode)
     // The generated function really ran, validated.
     EXPECT_EQ(sim.core().machine().reg(1), 123u);
     EXPECT_EQ(sim.sigStore()->moduleSigs().size(), 2u);
+}
+
+/**
+ * Pre-step hook running the trusted JIT path of the test above at
+ * instruction 30: link the generated module into @p sc's program, extend
+ * the dispatch site's targets, reload, and repoint the slot.
+ */
+cpu::Core::PreStepHook
+jitHook(Simulator &sim, JitScenario &sc, bool &installed)
+{
+    return [&sim, &sc, &installed](u64 idx, Addr) {
+        if (idx != 30 || installed)
+            return;
+        installed = true;
+        prog::Module jit = buildJitModule(0x80000);
+        const Addr jitfn = jit.symbol("jitfn");
+        sc.program.addModule(std::move(jit));
+        sc.program.modules()[0].indirectTargets[sc.site].push_back(jitfn);
+        sim.reloadProgram();
+        sim.memory().write64(sc.slotAddr, jitfn);
+    };
+}
+
+std::string
+statsText(const Simulator &sim)
+{
+    std::ostringstream os;
+    sim.dumpStats(os);
+    return os.str();
+}
+
+TEST(DynamicCode, RebuildLeavesSharedPrototypeAndSiblingUntouched)
+{
+    JitScenario sc = buildJitMain();
+    SimConfig cfg;
+    const crypto::KeyVault vault(cfg.cpuSeed);
+    const sig::SigStore proto(sc.program, cfg.mode, vault, cfg.toolchainSeed,
+                              cfg.core.splitLimits, cfg.rev.chg.hashRounds);
+    const std::vector<u8> proto_image = proto.tableImage(0);
+    cfg.sigStorePrototype = &proto;
+
+    // Reference: a simulator over the prototype that never links.
+    Simulator ref(sc.program, cfg);
+    const SimResult ref_run = ref.run();
+
+    // Two simulators share the prototype's build; one links the JIT
+    // module and rebuilds mid-run.
+    Simulator linker(sc.program, cfg);
+    Simulator sibling(sc.program, cfg);
+    bool installed = false;
+    linker.core().setPreStepHook(jitHook(linker, sc, installed));
+    const SimResult lr = linker.run();
+    ASSERT_TRUE(installed);
+    EXPECT_FALSE(lr.run.violation.has_value()) << lr.run.violation->reason;
+    EXPECT_EQ(linker.core().machine().reg(1), 123u);
+    EXPECT_EQ(linker.sigStore()->moduleSigs().size(), 2u);
+
+    // The sibling still runs on the prototype's build, exactly as the
+    // reference did; the prototype's tables are byte-for-byte unchanged.
+    ASSERT_EQ(sibling.sigStore()->moduleSigs().size(), 1u);
+    EXPECT_EQ(&sibling.sigStore()->moduleSigs()[0], &proto.moduleSigs()[0]);
+    const SimResult sr = sibling.run();
+    EXPECT_FALSE(sr.run.violation.has_value());
+    EXPECT_EQ(sr.run.instrs, ref_run.run.instrs);
+    EXPECT_EQ(sr.run.cycles, ref_run.run.cycles);
+    EXPECT_EQ(statsText(sibling), statsText(ref));
+    EXPECT_EQ(proto.moduleSigs().size(), 1u);
+    EXPECT_EQ(proto.tableImage(0), proto_image);
+}
+
+TEST(DynamicCode, ReloadAfterCaptureKeepsSnapshotTables)
+{
+    JitScenario sc = buildJitMain();
+    const SimConfig cfg;
+    Simulator cold(sc.program, cfg);
+    const SimResult cold_run = cold.run();
+
+    Simulator sim(sc.program, cfg);
+    ASSERT_TRUE(sim.runUntil(20));
+    const Snapshot snap = sim.capture();
+    bool installed = false;
+    sim.core().setPreStepHook(jitHook(sim, sc, installed));
+    const SimResult r = sim.run();
+    ASSERT_TRUE(installed);
+    EXPECT_FALSE(r.run.violation.has_value()) << r.run.violation->reason;
+    EXPECT_EQ(sim.core().machine().reg(1), 123u);
+    EXPECT_EQ(sim.sigStore()->moduleSigs().size(), 2u);
+
+    // Forks of the earlier snapshot validate against the tables captured
+    // then, and finish exactly like a cold run of the unlinked program.
+    EXPECT_EQ(snap.store->moduleSigs().size(), 1u);
+    auto fork = Simulator::forkFrom(snap);
+    ASSERT_EQ(fork->sigStore()->moduleSigs().size(), 1u);
+    const SimResult fr = fork->run();
+    EXPECT_TRUE(fr.run.halted);
+    EXPECT_FALSE(fr.run.violation.has_value());
+    EXPECT_EQ(fr.run.instrs, cold_run.run.instrs);
+    EXPECT_EQ(fr.run.cycles, cold_run.run.cycles);
+    EXPECT_EQ(statsText(*fork), statsText(cold));
+
+    // A fork may link on its own: it rebuilds privately too.
+    auto linker = Simulator::forkFrom(snap);
+    const Addr jitfn = sc.program.modules()[1].symbol("jitfn");
+    bool relinked = false;
+    linker->core().setPreStepHook([&](u64 idx, Addr) {
+        if (idx == 30 && !relinked) {
+            relinked = true;
+            linker->reloadProgram();
+            linker->memory().write64(sc.slotAddr, jitfn);
+        }
+    });
+    const SimResult lr = linker->run();
+    ASSERT_TRUE(relinked);
+    EXPECT_FALSE(lr.run.violation.has_value()) << lr.run.violation->reason;
+    EXPECT_EQ(linker->core().machine().reg(1), 123u);
+    EXPECT_EQ(snap.store->moduleSigs().size(), 1u);
 }
 
 TEST(DynamicCode, UnregisteredJitCodeIsRejected)

@@ -127,5 +127,94 @@ TEST(SigStore, TotalBytesMatchesStats)
     EXPECT_EQ(store.totalTableBytes(), sum);
 }
 
+/** FNV-1a 64 over every table image of @p store, as loaded in RAM. */
+u64
+tablesDigest(const SigStore &store)
+{
+    SparseMemory mem;
+    store.loadInto(mem);
+    u64 h = 0xcbf29ce484222325ULL;
+    for (const auto &sig : store.moduleSigs()) {
+        std::vector<u8> bytes(sig.stats.sizeBytes);
+        mem.readBytes(sig.tableBase, bytes.data(), bytes.size());
+        for (u8 b : bytes) {
+            h ^= b;
+            h *= 0x100000001b3ULL;
+        }
+    }
+    return h;
+}
+
+TEST(SigStore, CopiesShareTheBuild)
+{
+    crypto::KeyVault vault(1);
+    auto p = makeTwoModuleProgram();
+    const SigStore store(p, ValidationMode::Full, vault);
+    const SigStore copy = store;
+    for (std::size_t i = 0; i < store.moduleSigs().size(); ++i) {
+        EXPECT_EQ(&copy.moduleSigs()[i], &store.moduleSigs()[i]);
+        EXPECT_EQ(&copy.tableImage(i), &store.tableImage(i));
+    }
+}
+
+TEST(SigStore, DonorSharesCfgsAndHashes)
+{
+    crypto::KeyVault vault(1);
+    auto p = makeTwoModuleProgram();
+    const SigStore full(p, ValidationMode::Full, vault);
+    const SigStore agg(p, ValidationMode::Aggressive, vault, 1, {}, 5,
+                       &full);
+    const SigStore cfi(p, ValidationMode::CfiOnly, vault, 1, {}, 5, &full);
+    for (std::size_t i = 0; i < full.moduleSigs().size(); ++i) {
+        EXPECT_EQ(agg.moduleSigs()[i].cfg, full.moduleSigs()[i].cfg);
+        EXPECT_EQ(cfi.moduleSigs()[i].cfg, full.moduleSigs()[i].cfg);
+        EXPECT_EQ(agg.moduleSigs()[i].blockHashes,
+                  full.moduleSigs()[i].blockHashes);
+    }
+    // Different hash rounds: the CFGs still come from the donor, the
+    // hashes do not.
+    const SigStore r3(p, ValidationMode::Full, vault, 1, {}, 3, &full);
+    EXPECT_EQ(r3.moduleSigs()[0].cfg, full.moduleSigs()[0].cfg);
+    EXPECT_NE(r3.moduleSigs()[0].blockHashes,
+              full.moduleSigs()[0].blockHashes);
+}
+
+TEST(SigStore, RebuildIsCopyOnWrite)
+{
+    crypto::KeyVault vault(1);
+    auto p = makeTwoModuleProgram();
+    const SigStore store(p, ValidationMode::Full, vault);
+    const u64 before = tablesDigest(store);
+    const std::vector<u8> image0 = store.tableImage(0);
+
+    SigStore copy = store;
+    copy.rebuild(p);
+    // Fresh keys and nonces: the copy's tables change...
+    EXPECT_NE(tablesDigest(copy), before);
+    // ...and the original's build is untouched.
+    EXPECT_EQ(tablesDigest(store), before);
+    EXPECT_EQ(store.tableImage(0), image0);
+    EXPECT_NE(&copy.moduleSigs()[0], &store.moduleSigs()[0]);
+}
+
+TEST(SigStore, RebuildKeysFollowTheBuildGeneration)
+{
+    // A copy carries its source's build generation, so rebuilding a copy
+    // draws exactly the keys and nonces the source's own rebuild would.
+    // The pinned digests are the tables of the original key schedule:
+    // construction = generation 0, each rebuild the next.
+    crypto::KeyVault vault(1);
+    auto p = makeTwoModuleProgram();
+    SigStore store(p, ValidationMode::Full, vault);
+    EXPECT_EQ(tablesDigest(store), 0xd1cbd6e95e30e54cULL);
+    SigStore copy = store;
+    copy.rebuild(p);
+    store.rebuild(p);
+    EXPECT_EQ(tablesDigest(copy), tablesDigest(store));
+    EXPECT_EQ(tablesDigest(copy), 0xffa0955fa14cd4efULL);
+    copy.rebuild(p);
+    EXPECT_EQ(tablesDigest(copy), 0x1c33b969ee4b86a9ULL);
+}
+
 } // namespace
 } // namespace rev::sig
