@@ -81,13 +81,6 @@ Cfg::idAtStart(Addr start) const
     return r == OffsetRank::kNone ? r : startIds_[r];
 }
 
-u32
-Cfg::termRank(Addr term) const
-{
-    return term - base_ < codeSize_ ? terms_.find(term - base_)
-                                    : OffsetRank::kNone;
-}
-
 void
 Cfg::index()
 {
@@ -123,13 +116,14 @@ Cfg::blockAtStart(Addr start) const
     return id == OffsetRank::kNone ? nullptr : &blocks_[id];
 }
 
-Cfg::TermBlocks
+std::span<const u32>
 Cfg::blocksAtTerm(Addr term) const
 {
-    const u32 r = termRank(term);
+    const u32 r = term - base_ < codeSize_ ? terms_.find(term - base_)
+                                           : OffsetRank::kNone;
     if (r == OffsetRank::kNone)
         return {};
-    return {blocks_.data(), termIdsBegin(r), termIdsEnd(r)};
+    return {termIds_.data() + termBegin_[r], termIds_.data() + termBegin_[r + 1]};
 }
 
 CfgStats
@@ -143,7 +137,7 @@ Cfg::stats() const
     for (const auto &bb : blocks_) {
         instrs += bb.numInstrs;
         succs += bb.succs.size();
-        if (termIsComputed(bb.kind) && firstAtTerm(bb))
+        if (termIsComputed(bb.kind) && blocksAtTerm(bb.term)[0] == bb.id)
             ++s.numComputedSites;
     }
     if (!blocks_.empty()) {
@@ -296,11 +290,11 @@ deriveCfg(const Module &mod, const SplitLimits &limits)
         if (std::find(succs.begin(), succs.end(), target) == succs.end())
             succs.push_back(target);
     };
-    for (u32 r = 0; r < cfg.terms_.count(); ++r) {
-        const u32 *first = cfg.termIdsBegin(r);
-        const u32 *last = cfg.termIdsEnd(r);
-        const BasicBlock &bb = cfg.blocks_[*first];
+    for (const BasicBlock &bb : cfg.blocks_) {
         const Addr term = bb.term;
+        const std::span<const u32> ids = cfg.blocksAtTerm(term);
+        if (ids[0] != bb.id)
+            continue; // the terminator's first block did the whole group
         const Instr &ins = instrs[term - mod.base];
         succs.clear();
         switch (bb.kind) {
@@ -327,8 +321,8 @@ deriveCfg(const Module &mod, const SplitLimits &limits)
           case TermKind::Halt:
             break; // returns are linked later; halt has no successor
         }
-        for (const u32 *id = first; id != last; ++id)
-            cfg.blocks_[*id].succs = succs;
+        for (u32 id : ids)
+            cfg.blocks_[id].succs = succs;
     }
     return cfg;
 }
@@ -428,7 +422,7 @@ linkCfgs(const std::vector<Cfg *> &cfgs)
             if (bb.kind != TermKind::Call &&
                 bb.kind != TermKind::CallIndirect)
                 continue;
-            if (!cfg->firstAtTerm(bb))
+            if (cfg->blocksAtTerm(bb.term)[0] != bb.id)
                 continue;
             const Addr return_site = bb.end;
             const u32 rc = owner(return_site);
@@ -441,10 +435,8 @@ linkCfgs(const std::vector<Cfg *> &cfgs)
                 for (Addr r : reachable_rets(entry)) {
                     // The RET may transfer to this call's return site.
                     Cfg &rcfg = *cfgs[owner(r)];
-                    const u32 rank = rcfg.termRank(r);
-                    for (const u32 *id = rcfg.termIdsBegin(rank);
-                         id != rcfg.termIdsEnd(rank); ++id) {
-                        auto &succs = rcfg.blocks_[*id].succs;
+                    for (u32 id : rcfg.blocksAtTerm(r)) {
+                        auto &succs = rcfg.blocks_[id].succs;
                         if (std::find(succs.begin(), succs.end(),
                                       return_site) == succs.end())
                             succs.push_back(return_site);

@@ -20,7 +20,7 @@
 #ifndef REV_PROGRAM_CFG_HPP
 #define REV_PROGRAM_CFG_HPP
 
-#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "program/module.hpp"
@@ -109,75 +109,17 @@ struct CfgStats
 class Cfg
 {
   public:
-    /**
-     * Non-owning view of the blocks sharing one terminator, in block-id
-     * order. Valid while the Cfg lives; iterating yields block pointers.
-     */
-    class TermBlocks
-    {
-      public:
-        class iterator
-        {
-          public:
-            using value_type = const BasicBlock *;
-            using difference_type = std::ptrdiff_t;
-
-            iterator() = default;
-            iterator(const BasicBlock *blocks, const u32 *id)
-                : blocks_(blocks), id_(id)
-            {
-            }
-            const BasicBlock *operator*() const { return blocks_ + *id_; }
-            iterator &
-            operator++()
-            {
-                ++id_;
-                return *this;
-            }
-            iterator
-            operator++(int)
-            {
-                iterator old = *this;
-                ++id_;
-                return old;
-            }
-            bool operator==(const iterator &o) const { return id_ == o.id_; }
-
-          private:
-            const BasicBlock *blocks_ = nullptr;
-            const u32 *id_ = nullptr;
-        };
-
-        TermBlocks() = default;
-        TermBlocks(const BasicBlock *blocks, const u32 *first,
-                   const u32 *last)
-            : blocks_(blocks), first_(first), last_(last)
-        {
-        }
-
-        iterator begin() const { return {blocks_, first_}; }
-        iterator end() const { return {blocks_, last_}; }
-        std::size_t size() const { return last_ - first_; }
-        bool empty() const { return first_ == last_; }
-        const BasicBlock *operator[](std::size_t i) const
-        {
-            return blocks_ + first_[i];
-        }
-
-      private:
-        const BasicBlock *blocks_ = nullptr;
-        const u32 *first_ = nullptr;
-        const u32 *last_ = nullptr;
-    };
-
     const std::vector<BasicBlock> &blocks() const { return blocks_; }
 
     /** Block whose entry point is @p start; nullptr if not a valid entry. */
     const BasicBlock *blockAtStart(Addr start) const;
 
-    /** All blocks terminated by the instruction at @p term (empty view if
-     *  none). */
-    TermBlocks blocksAtTerm(Addr term) const;
+    /**
+     * Ids (indices into blocks()) of all blocks terminated by the
+     * instruction at @p term, ascending; empty if none. A view into the
+     * CFG's term index, valid while the Cfg lives.
+     */
+    std::span<const u32> blocksAtTerm(Addr term) const;
 
     /** The split limits the analysis used (front end must match them). */
     const SplitLimits &splitLimits() const { return limits_; }
@@ -211,22 +153,6 @@ class Cfg
 
     /** Index of block @p start in blocks_, or OffsetRank::kNone. */
     u32 idAtStart(Addr start) const;
-    /** Rank of terminator @p term, or OffsetRank::kNone. */
-    u32 termRank(Addr term) const;
-    /** Block ids terminated at the terminator of rank @p rank. */
-    const u32 *termIdsBegin(u32 rank) const
-    {
-        return termIds_.data() + termBegin_[rank];
-    }
-    const u32 *termIdsEnd(u32 rank) const
-    {
-        return termIds_.data() + termBegin_[rank + 1];
-    }
-    /** True iff @p bb is the lowest-id block at its terminator. */
-    bool firstAtTerm(const BasicBlock &bb) const
-    {
-        return *termIdsBegin(termRank(bb.term)) == bb.id;
-    }
     /** Fill the start and terminator indices from blocks_. */
     void index();
 

@@ -104,12 +104,6 @@ class SigStore
     /** Per-module signature records, in program module order. */
     const std::vector<ModuleSig> &moduleSigs() const { return build_->sigs; }
 
-    /** Table image of module @p i, exactly as loadInto() places it. */
-    const std::vector<u8> &tableImage(std::size_t i) const
-    {
-        return build_->images[i];
-    }
-
     /** Record for the module whose code contains @p addr, or nullptr. */
     const ModuleSig *findByCode(Addr addr) const;
 

@@ -199,7 +199,7 @@ buildTable(const prog::Module &mod, const prog::Cfg &cfg,
         // sites and returns; code hashes are not validated (Sec. V.D).
         // The first block at each terminator stands for the site.
         for (const auto &bb : cfg.blocks()) {
-            if (cfg.blocksAtTerm(bb.term)[0] != &bb)
+            if (cfg.blocksAtTerm(bb.term)[0] != bb.id)
                 continue;
             if (!termIsComputed(bb.kind) && bb.kind != TermKind::Return)
                 continue;

@@ -90,8 +90,9 @@ LoFatValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
         ++stats_.unattestedBlocks;
         return fail(info, verdict::reasonUnattested(info.term));
     }
-    const prog::Cfg::TermBlocks blocks = ms->cfg->blocksAtTerm(info.term);
-    if (blocks.empty()) {
+    const prog::Cfg &cfg = *ms->cfg;
+    const std::span<const u32> ids = cfg.blocksAtTerm(info.term);
+    if (ids.empty()) {
         ++stats_.unattestedBlocks;
         return fail(info, verdict::reasonUnattested(info.term));
     }
@@ -102,16 +103,17 @@ LoFatValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
     bool edge_ok = false;
     bool any_successor = false;
     bool is_return = false;
-    for (const prog::BasicBlock *b : blocks) {
-        if (b->kind == TermKind::Halt) {
+    for (u32 id : ids) {
+        const prog::BasicBlock &b = cfg.blocks()[id];
+        if (b.kind == TermKind::Halt) {
             edge_ok = true;
             continue;
         }
         any_successor = true;
-        if (b->kind == TermKind::Return)
+        if (b.kind == TermKind::Return)
             is_return = true;
-        if (std::find(b->succs.begin(), b->succs.end(), actual_target) !=
-            b->succs.end())
+        if (std::find(b.succs.begin(), b.succs.end(), actual_target) !=
+            b.succs.end())
             edge_ok = true;
     }
     if (!edge_ok && any_successor) {

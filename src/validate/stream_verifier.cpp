@@ -314,10 +314,11 @@ StreamVerifier::handleBlockLoFat(const MeasurementEvent &ev)
         return;
 
     const std::size_t shard = refs_.shardFor(ev.term);
-    const prog::Cfg::TermBlocks blocks =
-        shard == kNoShard ? prog::Cfg::TermBlocks{}
-                          : refs_.moduleSig(shard).cfg->blocksAtTerm(ev.term);
-    if (blocks.empty()) {
+    const prog::Cfg *cfg =
+        shard == kNoShard ? nullptr : refs_.moduleSig(shard).cfg.get();
+    const std::span<const u32> ids =
+        cfg ? cfg->blocksAtTerm(ev.term) : std::span<const u32>{};
+    if (ids.empty()) {
         ++verdict_.unattestedBlocks;
         violation(ev, verdict::reasonUnattested(ev.term));
         return;
@@ -326,15 +327,16 @@ StreamVerifier::handleBlockLoFat(const MeasurementEvent &ev)
     bool edge_ok = false;
     bool any_successor = false;
     bool is_return = false;
-    for (const prog::BasicBlock *b : blocks) {
-        if (b->kind == TermKind::Halt) {
+    for (u32 id : ids) {
+        const prog::BasicBlock &b = cfg->blocks()[id];
+        if (b.kind == TermKind::Halt) {
             edge_ok = true;
             continue;
         }
         any_successor = true;
-        if (b->kind == TermKind::Return)
+        if (b.kind == TermKind::Return)
             is_return = true;
-        if (contains(b->succs, ev.target))
+        if (contains(b.succs, ev.target))
             edge_ok = true;
     }
     if (!edge_ok && any_successor) {

@@ -151,10 +151,8 @@ TEST(SigStore, CopiesShareTheBuild)
     auto p = makeTwoModuleProgram();
     const SigStore store(p, ValidationMode::Full, vault);
     const SigStore copy = store;
-    for (std::size_t i = 0; i < store.moduleSigs().size(); ++i) {
+    for (std::size_t i = 0; i < store.moduleSigs().size(); ++i)
         EXPECT_EQ(&copy.moduleSigs()[i], &store.moduleSigs()[i]);
-        EXPECT_EQ(&copy.tableImage(i), &store.tableImage(i));
-    }
 }
 
 TEST(SigStore, DonorSharesCfgsAndHashes)
@@ -185,7 +183,6 @@ TEST(SigStore, RebuildIsCopyOnWrite)
     auto p = makeTwoModuleProgram();
     const SigStore store(p, ValidationMode::Full, vault);
     const u64 before = tablesDigest(store);
-    const std::vector<u8> image0 = store.tableImage(0);
 
     SigStore copy = store;
     copy.rebuild(p);
@@ -193,7 +190,6 @@ TEST(SigStore, RebuildIsCopyOnWrite)
     EXPECT_NE(tablesDigest(copy), before);
     // ...and the original's build is untouched.
     EXPECT_EQ(tablesDigest(store), before);
-    EXPECT_EQ(store.tableImage(0), image0);
     EXPECT_NE(&copy.moduleSigs()[0], &store.moduleSigs()[0]);
 }
 
