@@ -123,7 +123,8 @@ Cfg::blocksAtTerm(Addr term) const
                                            : OffsetRank::kNone;
     if (r == OffsetRank::kNone)
         return {};
-    return {termIds_.data() + termBegin_[r], termIds_.data() + termBegin_[r + 1]};
+    return {termIds_.data() + termBegin_[r],
+            termIds_.data() + termBegin_[r + 1]};
 }
 
 CfgStats
@@ -344,7 +345,7 @@ linkCfgs(const std::vector<Cfg *> &cfgs)
     struct Scratch
     {
         std::vector<u32> visited; ///< BFS stamp per block
-        std::vector<u32> memo;    ///< block id -> slot in `rets`, or kNone
+        std::vector<u32> memo;    ///< block id -> rets_of_entry slot, or kNone
     };
     constexpr u32 kNone = ~u32{0};
     std::vector<Scratch> scratch(cfgs.size());
@@ -359,12 +360,18 @@ linkCfgs(const std::vector<Cfg *> &cfgs)
         scratch[c].memo.assign(cfgs[c]->blocks_.size(), kNone);
     }
 
-    // The CFG whose code holds @p a, as an index into cfgs, or kNone.
-    auto owner = [&](Addr a) -> u32 {
+    // The block starting at @p a: {index into cfgs, block id}, with id
+    // kNone when no known module has a block there.
+    struct Loc
+    {
+        u32 cfg = 0;
+        u32 id = kNone;
+    };
+    auto locate = [&](Addr a) -> Loc {
         for (std::size_t c = 0; c < cfgs.size(); ++c)
             if (a - cfgs[c]->base_ < cfgs[c]->codeSize_)
-                return static_cast<u32>(c);
-        return kNone;
+                return {static_cast<u32>(c), cfgs[c]->idAtStart(a)};
+        return {};
     };
 
     // RET instructions reachable intra-procedurally from a function entry,
@@ -374,26 +381,25 @@ linkCfgs(const std::vector<Cfg *> &cfgs)
     std::vector<Addr> bfs;
     u32 stamp = 0;
     auto reachable_rets = [&](Addr entry) -> const std::vector<Addr> & {
-        const u32 ec = owner(entry);
-        const u32 eid = ec == kNone ? kNone : cfgs[ec]->idAtStart(entry);
-        if (eid == kNone)
+        const Loc e = locate(entry);
+        if (e.id == kNone)
             return no_rets; // not a block entry of any known module
-        if (scratch[ec].memo[eid] != kNone)
-            return rets_of_entry[scratch[ec].memo[eid]];
+        u32 &memo = scratch[e.cfg].memo[e.id];
+        if (memo != kNone)
+            return rets_of_entry[memo];
 
         std::vector<Addr> rets;
         ++stamp;
         bfs.assign(1, entry);
         for (std::size_t head = 0; head < bfs.size(); ++head) {
-            const Addr s = bfs[head];
-            const u32 c = owner(s);
-            const u32 id = c == kNone ? kNone : cfgs[c]->idAtStart(s);
-            if (id == kNone)
+            const Loc at = locate(bfs[head]);
+            if (at.id == kNone)
                 continue; // target outside every known block
-            if (scratch[c].visited[id] == stamp)
+            u32 &visited = scratch[at.cfg].visited[at.id];
+            if (visited == stamp)
                 continue;
-            scratch[c].visited[id] = stamp;
-            const BasicBlock &bb = cfgs[c]->blocks_[id];
+            visited = stamp;
+            const BasicBlock &bb = cfgs[at.cfg]->blocks_[at.id];
             switch (bb.kind) {
               case TermKind::Return:
                 rets.push_back(bb.term);
@@ -411,7 +417,7 @@ linkCfgs(const std::vector<Cfg *> &cfgs)
                 break;
             }
         }
-        scratch[ec].memo[eid] = static_cast<u32>(rets_of_entry.size());
+        memo = static_cast<u32>(rets_of_entry.size());
         rets_of_entry.push_back(std::move(rets));
         return rets_of_entry.back();
     };
@@ -425,16 +431,14 @@ linkCfgs(const std::vector<Cfg *> &cfgs)
             if (cfg->blocksAtTerm(bb.term)[0] != bb.id)
                 continue;
             const Addr return_site = bb.end;
-            const u32 rc = owner(return_site);
-            const u32 rid =
-                rc == kNone ? kNone : cfgs[rc]->idAtStart(return_site);
-            if (rid == kNone)
+            const Loc ret_at = locate(return_site);
+            if (ret_at.id == kNone)
                 continue;
-            BasicBlock &rb = cfgs[rc]->blocks_[rid];
+            BasicBlock &rb = cfgs[ret_at.cfg]->blocks_[ret_at.id];
             for (Addr entry : bb.succs) {
                 for (Addr r : reachable_rets(entry)) {
                     // The RET may transfer to this call's return site.
-                    Cfg &rcfg = *cfgs[owner(r)];
+                    Cfg &rcfg = *cfgs[locate(r).cfg];
                     for (u32 id : rcfg.blocksAtTerm(r)) {
                         auto &succs = rcfg.blocks_[id].succs;
                         if (std::find(succs.begin(), succs.end(),
