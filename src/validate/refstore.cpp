@@ -6,11 +6,11 @@ namespace rev::validate
 RefStore::RefStore(const sig::SigStore &store, const crypto::KeyVault *vault)
     : store_(store)
 {
-    for (const sig::ModuleSig &ms : store.moduleSigs()) {
+    for (const sig::ModuleSig &ms : store_.moduleSigs()) {
         auto shard = std::make_unique<Shard>();
         shard->sig = &ms;
         if (vault) {
-            store.loadInto(shard->tableMem);
+            store_.loadInto(shard->tableMem);
             shard->reader = std::make_unique<sig::TableReader>(
                 shard->tableMem, ms.tableBase, *vault);
         }

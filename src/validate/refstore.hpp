@@ -44,7 +44,9 @@ class RefStore
   public:
     /**
      * @param store Reference store built by the trusted toolchain for the
-     *              attested program; must outlive this object.
+     *              attested program. The handle is copied, sharing its
+     *              build; the program it was built from must outlive
+     *              this object.
      * @param vault Key vault of the CPU the tables are bound to; must
      *              outlive this object. May be null for table-less
      *              verification (LO-FAT uses only the CFGs).
@@ -98,7 +100,7 @@ class RefStore
         mutable std::mutex lock;
     };
 
-    const sig::SigStore &store_;
+    const sig::SigStore store_;
     std::vector<std::unique_ptr<Shard>> shards_;
 };
 
