@@ -79,8 +79,7 @@ SigStore::rebuildWith(const prog::Program &program, const SigStore *cfg_donor)
         auto &sig = sigs[i];
         sig.module = &modules[i];
         const auto &blocks = sig.cfg->blocks();
-        if (mode_ != ValidationMode::CfiOnly &&
-            (!sig.blockHashes || sig.blockHashes->size() != blocks.size())) {
+        if (mode_ != ValidationMode::CfiOnly && !sig.blockHashes) {
             // Hash the module's blocks four lanes at a time through the
             // multi-lane CubeHash (bit-identical to bbHash).
             const auto &mod = *sig.module;
