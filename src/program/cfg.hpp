@@ -103,8 +103,8 @@ struct CfgStats
  *
  * Block lookups index the module's contiguous code region by offset: one
  * bit per code byte marks block starts (and, separately, terminators),
- * and a running count per 64-byte word turns a marked offset into its
- * rank, so both lookups are O(1) and allocation-free.
+ * and a running count per 64-bit bitmap word turns a marked offset into
+ * its rank, so both lookups are O(1) and allocation-free.
  */
 class Cfg
 {
