@@ -1,5 +1,6 @@
 #include "crypto/aes.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 namespace rev::crypto
@@ -8,7 +9,7 @@ namespace rev::crypto
 namespace
 {
 
-const u8 kSbox[256] = {
+constexpr u8 kSbox[256] = {
     0x63, 0x7c, 0x77, 0x7b, 0xf2, 0x6b, 0x6f, 0xc5, 0x30, 0x01, 0x67, 0x2b,
     0xfe, 0xd7, 0xab, 0x76, 0xca, 0x82, 0xc9, 0x7d, 0xfa, 0x59, 0x47, 0xf0,
     0xad, 0xd4, 0xa2, 0xaf, 0x9c, 0xa4, 0x72, 0xc0, 0xb7, 0xfd, 0x93, 0x26,
@@ -40,7 +41,7 @@ bool invSboxInitDone = []() {
     return true;
 }();
 
-inline u8
+constexpr u8
 xtime(u8 x)
 {
     return static_cast<u8>((x << 1) ^ ((x >> 7) * 0x1b));
@@ -60,11 +61,45 @@ gmul(u8 a, u8 b)
     return p;
 }
 
-void
-subBytes(u8 *s)
+/**
+ * Encryption T-tables. A state column is a big-endian word (row 0 in the
+ * top byte); kTe[r][x] is the MixColumns column produced by byte x in
+ * row r after SubBytes: kTe[0][x] = (2·S[x], S[x], S[x], 3·S[x]) and
+ * kTe[r] is kTe[0] rotated right by 8·r bits.
+ */
+constexpr std::array<std::array<u32, 256>, 4> kTe = []() {
+    std::array<std::array<u32, 256>, 4> t{};
+    for (int x = 0; x < 256; ++x) {
+        const u8 s = kSbox[x];
+        const u32 w = (u32{xtime(s)} << 24) | (u32{s} << 16) |
+                      (u32{s} << 8) | u32{static_cast<u8>(xtime(s) ^ s)};
+        for (int r = 0; r < 4; ++r)
+            t[r][x] = r == 0 ? w : (w >> (8 * r)) | (w << (32 - 8 * r));
+    }
+    return t;
+}();
+
+u32
+loadBe32(const u8 *p)
 {
-    for (int i = 0; i < 16; ++i)
-        s[i] = kSbox[s[i]];
+    return (u32{p[0]} << 24) | (u32{p[1]} << 16) | (u32{p[2]} << 8) |
+           u32{p[3]};
+}
+
+void
+storeBe32(u8 *p, u32 v)
+{
+    p[0] = static_cast<u8>(v >> 24);
+    p[1] = static_cast<u8>(v >> 16);
+    p[2] = static_cast<u8>(v >> 8);
+    p[3] = static_cast<u8>(v);
+}
+
+/** Byte @p r (0 = top) of word @p w. */
+constexpr unsigned
+byteAt(u32 w, unsigned r)
+{
+    return (w >> (24 - 8 * r)) & 0xff;
 }
 
 void
@@ -76,16 +111,6 @@ invSubBytes(u8 *s)
 
 // State is column-major: s[4*col + row].
 void
-shiftRows(u8 *s)
-{
-    u8 t[16];
-    std::memcpy(t, s, 16);
-    for (int c = 0; c < 4; ++c)
-        for (int r = 0; r < 4; ++r)
-            s[4 * c + r] = t[4 * ((c + r) % 4) + r];
-}
-
-void
 invShiftRows(u8 *s)
 {
     u8 t[16];
@@ -93,19 +118,6 @@ invShiftRows(u8 *s)
     for (int c = 0; c < 4; ++c)
         for (int r = 0; r < 4; ++r)
             s[4 * ((c + r) % 4) + r] = t[4 * c + r];
-}
-
-void
-mixColumns(u8 *s)
-{
-    for (int c = 0; c < 4; ++c) {
-        u8 *col = s + 4 * c;
-        const u8 a0 = col[0], a1 = col[1], a2 = col[2], a3 = col[3];
-        col[0] = static_cast<u8>(xtime(a0) ^ (xtime(a1) ^ a1) ^ a2 ^ a3);
-        col[1] = static_cast<u8>(a0 ^ xtime(a1) ^ (xtime(a2) ^ a2) ^ a3);
-        col[2] = static_cast<u8>(a0 ^ a1 ^ xtime(a2) ^ (xtime(a3) ^ a3));
-        col[3] = static_cast<u8>((xtime(a0) ^ a0) ^ a1 ^ a2 ^ xtime(a3));
-    }
 }
 
 void
@@ -121,11 +133,12 @@ invMixColumns(u8 *s)
     }
 }
 
+/** XOR the four round-key words @p rk into the state. */
 void
-addRoundKey(u8 *s, const u8 *rk)
+addRoundKey(u8 *s, const u32 *rk)
 {
-    for (int i = 0; i < 16; ++i)
-        s[i] ^= rk[i];
+    for (int c = 0; c < 4; ++c)
+        storeBe32(s + 4 * c, loadBe32(s + 4 * c) ^ rk[c]);
 }
 
 } // namespace
@@ -133,49 +146,71 @@ addRoundKey(u8 *s, const u8 *rk)
 Aes128::Aes128(const AesKey &key)
 {
     // FIPS-197 key expansion for Nk=4, Nr=10.
-    std::memcpy(roundKeys_.data(), key.data(), 16);
+    for (int i = 0; i < 4; ++i)
+        roundKeys_[i] = loadBe32(key.data() + 4 * i);
     u8 rcon = 1;
     for (int i = 4; i < 44; ++i) {
-        u8 temp[4];
-        std::memcpy(temp, roundKeys_.data() + 4 * (i - 1), 4);
+        u32 temp = roundKeys_[i - 1];
         if (i % 4 == 0) {
             // RotWord + SubWord + Rcon
-            const u8 t0 = temp[0];
-            temp[0] = static_cast<u8>(kSbox[temp[1]] ^ rcon);
-            temp[1] = kSbox[temp[2]];
-            temp[2] = kSbox[temp[3]];
-            temp[3] = kSbox[t0];
+            temp = (u32{static_cast<u8>(kSbox[byteAt(temp, 1)] ^ rcon)}
+                    << 24) |
+                   (u32{kSbox[byteAt(temp, 2)]} << 16) |
+                   (u32{kSbox[byteAt(temp, 3)]} << 8) |
+                   u32{kSbox[byteAt(temp, 0)]};
             rcon = xtime(rcon);
         }
-        for (int b = 0; b < 4; ++b)
-            roundKeys_[4 * i + b] =
-                static_cast<u8>(roundKeys_[4 * (i - 4) + b] ^ temp[b]);
+        roundKeys_[i] = roundKeys_[i - 4] ^ temp;
     }
 }
 
 void
 Aes128::encryptBlock(u8 *block) const
 {
-    addRoundKey(block, roundKeys_.data());
+    const u32 *rk = roundKeys_.data();
+    u32 s0 = loadBe32(block) ^ rk[0];
+    u32 s1 = loadBe32(block + 4) ^ rk[1];
+    u32 s2 = loadBe32(block + 8) ^ rk[2];
+    u32 s3 = loadBe32(block + 12) ^ rk[3];
+    // Rounds 1..9: SubBytes, ShiftRows and MixColumns in one lookup per
+    // byte. ShiftRows makes row r of output column c come from input
+    // column c + r.
     for (int r = 1; r <= 9; ++r) {
-        subBytes(block);
-        shiftRows(block);
-        mixColumns(block);
-        addRoundKey(block, roundKeys_.data() + 16 * r);
+        rk += 4;
+        const u32 t0 = kTe[0][byteAt(s0, 0)] ^ kTe[1][byteAt(s1, 1)] ^
+                       kTe[2][byteAt(s2, 2)] ^ kTe[3][byteAt(s3, 3)] ^ rk[0];
+        const u32 t1 = kTe[0][byteAt(s1, 0)] ^ kTe[1][byteAt(s2, 1)] ^
+                       kTe[2][byteAt(s3, 2)] ^ kTe[3][byteAt(s0, 3)] ^ rk[1];
+        const u32 t2 = kTe[0][byteAt(s2, 0)] ^ kTe[1][byteAt(s3, 1)] ^
+                       kTe[2][byteAt(s0, 2)] ^ kTe[3][byteAt(s1, 3)] ^ rk[2];
+        const u32 t3 = kTe[0][byteAt(s3, 0)] ^ kTe[1][byteAt(s0, 1)] ^
+                       kTe[2][byteAt(s1, 2)] ^ kTe[3][byteAt(s2, 3)] ^ rk[3];
+        s0 = t0;
+        s1 = t1;
+        s2 = t2;
+        s3 = t3;
     }
-    subBytes(block);
-    shiftRows(block);
-    addRoundKey(block, roundKeys_.data() + 160);
+    // Final round: no MixColumns.
+    rk += 4;
+    auto last = [](u32 a, u32 b, u32 c, u32 d) {
+        return (u32{kSbox[byteAt(a, 0)]} << 24) |
+               (u32{kSbox[byteAt(b, 1)]} << 16) |
+               (u32{kSbox[byteAt(c, 2)]} << 8) | u32{kSbox[byteAt(d, 3)]};
+    };
+    storeBe32(block, last(s0, s1, s2, s3) ^ rk[0]);
+    storeBe32(block + 4, last(s1, s2, s3, s0) ^ rk[1]);
+    storeBe32(block + 8, last(s2, s3, s0, s1) ^ rk[2]);
+    storeBe32(block + 12, last(s3, s0, s1, s2) ^ rk[3]);
 }
 
 void
 Aes128::decryptBlock(u8 *block) const
 {
-    addRoundKey(block, roundKeys_.data() + 160);
+    addRoundKey(block, roundKeys_.data() + 40);
     for (int r = 9; r >= 1; --r) {
         invShiftRows(block);
         invSubBytes(block);
-        addRoundKey(block, roundKeys_.data() + 16 * r);
+        addRoundKey(block, roundKeys_.data() + 4 * r);
         invMixColumns(block);
     }
     invShiftRows(block);

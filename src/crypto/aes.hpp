@@ -6,6 +6,14 @@
  * form (Sec. IV.A, Sec. IX). The paper notes that AES units already exist
  * on contemporary chips; we implement AES-128 from scratch so that the
  * simulated RAM genuinely holds ciphertext and SC fills genuinely decrypt.
+ *
+ * Encryption uses the 32-bit T-table form: each of rounds 1-9 is sixteen
+ * lookups into four 256-entry word tables (SubBytes, ShiftRows and
+ * MixColumns folded together) XORed with word round keys; the last round
+ * uses the S-box. This models the ciphertext only: table lookups indexed
+ * by secret state leak through the data cache, so the code is not
+ * hardened against timing side channels. The paper assumes a hardware
+ * AES unit, which has no such leak.
  */
 
 #ifndef REV_CRYPTO_AES_HPP
@@ -63,8 +71,8 @@ class Aes128
                     u64 byte_offset) const;
 
   private:
-    /** Round keys: 11 x 16 bytes. */
-    std::array<u8, 176> roundKeys_;
+    /** Round keys: 11 x 4 words, each a big-endian state column. */
+    std::array<u32, 44> roundKeys_;
 };
 
 } // namespace rev::crypto

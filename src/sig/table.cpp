@@ -1,7 +1,9 @@
 #include "sig/table.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstring>
+#include <utility>
 
 #include "common/logging.hpp"
 #include "crypto/cubehash.hpp"
@@ -109,6 +111,48 @@ contSlotOffsets(ValidationMode mode)
 
 /** Position of the "next" field within a record (all modes). */
 constexpr unsigned kNextFieldOffset = 8;
+
+/** Targets stored in @p e's primary record (Aggressive keeps two). */
+std::size_t
+inlineTargets(ValidationMode mode, const Logical &e)
+{
+    if (mode != ValidationMode::Aggressive || !e.targets)
+        return 0;
+    return std::min<std::size_t>(2, e.targets->size());
+}
+
+/**
+ * Entries whose hash equals another entry's (Sec. V.B note): sorts the
+ * hashes with an 8-bit LSD radix sort in reused per-thread buffers and
+ * counts equal neighbours.
+ */
+u64
+countHashDuplicates(const std::vector<Logical> &entries)
+{
+    thread_local std::vector<u32> keys, tmp;
+    const std::size_t n = entries.size();
+    keys.resize(n);
+    tmp.resize(n);
+    std::array<std::array<u32, 256>, 4> count{};
+    for (std::size_t i = 0; i < n; ++i) {
+        const u32 h = entries[i].hash;
+        keys[i] = h;
+        for (unsigned d = 0; d < 4; ++d)
+            ++count[d][(h >> (8 * d)) & 0xff];
+    }
+    for (unsigned d = 0; d < 4; ++d) {
+        u32 pos = 0;
+        for (u32 &c : count[d])
+            pos += std::exchange(c, pos);
+        for (const u32 h : keys)
+            tmp[count[d][(h >> (8 * d)) & 0xff]++] = h;
+        keys.swap(tmp);
+    }
+    u64 dups = 0;
+    for (std::size_t i = 1; i < n; ++i)
+        dups += keys[i] == keys[i - 1];
+    return dups;
+}
 
 } // namespace
 
@@ -253,131 +297,98 @@ buildTable(const prog::Module &mod, const prog::Cfg &cfg,
             bucketed[cursor[e.termOff % P]++] = &e;
     }
 
-    // ---- emit records ------------------------------------------------------
+    // ---- size the table ----------------------------------------------------
     // Record index i (1-based) lives at byte (i-1)*rs; indices 1..P are the
     // bucket slots themselves; overflow records follow. A bucket's first
     // entry sits directly in its slot, so the common SC miss costs one
-    // memory access.
-    std::vector<u8> records(static_cast<std::size_t>(P) * rs, 0);
-    u64 num_records = P, num_cont = 0, max_chain = 0;
-
-    auto emit_overflow = [&]() -> std::size_t {
-        records.insert(records.end(), rs, 0);
-        ++num_records;
-        return records.size() - rs; // byte position
-    };
-
-    // Fill one record (primary). Returns overflow slot values.
-    auto fill_primary = [&](u8 *rec, const Logical *e,
-                            std::vector<u32> &overflow, unsigned &nt) {
-        rec[0] = static_cast<u8>(kRecPrimary |
-                                 (static_cast<u8>(e->kind) << 2));
-        put24(rec + 1, e->termOff);
-        if (mode == ValidationMode::CfiOnly) {
-            put24(rec + 4, slotEncode(e->cfiTarget));
-            nt = 0;
-            return;
-        }
-        put32(rec + 4, e->hash);
-
-        const std::vector<Addr> &targets = e->targets ? *e->targets
-                                                      : kNoAddrs;
-        const std::vector<Addr> &preds = e->preds ? *e->preds : kNoAddrs;
-        std::size_t inline_targets = 0;
-        if (mode == ValidationMode::Aggressive) {
-            if (!targets.empty())
-                put24(rec + 11, slotEncode(targets[0]));
-            if (targets.size() > 1)
-                put24(rec + 14, slotEncode(targets[1]));
-            inline_targets = std::min<std::size_t>(2, targets.size());
-        }
-        nt = 0;
-        for (std::size_t i = inline_targets; i < targets.size(); ++i) {
-            overflow.push_back(slotEncode(targets[i]));
-            ++nt;
-        }
-        for (Addr p : preds)
-            overflow.push_back(slotEncode(p));
-    };
-
-    std::vector<u32> overflow; // reused across entries
+    // memory access. Every other entry takes one overflow record, and each
+    // entry's spilled targets and predecessors fill ceil(n / per)
+    // continuation records.
+    const unsigned per = contSlots(mode);
+    const unsigned *slot_off = contSlotOffsets(mode);
+    u64 num_cont = 0, max_chain = 0, chained = 0;
+    for (const auto &e : entries) {
+        const u64 spill = (e.targets ? e.targets->size() : 0) -
+                          inlineTargets(mode, e) +
+                          (e.preds ? e.preds->size() : 0);
+        num_cont += (spill + per - 1) / per;
+    }
     for (u32 b = 0; b < P; ++b) {
-        max_chain =
-            std::max<u64>(max_chain, bucket_begin[b + 1] - bucket_begin[b]);
-        std::size_t prev_pos = ~std::size_t{0}; // record needing a next link
-        bool first = true;
+        const u64 len = bucket_begin[b + 1] - bucket_begin[b];
+        max_chain = std::max(max_chain, len);
+        chained += len > 0 ? len - 1 : 0;
+    }
+    const u64 num_records = P + chained + num_cont;
+
+    BuiltTable out;
+    out.bytes.assign(kHeaderBytes + num_records * rs, 0);
+    u8 *const records = out.bytes.data() + kHeaderBytes;
+
+    // ---- emit records ------------------------------------------------------
+    u64 next_free = P; // 0-based index of the next unused overflow record
+    auto link = [&](u64 from, u64 to) {
+        put24(records + from * rs + kNextFieldOffset,
+              static_cast<u32>(to) + 1);
+    };
+    for (u32 b = 0; b < P; ++b) {
+        u64 prev = 0; // record whose "next" field the following one fills
         for (u32 bi = bucket_begin[b]; bi < bucket_begin[b + 1]; ++bi) {
             const Logical *e = bucketed[bi];
-            overflow.clear();
-            unsigned n_extra_targets = 0;
+            const u64 idx = bi == bucket_begin[b] ? b : next_free++;
+            if (idx != b)
+                link(prev, idx);
+            prev = idx;
 
-            std::size_t my_pos;
-            if (first) {
-                my_pos = static_cast<std::size_t>(b) * rs;
-                first = false;
-            } else {
-                my_pos = emit_overflow();
-                put24(records.data() + prev_pos + kNextFieldOffset,
-                      static_cast<u32>(my_pos / rs) + 1);
+            u8 *rec = records + idx * rs;
+            rec[0] = static_cast<u8>(kRecPrimary |
+                                     (static_cast<u8>(e->kind) << 2));
+            put24(rec + 1, e->termOff);
+            if (mode == ValidationMode::CfiOnly) {
+                put24(rec + 4, slotEncode(e->cfiTarget));
+                continue;
             }
-            fill_primary(records.data() + my_pos, e, overflow,
-                         n_extra_targets);
-            prev_pos = my_pos;
+            put32(rec + 4, e->hash);
 
-            // Continuation (spill) records, chained behind the primary.
-            const unsigned per = contSlots(mode);
-            const unsigned n_extra_preds =
-                static_cast<unsigned>(overflow.size()) - n_extra_targets;
-            unsigned done_t = 0, done_p = 0;
-            std::size_t taken = 0;
-            while (taken < overflow.size()) {
-                const std::size_t cont_pos = emit_overflow();
-                ++num_cont;
-                put24(records.data() + prev_pos + kNextFieldOffset,
-                      static_cast<u32>(cont_pos / rs) + 1);
-                u8 *cont = records.data() + cont_pos;
-                const unsigned nt =
-                    static_cast<unsigned>(std::min<std::size_t>(
-                        per, n_extra_targets - done_t));
-                const unsigned np =
-                    static_cast<unsigned>(std::min<std::size_t>(
-                        per - nt, n_extra_preds - done_p));
+            const std::vector<Addr> &targets =
+                e->targets ? *e->targets : kNoAddrs;
+            const std::vector<Addr> &preds = e->preds ? *e->preds : kNoAddrs;
+            std::size_t t = inlineTargets(mode, *e), p = 0;
+            if (t > 0)
+                put24(rec + 11, slotEncode(targets[0]));
+            if (t > 1)
+                put24(rec + 14, slotEncode(targets[1]));
+
+            // Continuation (spill) records, chained behind the primary:
+            // extra targets first, then predecessors.
+            while (t < targets.size() || p < preds.size()) {
+                const u64 cont_idx = next_free++;
+                link(prev, cont_idx);
+                prev = cont_idx;
+                u8 *cont = records + cont_idx * rs;
+                const unsigned nt = static_cast<unsigned>(
+                    std::min<std::size_t>(per, targets.size() - t));
+                const unsigned np = static_cast<unsigned>(
+                    std::min<std::size_t>(per - nt, preds.size() - p));
                 if (mode == ValidationMode::Aggressive)
                     cont[0] =
                         static_cast<u8>(kRecCont | (nt << 2) | (np << 5));
                 else
                     cont[0] =
                         static_cast<u8>(kRecCont | (nt << 2) | (np << 4));
-                const unsigned *slot_off = contSlotOffsets(mode);
-                for (unsigned s = 0; s < nt + np; ++s)
-                    put24(cont + slot_off[s], overflow[taken + s]);
-                done_t += nt;
-                done_p += np;
-                taken += nt + np;
-                prev_pos = cont_pos;
+                for (unsigned s = 0; s < nt; ++s)
+                    put24(cont + slot_off[s], slotEncode(targets[t + s]));
+                for (unsigned s = 0; s < np; ++s)
+                    put24(cont + slot_off[nt + s], slotEncode(preds[p + s]));
+                t += nt;
+                p += np;
             }
         }
     }
+    REV_ASSERT(next_free == num_records, "buildTable: record count mismatch");
 
-    // ---- hash-uniqueness accounting (Sec. V.B note) -----------------------
-    u64 hash_dups = 0;
-    if (mode != ValidationMode::CfiOnly) {
-        std::vector<u32> hashes;
-        hashes.reserve(entries.size());
-        for (const auto &e : entries)
-            hashes.push_back(e.hash);
-        std::sort(hashes.begin(), hashes.end());
-        for (std::size_t i = 1; i < hashes.size(); ++i)
-            hash_dups += hashes[i] == hashes[i - 1];
-    }
+    // ---- encrypt and fill the header ---------------------------------------
+    crypto::Aes128(module_key).ctrCrypt(records, num_records * rs, nonce);
 
-    // ---- assemble and encrypt ---------------------------------------------
-    std::vector<u8> body = std::move(records);
-    crypto::Aes128 cipher(module_key);
-    cipher.ctrCrypt(body, nonce);
-
-    BuiltTable out;
-    out.bytes.resize(kHeaderBytes, 0);
     u8 *hdr = out.bytes.data();
     std::memcpy(hdr, "RSIG", 4);
     hdr[4] = static_cast<u8>(mode);
@@ -390,10 +401,7 @@ buildTable(const prog::Module &mod, const prog::Cfg &cfg,
         hdr[16 + i] = static_cast<u8>(nonce >> (8 * i));
     const crypto::WrappedKey wrapped = vault.wrap(module_key);
     std::memcpy(hdr + 24, wrapped.data(), wrapped.size());
-    put32(hdr + 56,
-          static_cast<u32>(kHeaderBytes + body.size()));
-
-    out.bytes.insert(out.bytes.end(), body.begin(), body.end());
+    put32(hdr + 56, static_cast<u32>(out.bytes.size()));
 
     out.stats.logicalEntries = entries.size();
     out.stats.primaryRecords = entries.size();
@@ -401,7 +409,8 @@ buildTable(const prog::Module &mod, const prog::Cfg &cfg,
     out.stats.numBuckets = P;
     out.stats.sizeBytes = out.bytes.size();
     out.stats.maxChainLength = max_chain;
-    out.stats.hashDuplicates = hash_dups;
+    out.stats.hashDuplicates =
+        mode == ValidationMode::CfiOnly ? 0 : countHashDuplicates(entries);
     return out;
 }
 
@@ -436,39 +445,11 @@ TableReader::TableReader(const SparseMemory &mem, Addr table_base,
     valid_ = true;
 }
 
-const u8 *
-TableReader::keystreamBlock(u64 counter) const
-{
-    auto [it, fresh] = keystream_.try_emplace(counter);
-    if (fresh) {
-        u8 *ks = it->second.data();
-        for (int i = 0; i < 8; ++i) {
-            ks[i] = static_cast<u8>(nonce_ >> (8 * i));
-            ks[8 + i] = static_cast<u8>(counter >> (8 * i));
-        }
-        cipher_->encryptBlock(ks);
-    }
-    return it->second.data();
-}
-
 void
 TableReader::readDec(u64 off, u8 *out, std::size_t len) const
 {
     mem_.readBytes(base_ + off, out, len);
-    // Equivalent to cipher_->ctrCryptAt(out, len, nonce_, off -
-    // kHeaderBytes), but with the keystream blocks memoized — table
-    // walks revisit the same slots constantly and the AES work depends
-    // only on the stream position, not the ciphertext.
-    std::size_t done = 0;
-    while (done < len) {
-        const u64 stream_pos = off - kHeaderBytes + done;
-        const unsigned skip = static_cast<unsigned>(stream_pos % 16);
-        const u8 *ks = keystreamBlock(stream_pos / 16);
-        const std::size_t take = std::min<std::size_t>(16 - skip, len - done);
-        for (std::size_t i = 0; i < take; ++i)
-            out[done + i] ^= ks[skip + i];
-        done += take;
-    }
+    cipher_->ctrCryptAt(out, len, nonce_, off - kHeaderBytes);
 }
 
 LookupResult

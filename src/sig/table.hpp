@@ -40,9 +40,7 @@
 #ifndef REV_SIG_TABLE_HPP
 #define REV_SIG_TABLE_HPP
 
-#include <array>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "common/sparse_memory.hpp"
@@ -171,17 +169,16 @@ class TableReader
 
     /**
      * Clone @p other's state — the header fields and unwrapped key it
-     * cached at construction, plus its keystream memo — re-bound to
-     * @p mem (a fork of the memory @p other reads). Snapshot forking
-     * uses this so a fork's reader sees exactly the header the source
-     * parsed, even if a later tamper corrupted the header bytes.
+     * cached at construction — re-bound to @p mem (a fork of the memory
+     * @p other reads). Snapshot forking uses this so a fork's reader sees
+     * exactly the header the source parsed, even if a later tamper
+     * corrupted the header bytes.
      */
     TableReader(const TableReader &other, const SparseMemory &mem)
         : mem_(mem), base_(other.base_), valid_(other.valid_),
           mode_(other.mode_), hashRounds_(other.hashRounds_),
           numBuckets_(other.numBuckets_), numRecords_(other.numRecords_),
-          nonce_(other.nonce_), cipher_(other.cipher_),
-          keystream_(other.keystream_)
+          nonce_(other.nonce_), cipher_(other.cipher_)
     {
     }
 
@@ -212,9 +209,6 @@ class TableReader
     /** Read and decrypt @p len bytes at table offset @p off. */
     void readDec(u64 off, u8 *out, std::size_t len) const;
 
-    /** Keystream block for CTR counter @p counter, memoized. */
-    const u8 *keystreamBlock(u64 counter) const;
-
     const SparseMemory &mem_;
     Addr base_;
     bool valid_ = false;
@@ -224,15 +218,6 @@ class TableReader
     u32 numRecords_ = 0;
     u64 nonce_ = 0;
     std::optional<crypto::Aes128> cipher_;
-
-    /**
-     * AES-CTR keystream memo, keyed by counter-block index. The
-     * keystream depends only on (key, nonce, stream position) — never on
-     * the ciphertext — so repeated walks of the same table slots skip
-     * the AES work while tampered table bytes still decrypt to garbage
-     * exactly as a from-scratch CTR pass would.
-     */
-    mutable std::unordered_map<u64, std::array<u8, 16>> keystream_;
 };
 
 } // namespace rev::sig

@@ -11,16 +11,22 @@ namespace
 /** Varints longer than this cannot encode a u64 — reject as malformed. */
 constexpr std::size_t kMaxVarintBytes = 10;
 
+/**
+ * Zigzag code of a wrapping address delta @p d read as two's complement
+ * (small negative deltas get small codes). Deltas are taken modulo 2^64,
+ * so no address pair overflows.
+ */
 constexpr u64
-zigzagEncode(i64 v)
+zigzagEncode(u64 d)
 {
-    return (static_cast<u64>(v) << 1) ^ static_cast<u64>(v >> 63);
+    return (d << 1) ^ (0 - (d >> 63));
 }
 
-constexpr i64
+/** Inverse of zigzagEncode: the wrapping delta to add to the base. */
+constexpr u64
 zigzagDecode(u64 v)
 {
-    return static_cast<i64>((v >> 1) ^ (~(v & 1) + 1));
+    return (v >> 1) ^ (0 - (v & 1));
 }
 
 void
@@ -89,7 +95,7 @@ StreamWriter::putVarint(u64 v)
 }
 
 void
-StreamWriter::putZigzag(i64 v)
+StreamWriter::putZigzag(u64 v)
 {
     putVarint(zigzagEncode(v));
 }
@@ -130,12 +136,11 @@ StreamWriter::onEvent(const MeasurementEvent &ev)
         if (fallthrough)
             flags |= 0x40;
         bytes_.push_back(flags);
-        putZigzag(static_cast<i64>(ev.start) - static_cast<i64>(prevEnd_));
+        putZigzag(ev.start - prevEnd_);
         putVarint(ev.term - ev.start);
         putVarint(ev.end - ev.term);
         if (!fallthrough)
-            putZigzag(static_cast<i64>(ev.target) -
-                      static_cast<i64>(ev.end));
+            putZigzag(ev.target - ev.end);
         put32(bytes_, ev.codeDigest);
         prevEnd_ = ev.end;
         break;
@@ -236,14 +241,11 @@ StreamReader::tryNext(const u8 *data, std::size_t size, MeasurementEvent *out)
             return st;
         if (avail - pos < 4)
             return Status::NeedMore;
-        ev.start = static_cast<Addr>(static_cast<i64>(prevEnd_) +
-                                     zigzagDecode(startDelta));
+        ev.start = prevEnd_ + zigzagDecode(startDelta);
         ev.term = ev.start + termLen;
         ev.end = ev.term + endLen;
-        ev.target = fallthrough
-                        ? ev.end
-                        : static_cast<Addr>(static_cast<i64>(ev.end) +
-                                            zigzagDecode(targetDelta));
+        ev.target =
+            fallthrough ? ev.end : ev.end + zigzagDecode(targetDelta);
         ev.codeDigest = get32(p + pos);
         pos += 4;
         prevEnd_ = ev.end;

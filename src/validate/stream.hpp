@@ -131,7 +131,7 @@ class StreamWriter final : public MeasurementSink
 
   private:
     void putVarint(u64 v);
-    void putZigzag(i64 v);
+    void putZigzag(u64 v);
 
     std::vector<u8> bytes_;
     Addr prevEnd_ = 0; ///< delta base for the next Block record

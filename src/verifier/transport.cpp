@@ -89,7 +89,8 @@ std::size_t
 FrameDecoder::take(u8 *out, std::size_t max)
 {
     const std::size_t n = std::min(max, payload_.size() - payloadOff_);
-    std::memcpy(out, payload_.data() + payloadOff_, n);
+    if (n > 0) // an empty payload_ has a null data(), invalid for memcpy
+        std::memcpy(out, payload_.data() + payloadOff_, n);
     payloadOff_ += n;
     if (payloadOff_ == payload_.size() || payloadOff_ > 64 * 1024) {
         payload_.erase(payload_.begin(),

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "common/random.hpp"
 #include "crypto/aes.hpp"
@@ -15,7 +16,7 @@ namespace rev::crypto
 namespace
 {
 
-/** FIPS-197 Appendix B example vector. */
+/** FIPS-197 Appendix C.1 example vector (AES-128). */
 TEST(Aes128, Fips197KnownAnswer)
 {
     const AesKey key = {0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07,
@@ -28,6 +29,55 @@ TEST(Aes128, Fips197KnownAnswer)
     Aes128 aes(key);
     aes.encryptBlock(block.data());
     EXPECT_EQ(block, expect);
+}
+
+/** Parse 32 hex digits into a block. */
+AesBlock
+hexBlock(const char *hex)
+{
+    AesBlock b{};
+    for (std::size_t i = 0; i < b.size(); ++i)
+        b[i] = static_cast<u8>(std::stoul(std::string(hex + 2 * i, 2),
+                                          nullptr, 16));
+    return b;
+}
+
+/** Key of FIPS-197 Appendix B and the SP 800-38A AES-128 examples. */
+const AesKey kSp80038aKey = hexBlock("2b7e151628aed2a6abf7158809cf4f3c");
+
+/** FIPS-197 Appendix B cipher example. */
+TEST(Aes128, Fips197AppendixB)
+{
+    AesBlock block = hexBlock("3243f6a8885a308d313198a2e0370734");
+    Aes128 aes(kSp80038aKey);
+    aes.encryptBlock(block.data());
+    EXPECT_EQ(block, hexBlock("3925841d02dc09fbdc118597196a0b32"));
+    aes.decryptBlock(block.data());
+    EXPECT_EQ(block, hexBlock("3243f6a8885a308d313198a2e0370734"));
+}
+
+/** SP 800-38A F.1.1 / F.1.2: ECB-AES128, four blocks both ways. */
+TEST(Aes128, Sp80038aEcbKnownAnswers)
+{
+    const char *const vectors[][2] = {
+        {"6bc1bee22e409f96e93d7e117393172a",
+         "3ad77bb40d7a3660a89ecaf32466ef97"},
+        {"ae2d8a571e03ac9c9eb76fac45af8e51",
+         "f5d3d58503b9699de785895a96fdbaaf"},
+        {"30c81c46a35ce411e5fbc1191a0a52ef",
+         "43b1cd7f598ece23881b00e3ed030688"},
+        {"f69f2445df4f9b17ad2b417be66c3710",
+         "7b0c785e27e8ad3f8223207104725dd4"},
+    };
+    Aes128 aes(kSp80038aKey);
+    for (const auto &[plain, cipher] : vectors) {
+        AesBlock block = hexBlock(plain);
+        aes.encryptBlock(block.data());
+        EXPECT_EQ(block, hexBlock(cipher)) << plain;
+        block = hexBlock(cipher);
+        aes.decryptBlock(block.data());
+        EXPECT_EQ(block, hexBlock(plain)) << cipher;
+    }
 }
 
 TEST(Aes128, DecryptInvertsEncrypt)
@@ -117,6 +167,40 @@ TEST(Aes128, CtrCryptAtSlicesEquivalentToFullStream)
         ASSERT_EQ(0, std::memcmp(slice.data(), plain.data() + off, len))
             << "off=" << off << " len=" << len;
     }
+}
+
+TEST(Aes128, CtrCryptAtCounterAbove32Bits)
+{
+    // A slice whose counter block index exceeds 2^32 must use all 64
+    // counter bits. Reference: a full-stream pass over the enclosing
+    // blocks, computed from counter-block encryptions directly.
+    Rng rng(91);
+    AesKey key;
+    for (auto &b : key)
+        b = static_cast<u8>(rng.next());
+    Aes128 aes(key);
+    const u64 nonce = 0x0123456789abcdefULL;
+    const u64 first_counter = (u64{1} << 32) + 3;
+
+    std::vector<u8> stream(5 * 16, 0);
+    for (u64 blk = 0; blk < 5; ++blk) {
+        u8 *ks = stream.data() + 16 * blk;
+        for (int i = 0; i < 8; ++i) {
+            ks[i] = static_cast<u8>(nonce >> (8 * i));
+            ks[8 + i] = static_cast<u8>((first_counter + blk) >> (8 * i));
+        }
+        aes.encryptBlock(ks);
+    }
+
+    const u64 base = first_counter * 16;
+    std::vector<u8> zeros(stream.size(), 0);
+    aes.ctrCryptAt(zeros.data(), zeros.size(), nonce, base);
+    EXPECT_EQ(zeros, stream);
+
+    // An unaligned slice crossing block boundaries.
+    std::vector<u8> slice(37, 0);
+    aes.ctrCryptAt(slice.data(), slice.size(), nonce, base + 7);
+    EXPECT_EQ(0, std::memcmp(slice.data(), stream.data() + 7, slice.size()));
 }
 
 TEST(Aes128, CtrNonMultipleOf16Length)
