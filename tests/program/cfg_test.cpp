@@ -7,6 +7,8 @@
 
 #include <algorithm>
 
+#include "common/logging.hpp"
+#include "isa/codec.hpp"
 #include "program/cfg.hpp"
 #include "testutil.hpp"
 
@@ -208,6 +210,101 @@ TEST(Cfg, UnknownStartReturnsNull)
     Cfg cfg = buildCfg(p.main());
     EXPECT_EQ(cfg.blockAtStart(0xdead), nullptr);
     EXPECT_TRUE(cfg.blocksAtTerm(0xdead).empty());
+}
+
+/** A module whose code region is exactly @p code (no data). */
+Module
+rawModule(std::vector<u8> code)
+{
+    Module m;
+    m.name = "raw";
+    m.base = 0x10000;
+    m.entry = m.base;
+    m.codeSize = code.size();
+    m.image = std::move(code);
+    return m;
+}
+
+TEST(Cfg, UndecodableCodeFatal)
+{
+    // 0x00 is deliberately not an opcode.
+    Module m = rawModule({static_cast<u8>(isa::Opcode::Nop), 0x00,
+                          static_cast<u8>(isa::Opcode::Halt)});
+    EXPECT_THROW(deriveCfg(m), FatalError);
+}
+
+TEST(Cfg, TruncatedInstructionAtCodeEndFatal)
+{
+    std::vector<u8> code;
+    isa::encode({.op = isa::Opcode::Movi, .rd = 1, .imm = 7}, code);
+    code.pop_back();
+    EXPECT_THROW(deriveCfg(rawModule(std::move(code))), FatalError);
+}
+
+TEST(Cfg, ControlFallingOffCodeEndFatal)
+{
+    Assembler a(0x10000);
+    a.label("main");
+    a.addi(1, 1, 1);
+    a.addi(1, 1, 2); // no terminator: the block runs past the code end
+    EXPECT_THROW(deriveCfg(a.finalize("t", "main")), FatalError);
+}
+
+TEST(Cfg, SplitFallingOffCodeEndFatal)
+{
+    // The split lands exactly on the code end, so its fall-through block
+    // starts outside the code region.
+    Assembler a(0x10000);
+    a.label("main");
+    for (int i = 0; i < 4; ++i)
+        a.addi(1, 1, 1);
+    SplitLimits limits;
+    limits.maxInstrs = 4;
+    EXPECT_THROW(deriveCfg(a.finalize("t", "main"), limits), FatalError);
+}
+
+TEST(Cfg, DirectBranchIntoInstructionMiddleFatal)
+{
+    // jmp (5 bytes) to offset 6: the second byte of the following movi.
+    std::vector<u8> code;
+    isa::encode({.op = isa::Opcode::Jmp, .imm = 6}, code);
+    isa::encode({.op = isa::Opcode::Movi, .rd = 1, .imm = 1}, code);
+    isa::encode({.op = isa::Opcode::Halt}, code);
+    EXPECT_THROW(deriveCfg(rawModule(std::move(code))), FatalError);
+}
+
+TEST(Cfg, IndirectAnnotationOffInstructionFatal)
+{
+    Assembler a(0x10000);
+    a.label("main");
+    a.movi(1, 0);
+    a.halt();
+    Module m = a.finalize("t", "main");
+    m.indirectTargets[m.base + 1] = {m.base};
+    EXPECT_THROW(deriveCfg(m), FatalError);
+}
+
+TEST(Cfg, AnnotatedTargetOffInstructionFatal)
+{
+    Assembler a(0x10000);
+    a.label("main");
+    a.movi(1, 0);
+    const Addr site = a.jmpr(1);
+    a.halt();
+    Module m = a.finalize("t", "main");
+    m.indirectTargets[site] = {m.base + 2};
+    EXPECT_THROW(deriveCfg(m), FatalError);
+}
+
+TEST(Cfg, EntryOffInstructionFatal)
+{
+    Assembler a(0x10000);
+    a.label("main");
+    a.movi(1, 0);
+    a.halt();
+    Module m = a.finalize("t", "main");
+    m.entry = m.base + 3;
+    EXPECT_THROW(deriveCfg(m), FatalError);
 }
 
 } // namespace
