@@ -156,65 +156,68 @@ deriveCfg(const Module &mod, const SplitLimits &limits)
     cfg.base_ = mod.base;
     cfg.codeSize_ = mod.codeSize;
 
-    // ---- pass 1: linear decode of the code region -----------------------
-    // The code region is contiguous, so flat offset-indexed arrays replace
-    // tree searches on the per-instruction hot paths below.
+    // ---- pass 1: one linear decode of the code region -------------------
+    // Instructions are stored densely in address order; a rank index over
+    // their start offsets maps an address to its instruction.
     const std::size_t code_size = mod.codeSize;
-    std::vector<Instr> instrs(code_size);
-    std::vector<u8> is_instr(code_size, 0);
-    {
-        Addr pc = mod.base;
-        while (pc < mod.codeEnd()) {
-            const std::size_t off = pc - mod.base;
-            auto ins = isa::decode(mod.image.data() + off,
-                                   code_size - off);
-            if (!ins)
-                fatal("buildCfg: undecodable code in '", mod.name,
-                      "' at offset ", off);
-            instrs[off] = *ins;
-            is_instr[off] = 1;
-            pc += ins->length();
-        }
+    std::vector<Instr> instrs;
+    instrs.reserve(code_size / 4);
+    Cfg::OffsetRank at;
+    at.reset(code_size);
+    for (std::size_t off = 0; off < code_size;) {
+        auto ins = isa::decode(mod.image.data() + off, code_size - off);
+        if (!ins)
+            fatal("buildCfg: undecodable code in '", mod.name,
+                  "' at offset ", off);
+        at.set(off);
+        instrs.push_back(*ins);
+        off += ins->length();
     }
+    at.finalize();
+    const u32 num_instrs = static_cast<u32>(instrs.size());
 
-    auto instr_exists = [&](Addr a) {
-        return a >= mod.base && a < mod.codeEnd() && is_instr[a - mod.base];
+    /** Index in instrs of the instruction starting at @p a, or kNone. */
+    auto index_of = [&](Addr a) {
+        return a - mod.base < code_size ? at.find(a - mod.base)
+                                        : Cfg::OffsetRank::kNone;
     };
 
     // ---- pass 2: leader discovery ---------------------------------------
-    std::vector<u8> is_leader(code_size, 0);
+    // One bit per code byte marks block starts.
+    std::vector<u64> leader((code_size + 63) / 64, 0);
+    auto mark = [&](Addr a) {
+        const u64 off = a - mod.base;
+        leader[off >> 6] |= u64{1} << (off & 63);
+    };
     auto add_leader = [&](Addr a, const char *why) {
-        if (!instr_exists(a))
+        if (index_of(a) == Cfg::OffsetRank::kNone)
             fatal("buildCfg: '", mod.name, "': ", why, " target 0x",
                   std::hex, a, " is not an instruction boundary");
-        is_leader[a - mod.base] = 1;
+        mark(a);
     };
 
-    if (mod.codeSize > 0)
+    if (code_size > 0)
         add_leader(mod.entry, "entry");
 
-    for (std::size_t off = 0; off < code_size; ++off) {
-        if (!is_instr[off])
-            continue;
-        const Addr pc = mod.base + off;
-        const Instr &ins = instrs[off];
-        switch (ins.klass()) {
-          case InstrClass::Branch:
-          case InstrClass::Jump:
-          case InstrClass::Call:
-            add_leader(ins.directTarget(pc), "direct branch");
-            break;
-          default:
-            break;
-        }
-        if (ins.isControlFlow()) {
-            const Addr ft = ins.fallThrough(pc);
-            if (instr_exists(ft))
-                is_leader[ft - mod.base] = 1;
+    {
+        Addr pc = mod.base;
+        for (const Instr &ins : instrs) {
+            switch (ins.klass()) {
+              case InstrClass::Branch:
+              case InstrClass::Jump:
+              case InstrClass::Call:
+                add_leader(ins.directTarget(pc), "direct branch");
+                break;
+              default:
+                break;
+            }
+            pc = ins.fallThrough(pc);
+            if (ins.isControlFlow() && pc < mod.codeEnd())
+                mark(pc);
         }
     }
     for (const auto &[site, targets] : mod.indirectTargets) {
-        if (!instr_exists(site))
+        if (index_of(site) == Cfg::OffsetRank::kNone)
             fatal("buildCfg: '", mod.name, "': indirect annotation site 0x",
                   std::hex, site, " is not an instruction");
         for (Addr t : targets) {
@@ -228,12 +231,13 @@ deriveCfg(const Module &mod, const SplitLimits &limits)
     // ---- pass 3: walk each leader to its terminator ----------------------
     // Walking may create artificial-split fall-through leaders; use a
     // worklist. Leaders seed it in ascending address order (block IDs — and
-    // thus table layout — depend on it). `queued` admits each start once.
+    // thus table layout — depend on it). The leader bits double as the
+    // admitted set, so each start is queued once.
     std::vector<Addr> work;
-    std::vector<u8> queued = is_leader;
-    for (std::size_t off = 0; off < code_size; ++off)
-        if (is_leader[off])
-            work.push_back(mod.base + off);
+    for (std::size_t w = 0; w < leader.size(); ++w)
+        for (u64 bits = leader[w]; bits != 0; bits &= bits - 1)
+            work.push_back(mod.base + w * 64 + std::countr_zero(bits));
+    cfg.blocks_.reserve(work.size());
 
     for (std::size_t next = 0; next < work.size(); ++next) {
         const Addr start = work[next];
@@ -243,11 +247,12 @@ deriveCfg(const Module &mod, const SplitLimits &limits)
         bb.start = start;
 
         Addr pc = start;
-        while (true) {
-            if (!instr_exists(pc))
+        // kNone (past every index) when a split ran to the code end.
+        for (u32 i = index_of(start);; ++i) {
+            if (i >= num_instrs)
                 fatal("buildCfg: '", mod.name, "': control falls off the ",
                       "end of code at 0x", std::hex, pc);
-            const Instr &ins = instrs[pc - mod.base];
+            const Instr &ins = instrs[i];
             ++bb.numInstrs;
             if (ins.writesMem())
                 ++bb.numStores;
@@ -269,12 +274,13 @@ deriveCfg(const Module &mod, const SplitLimits &limits)
         }
 
         if (bb.kind == TermKind::Split) {
-            // A split's fall-through may sit past the code end; queue it
+            // A split's fall-through may sit at the code end; queue it
             // anyway so the walk reports the fall-off error.
-            const bool in_code = bb.end >= mod.base && bb.end < mod.codeEnd();
-            if (!in_code || !queued[bb.end - mod.base]) {
-                if (in_code)
-                    queued[bb.end - mod.base] = 1;
+            const u64 off = bb.end - mod.base;
+            if (off >= code_size) {
+                work.push_back(bb.end);
+            } else if (!(leader[off >> 6] & (u64{1} << (off & 63)))) {
+                mark(bb.end);
                 work.push_back(bb.end);
             }
         }
@@ -296,7 +302,7 @@ deriveCfg(const Module &mod, const SplitLimits &limits)
         const std::span<const u32> ids = cfg.blocksAtTerm(term);
         if (ids[0] != bb.id)
             continue; // the terminator's first block did the whole group
-        const Instr &ins = instrs[term - mod.base];
+        const Instr &ins = instrs[index_of(term)];
         succs.clear();
         switch (bb.kind) {
           case TermKind::Branch:
