@@ -13,6 +13,7 @@
 #define REV_WORKLOADS_GEN_INTERNAL_HPP
 
 #include <algorithm>
+#include <array>
 #include <string>
 #include <utility>
 #include <vector>
@@ -32,22 +33,36 @@ constexpr u8 kCursor = 23; ///< data cursor
 constexpr u8 kLoop = 15;   ///< inner-loop trip counter
 constexpr u8 kT0 = 16, kT1 = 17; ///< scratch (tests / addressing)
 
-/** Builder state threaded through the emitters. */
+inline std::string
+fnLabel(unsigned idx)
+{
+    return "fn_" + std::to_string(idx);
+}
+
+/**
+ * Builder state threaded through the emitters. Functions are named
+ * labels ("fn_N"); every block-local target is an anonymous label.
+ */
 struct Gen
 {
+    /** Cases of a generated switch. */
+    using Cases = std::array<prog::Label, 4>;
+
+    Gen(const WorkloadProfile &profile, prog::Assembler &assembler)
+        : prof(profile), a(assembler), rng(profile.seed ^ 0x5bdc1e9au)
+    {
+        fns.reserve(profile.numFunctions);
+        for (unsigned i = 0; i < profile.numFunctions; ++i)
+            fns.push_back(a.named(fnLabel(i)));
+    }
+
     const WorkloadProfile &prof;
     prog::Assembler &a;
     Rng rng;
-    unsigned labelCounter = 0;
     u8 nextDst = 1; ///< rotates r1..r12
+    std::vector<prog::Label> fns; ///< function index -> its label
     /** Deferred switch tables: (table label, case labels). */
-    std::vector<std::pair<std::string, std::vector<std::string>>> tables;
-
-    std::string
-    fresh(const char *stem)
-    {
-        return std::string(stem) + "_" + std::to_string(labelCounter++);
-    }
+    std::vector<std::pair<prog::Label, Cases>> tables;
 
     u8
     dst()
@@ -57,12 +72,6 @@ struct Gen
         return r;
     }
 };
-
-inline std::string
-fnLabel(unsigned idx)
-{
-    return "fn_" + std::to_string(idx);
-}
 
 /** Advance the in-register LCG (the source of "data-dependent" control). */
 inline void
@@ -177,26 +186,26 @@ emitStraight(Gen &g, unsigned len)
 inline void
 emitDiamond(Gen &g)
 {
-    const std::string l_then = g.fresh("then");
-    const std::string l_join = g.fresh("join");
+    const prog::Label l_then = g.a.newLabel();
+    const prog::Label l_join = g.a.newLabel();
     emitChance(g, g.prof.branchBias);
     g.a.bne(kT0, 0, l_then);
     emitStraight(g, 2 + g.rng.below(3));
     g.a.jmp(l_join);
-    g.a.label(l_then);
+    g.a.bind(l_then);
     emitStraight(g, 2 + g.rng.below(3));
-    g.a.label(l_join);
+    g.a.bind(l_join);
 }
 
 /** Counted inner loop (locality amplifier). */
 inline void
 emitLoop(Gen &g)
 {
-    const std::string l_top = g.fresh("loop");
+    const prog::Label l_top = g.a.newLabel();
     const unsigned iters =
         std::max<unsigned>(2, g.prof.loopIters + g.rng.below(4));
     g.a.movi(kLoop, static_cast<i32>(iters));
-    g.a.label(l_top);
+    g.a.bind(l_top);
     emitStraight(g, g.prof.straightLen);
     g.a.addi(kLoop, kLoop, -1);
     g.a.bne(kLoop, 0, l_top);
@@ -206,11 +215,11 @@ emitLoop(Gen &g)
 inline void
 emitSwitch(Gen &g)
 {
-    const std::string tbl = g.fresh("swtbl");
-    const std::string join = g.fresh("swjoin");
-    std::vector<std::string> cases;
-    for (int c = 0; c < 4; ++c)
-        cases.push_back(g.fresh("case"));
+    const prog::Label tbl = g.a.newLabel();
+    const prog::Label join = g.a.newLabel();
+    Gen::Cases cases;
+    for (prog::Label &c : cases)
+        c = g.a.newLabel();
 
     // Case selection follows the (slowly moving) data cursor rather than
     // the per-step LCG: real switches are phase-biased, not uniform.
@@ -223,12 +232,12 @@ emitSwitch(Gen &g)
     const Addr site = g.a.jmpr(kT1);
     g.a.annotateIndirect(site, cases);
 
-    for (const auto &c : cases) {
-        g.a.label(c);
+    for (prog::Label c : cases) {
+        g.a.bind(c);
         emitStraight(g, 1 + g.rng.below(3));
         g.a.jmp(join);
     }
-    g.a.label(join);
+    g.a.bind(join);
     g.tables.emplace_back(tbl, cases);
 }
 
@@ -236,7 +245,7 @@ emitSwitch(Gen &g)
 inline void
 emitGatedCall(Gen &g, unsigned caller, unsigned callee)
 {
-    const std::string l_skip = g.fresh("skip");
+    const prog::Label l_skip = g.a.newLabel();
     // A site is statically "hot" or "cold"; gateSpread controls how noisy
     // its gate is at run time. Sites beyond hotReach are always cold,
     // bounding the hot working set.
@@ -245,8 +254,8 @@ emitGatedCall(Gen &g, unsigned caller, unsigned callee)
     const double p = hot ? 1.0 - g.prof.gateSpread : g.prof.gateSpread;
     emitChance(g, p);
     g.a.beq(kT0, 0, l_skip);
-    g.a.call(fnLabel(callee));
-    g.a.label(l_skip);
+    g.a.call(g.fns[callee]);
+    g.a.bind(l_skip);
 }
 
 /** Emit one complete function body. */
@@ -254,7 +263,7 @@ inline void
 emitFunction(Gen &g, unsigned idx)
 {
     const WorkloadProfile &p = g.prof;
-    g.a.label(fnLabel(idx));
+    g.a.bind(g.fns[idx]);
 
     enum class Kind { Straight, Diamond, Loop, Call, Switch };
     std::vector<Kind> plan;

@@ -24,7 +24,7 @@ generateWorkload(const WorkloadProfile &profile)
         fatal("workload '", profile.name, "': too few functions");
 
     Assembler a(prog::kDefaultCodeBase);
-    Gen g{profile, a, Rng(profile.seed ^ 0x5bdc1e9au), 0, 1, {}};
+    Gen g(profile, a);
 
     // ---- main: dispatch loop over the entry functions ---------------------
     a.label("main");
@@ -44,12 +44,8 @@ generateWorkload(const WorkloadProfile &profile)
     a.add(kT1, kT1, kT0);
     a.ld(kT1, kT1, 0);
     const Addr dispatch = a.callr(kT1);
-    {
-        std::vector<std::string> entries;
-        for (unsigned e = 0; e < profile.entryFunctions; ++e)
-            entries.push_back(fnLabel(e));
-        a.annotateIndirect(dispatch, entries);
-    }
+    a.annotateIndirect(dispatch,
+                       std::span(g.fns).first(profile.entryFunctions));
     a.addi(kIter, kIter, -1);
     a.bne(kIter, 0, "main_loop");
     a.halt();
@@ -63,10 +59,10 @@ generateWorkload(const WorkloadProfile &profile)
     a.align(8);
     a.label("entry_table");
     for (unsigned e = 0; e < profile.entryFunctions; ++e)
-        a.word64Label(fnLabel(e));
+        a.word64Label(g.fns[e]);
     for (const auto &[tbl, cases] : g.tables) {
-        a.label(tbl);
-        for (const auto &c : cases)
+        a.bind(tbl);
+        for (prog::Label c : cases)
             a.word64Label(c);
     }
 

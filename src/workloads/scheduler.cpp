@@ -92,7 +92,7 @@ generateSchedulerWorkload(const SchedulerProfile &profile)
         fatal("scheduler workload '", w.name, "': empty schedule");
 
     Assembler a(prog::kDefaultCodeBase);
-    Gen g{w, a, Rng(w.seed ^ 0x5bdc1e9au), 0, 1, {}};
+    Gen g(w, a);
 
     // ---- main: the timer-tick loop ---------------------------------------
     a.label("main");
@@ -103,14 +103,17 @@ generateSchedulerWorkload(const SchedulerProfile &profile)
     a.movi(kT1, static_cast<i32>(kSchedCoreIdWord));
     a.ld(kHart, kT1, 0);
 
-    a.label("tick");
+    const prog::Label tick = a.newLabel();
+    const prog::Label quantum = a.newLabel();
+    const prog::Label tcb = a.newLabel();
+    a.bind(tick);
     // Next thread: (slice + hartid) mod T. Each core walks the run queue
     // round-robin from a hartid-dependent phase, so the same guest thread
     // lands on different cores on different ticks (migration).
     a.add(kT0, kIter, kHart);
     a.andi(kT0, kT0, static_cast<i32>(profile.numThreads - 1));
     a.shli(kT0, kT0, 5); // kCtxBytes == 32
-    a.la(kTcb, "tcb");
+    a.la(kTcb, tcb);
     a.add(kTcb, kTcb, kT0);
 
     // Context restore: the thread's control state (LCG drives all
@@ -121,7 +124,7 @@ generateSchedulerWorkload(const SchedulerProfile &profile)
 
     // One quantum: sliceIters indirect dispatches into the work set.
     a.movi(kSliceIter, static_cast<i32>(profile.sliceIters));
-    a.label("quantum");
+    a.bind(quantum);
     lcgStep(g);
     a.shri(kT0, kLcg, 9);
     // Fold the hartid into the entry selection as well: a pure schedule
@@ -137,14 +140,9 @@ generateSchedulerWorkload(const SchedulerProfile &profile)
     a.add(kT1, kT1, kT0);
     a.ld(kT1, kT1, 0);
     const Addr dispatch = a.callr(kT1);
-    {
-        std::vector<std::string> entries;
-        for (unsigned e = 0; e < w.entryFunctions; ++e)
-            entries.push_back(fnLabel(e));
-        a.annotateIndirect(dispatch, entries);
-    }
+    a.annotateIndirect(dispatch, std::span(g.fns).first(w.entryFunctions));
     a.addi(kSliceIter, kSliceIter, -1);
-    a.bne(kSliceIter, 0, "quantum");
+    a.bne(kSliceIter, 0, quantum);
 
     // Context save (the "timer interrupt" firing).
     a.st(kLcg, kTcb, kCtxLcg);
@@ -155,7 +153,7 @@ generateSchedulerWorkload(const SchedulerProfile &profile)
     a.st(kT0, kTcb, kCtxTicks);
 
     a.addi(kIter, kIter, -1);
-    a.bne(kIter, 0, "tick");
+    a.bne(kIter, 0, tick);
     a.halt();
 
     // ---- per-thread work functions (the generator.cpp construct mix) ------
@@ -165,7 +163,7 @@ generateSchedulerWorkload(const SchedulerProfile &profile)
     // ---- data: context blocks, dispatch + switch tables -------------------
     a.beginData();
     a.align(8);
-    a.label("tcb");
+    a.bind(tcb);
     for (unsigned t = 0; t < profile.numThreads; ++t) {
         // Distinct LCG seeds per thread: each thread walks its own paths
         // through the shared work set, so a switch really changes the
@@ -178,10 +176,10 @@ generateSchedulerWorkload(const SchedulerProfile &profile)
     }
     a.label("entry_table");
     for (unsigned e = 0; e < w.entryFunctions; ++e)
-        a.word64Label(fnLabel(e));
+        a.word64Label(g.fns[e]);
     for (const auto &[tbl, cases] : g.tables) {
-        a.label(tbl);
-        for (const auto &c : cases)
+        a.bind(tbl);
+        for (prog::Label c : cases)
             a.word64Label(c);
     }
 

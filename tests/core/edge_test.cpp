@@ -45,7 +45,7 @@ makeManyModuleProgram(unsigned n)
         a.la(2, "tbl");
         a.ld(2, 2, static_cast<i32>(8 * i));
         const Addr site = a.callr(2);
-        a.annotateIndirect(site, {});
+        a.annotateIndirect(site, std::vector<std::string>{});
         // patched below
         (void)site;
     }

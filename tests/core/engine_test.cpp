@@ -289,7 +289,8 @@ TEST(Engine, CrossModuleCallsUseSag)
         a.movi(1, 1);
         a.movi(2, static_cast<i32>(lib_base));
         const Addr site = a.callr(2);
-        a.annotateIndirect(site, {}); // target is cross-module
+        // The target is cross-module.
+        a.annotateIndirect(site, std::vector<std::string>{});
         a.halt();
 
         auto main_mod = a.finalize("main", "main");
