@@ -19,9 +19,9 @@
  * with its source, and either side's next write to a shared page clones
  * just that page (O(dirty pages) per fork, not O(footprint)). The page
  * *version counter* lives in the map slot, not the page, so it survives
- * a COW clone: holders of PageView::version pointers (the decode cache,
- * superblock SMC guards) keep revalidating against the same address even
- * after the underlying bytes were replaced by a clone.
+ * a COW clone: holders of PageView::version pointers (the decode cache)
+ * keep revalidating against the same address even after the underlying
+ * bytes were replaced by a clone.
  *
  * Every slot's version counter is bumped on each write span. Layers that
  * memoize derived views of memory (the interpreter's predecoded-

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/logging.hpp"
 #include "isa/codec.hpp"
@@ -14,49 +12,6 @@ namespace rev::prog
 
 using isa::Instr;
 using isa::Opcode;
-
-// ---------------------------------------------------------------------------
-// Dispatch mode
-// ---------------------------------------------------------------------------
-
-namespace
-{
-
-DispatchMode
-initialDispatchMode()
-{
-    if (const char *env = std::getenv("REV_DISPATCH")) {
-        if (std::strcmp(env, "switch") == 0)
-            return DispatchMode::Switch;
-        if (std::strcmp(env, "threaded") == 0)
-            return DispatchMode::Threaded;
-        if (*env)
-            warn("REV_DISPATCH: unknown mode '", env, "', using threaded");
-    }
-    return DispatchMode::Threaded;
-}
-
-DispatchMode g_dispatch = initialDispatchMode();
-
-} // namespace
-
-DispatchMode
-dispatchMode()
-{
-    return g_dispatch;
-}
-
-void
-setDispatchMode(DispatchMode mode)
-{
-    g_dispatch = mode;
-}
-
-const char *
-dispatchModeName(DispatchMode mode)
-{
-    return mode == DispatchMode::Switch ? "switch" : "threaded";
-}
 
 // ---------------------------------------------------------------------------
 // StoreBuffer
@@ -183,7 +138,6 @@ void
 DecodeCache::clear()
 {
     pages_.clear();
-    sblocks_.clear();
     lastPageNo_ = kNoAddr;
     lastPage_ = nullptr;
     memEpoch_ = ~u64{0};
@@ -295,71 +249,12 @@ DecodeCache::lookup(const SparseMemory &mem, Addr pc)
     return &spanning_;
 }
 
-const SuperBlock *
-DecodeCache::superblockAt(const SparseMemory &mem, Addr pc)
-{
-    // All decoding funnels through lookup(), so every consistency
-    // mechanism of the per-instruction cache — epoch reset, page-version
-    // revalidation, the page-crossing exclusion, spanPages_ tracking for
-    // the trace recorder's SMC verdict — applies to superblocks too.
-    const u64 page_no = pc >> SparseMemory::kPageShift;
-    SuperBlock *sb = nullptr;
-    {
-        auto it = sblocks_.find(pc);
-        if (it != sblocks_.end()) {
-            sb = &it->second;
-            // NB: lookup()/pageFor() below can clear() the whole cache on
-            // an epoch change, so validate the epoch through pageFor's
-            // path before trusting sb. Cheapest safe order: probe the
-            // page first (which performs the epoch check), then re-find.
-        }
-    }
-    // Probing the page performs the epoch check (possibly clearing every
-    // map, including sblocks_), so re-resolve the entry afterwards.
-    const SparseMemory::PageView view = [&] {
-        pageFor(mem, page_no);
-        return mem.pageView(page_no);
-    }();
-    if (!view.version)
-        return nullptr; // unpopulated page: nothing to pin a guard to
-
-    auto it = sblocks_.find(pc);
-    sb = it != sblocks_.end() ? &it->second : nullptr;
-    if (sb && sb->version == *view.version && sb->liveVersion == view.version)
-        return sb->tokens.empty() ? nullptr : sb;
-
-    // Build (or rebuild in place — map nodes are pointer-stable).
-    SuperBlock fresh;
-    fresh.start = pc;
-    fresh.pageNo = page_no;
-    fresh.liveVersion = view.version;
-    fresh.version = *view.version;
-    Addr at = pc;
-    while (fresh.tokens.size() < kMaxSuperBlockTokens) {
-        const u64 off = at & (SparseMemory::kPageSize - 1);
-        const Predecoded *pd = lookup(mem, at);
-        if (!pd)
-            break; // undecodable: slow path reports it
-        if (off + pd->len > SparseMemory::kPageSize)
-            break; // page-crossing: never cached, slow path executes it
-        fresh.tokens.push_back(*pd);
-        if (pd->ins.isControlFlow())
-            break; // terminator included; block complete
-        at += pd->len;
-        if ((at >> SparseMemory::kPageShift) != page_no)
-            break; // next instruction starts on another page
-    }
-    SuperBlock &slot = sblocks_[pc];
-    slot = std::move(fresh);
-    return slot.tokens.empty() ? nullptr : &slot;
-}
-
 // ---------------------------------------------------------------------------
 // Machine
 // ---------------------------------------------------------------------------
 
 Machine::Machine(const Program &program, SparseMemory &mem)
-    : pc_(program.entry()), mem_(mem), dispatch_(dispatchMode())
+    : pc_(program.entry()), mem_(mem)
 {
     regs_.fill(0);
     regs_[isa::kRegSp] = Program::initialSp();
@@ -368,66 +263,11 @@ Machine::Machine(const Program &program, SparseMemory &mem)
 ExecRecord
 Machine::step(StoreBuffer *sb, SeqNum seq)
 {
-    if (replayer_)
-        return replayStep();
-    if (dispatch_ == DispatchMode::Threaded)
-        return stepThreaded(sb, seq);
-    return stepSlow(sb, seq);
-}
-
-bool
-Machine::cursorReady()
-{
-    // Epoch first: an epoch change clears the decode cache wholesale and
-    // sbCur_ would dangle. The live page-version compare is the per-token
-    // SMC guard — any store on the block's page (the machine's own
-    // drained stores, a hook, an injector) forces a rebuild from the
-    // fresh bytes, exactly like the per-instruction path's revalidation.
-    return sbCur_ != nullptr && mem_.epoch() == sbEpoch_ &&
-           pc_ == sbNextPc_ && sbIdx_ < sbCur_->tokens.size() &&
-           *sbCur_->liveVersion == sbCur_->version;
+    return replayer_ ? replayStep() : stepDirect(sb, seq);
 }
 
 ExecRecord
-Machine::stepThreaded(StoreBuffer *sb, SeqNum seq)
-{
-    ExecRecord rec;
-    rec.pc = pc_;
-
-    if (halted_) {
-        rec.halted = true;
-        return rec;
-    }
-
-    if (!cursorReady()) {
-        sbCur_ = dcache_.superblockAt(mem_, pc_);
-        sbIdx_ = 0;
-        sbEpoch_ = mem_.epoch();
-        sbNextPc_ = pc_;
-        if (!sbCur_) {
-            // Undecodable, page-crossing, or unpopulated-page entry:
-            // the per-instruction slow path handles it (and reports
-            // invalid bytes the same way in both modes).
-            return stepSlow(sb, seq);
-        }
-    }
-
-    const Predecoded &t = sbCur_->tokens[sbIdx_];
-    rec.ins = t.ins;
-    rec.use = t.use;
-    execToken(t.ins, t.len, rec, sb, seq);
-    if (++sbIdx_ >= sbCur_->tokens.size())
-        sbCur_ = nullptr; // block committed; next step attaches anew
-    sbNextPc_ = rec.nextPc;
-
-    pc_ = rec.nextPc;
-    if (recorder_)
-        recorder_->record(rec, rec.coverDist);
-    return rec;
-}
-
-ExecRecord
-Machine::stepSlow(StoreBuffer *sb, SeqNum seq)
+Machine::stepDirect(StoreBuffer *sb, SeqNum seq)
 {
     ExecRecord rec;
     rec.pc = pc_;
@@ -446,21 +286,10 @@ Machine::stepSlow(StoreBuffer *sb, SeqNum seq)
             recorder_->markInvalid();
         return rec;
     }
-    rec.ins = pd->ins;
+    const Instr &ins = pd->ins;
+    const Addr fall = pc_ + pd->len;
+    rec.ins = ins;
     rec.use = pd->use;
-    execIns(pd->ins, pd->len, rec, sb, seq);
-
-    pc_ = rec.nextPc;
-    if (recorder_)
-        recorder_->record(rec, rec.coverDist);
-    return rec;
-}
-
-void
-Machine::execIns(const Instr &ins, unsigned len, ExecRecord &rec,
-                 StoreBuffer *sb, SeqNum seq)
-{
-    const Addr fall = pc_ + len;
     rec.nextPc = fall;
 
     auto wr = [&](u64 v) { setReg(ins.rd, v); };
@@ -602,189 +431,11 @@ Machine::execIns(const Instr &ins, unsigned len, ExecRecord &rec,
             rec.nextPc = ins.directTarget(pc_);
         break;
     }
-}
 
-// Token-threaded dispatch: GCC/Clang get a computed-goto label table (no
-// bounds/range check, one indirect jump per token); elsewhere the token
-// falls back to the dense-switch jump table in execIns, which compilers
-// already lower to a direct jump table over the opcode byte.
-#if defined(__GNUC__) || defined(__clang__)
-#define REV_COMPUTED_GOTO 1
-#else
-#define REV_COMPUTED_GOTO 0
-#endif
-
-void
-Machine::execToken(const Instr &ins, unsigned len, ExecRecord &rec,
-                   StoreBuffer *sb, SeqNum seq)
-{
-#if REV_COMPUTED_GOTO
-    // Label table indexed by the opcode byte 0x00..0x54 (tokens only
-    // ever hold defined opcodes; undefined slots route to the shared
-    // switch for safety). Label addresses are link-time constants, so
-    // the static initializer is data, not a guarded dynamic init.
-    static const void *const kOps[0x55] = {
-        // 0x00-0x07
-        &&op_other, &&op_halt, &&op_ret, &&op_nop,
-        &&op_other, &&op_other, &&op_other, &&op_other,
-        // 0x08-0x0f
-        &&op_callr, &&op_jmpr, &&op_syscall, &&op_other,
-        &&op_other, &&op_other, &&op_other, &&op_other,
-        // 0x10-0x17
-        &&op_add, &&op_sub, &&op_mul, &&op_divu,
-        &&op_and, &&op_or, &&op_xor, &&op_shl,
-        // 0x18-0x1f
-        &&op_shr, &&op_slt, &&op_sltu, &&op_fadd,
-        &&op_fsub, &&op_fmul, &&op_fdiv, &&op_other,
-        // 0x20-0x27
-        &&op_jmp, &&op_call, &&op_other, &&op_other,
-        &&op_other, &&op_other, &&op_other, &&op_other,
-        // 0x28-0x2f
-        &&op_movi, &&op_lui, &&op_other, &&op_other,
-        &&op_other, &&op_other, &&op_other, &&op_other,
-        // 0x30-0x37
-        &&op_addi, &&op_andi, &&op_ori, &&op_xori,
-        &&op_shli, &&op_shri, &&op_slti, &&op_muli,
-        // 0x38-0x3f
-        &&op_other, &&op_other, &&op_other, &&op_other,
-        &&op_other, &&op_other, &&op_other, &&op_other,
-        // 0x40-0x47
-        &&op_ld, &&op_st, &&op_lb, &&op_sb,
-        &&op_lw, &&op_sw, &&op_other, &&op_other,
-        // 0x48-0x4f
-        &&op_other, &&op_other, &&op_other, &&op_other,
-        &&op_other, &&op_other, &&op_other, &&op_other,
-        // 0x50-0x54
-        &&op_beq, &&op_bne, &&op_blt, &&op_bge, &&op_bltu,
-    };
-
-    const Addr fall = pc_ + len;
-    rec.nextPc = fall;
-
-    auto wr = [&](u64 v) { setReg(ins.rd, v); };
-    const u64 a = regs_[ins.rs1];
-    const u64 b = regs_[ins.rs2];
-    const i64 simm = static_cast<i64>(ins.imm);
-    const u64 zimm = static_cast<u32>(ins.imm);
-    auto fp = [](u64 v) { return std::bit_cast<double>(v); };
-    auto fpu = [](double d) { return std::bit_cast<u64>(d); };
-
-    auto doStore = [&](Addr addr, u64 value, unsigned size = 8) {
-        rec.isStore = true;
-        rec.memAddr = addr;
-        rec.memSize = size;
-        rec.storeValue = value;
-        if (sb)
-            sb->push(seq, addr, value, size);
-        else
-            mem_.write(addr, value, size);
-    };
-    auto doLoad = [&](Addr addr, unsigned size = 8) {
-        rec.isLoad = true;
-        rec.memAddr = addr;
-        rec.memSize = size;
-        u64 v;
-        if (sb && sb->covers(addr, size)) {
-            if (recorder_)
-                rec.coverDist = seq - sb->newestCoverSeq(addr, size);
-            v = 0;
-            for (unsigned i = size; i-- > 0;)
-                v = (v << 8) | sb->readByte(mem_, addr + i);
-        } else {
-            v = mem_.read(addr, size);
-        }
-        rec.loadValue = v;
-        return v;
-    };
-
-    goto *kOps[static_cast<u8>(ins.op)];
-
-op_nop:
-    return;
-op_halt:
-    halted_ = true;
-    rec.halted = true;
-    rec.nextPc = pc_;
-    return;
-op_ret: {
-    const Addr sp = regs_[isa::kRegSp];
-    rec.nextPc = doLoad(sp);
-    regs_[isa::kRegSp] = sp + 8;
-    return;
-}
-op_callr:
-op_call: {
-    const Addr target =
-        ins.op == Opcode::Call ? ins.directTarget(pc_) : regs_[ins.rs1];
-    const Addr sp = regs_[isa::kRegSp] - 8;
-    regs_[isa::kRegSp] = sp;
-    doStore(sp, fall);
-    rec.nextPc = target;
-    return;
-}
-op_jmpr:
-    rec.nextPc = regs_[ins.rs1];
-    return;
-op_jmp:
-    rec.nextPc = ins.directTarget(pc_);
-    return;
-op_syscall:
-    rec.isSyscall = true;
-    rec.syscallNo = static_cast<u8>(ins.imm);
-    return;
-
-op_add: wr(a + b); return;
-op_sub: wr(a - b); return;
-op_mul: wr(a * b); return;
-op_divu: wr(b == 0 ? 0 : a / b); return;
-op_and: wr(a & b); return;
-op_or: wr(a | b); return;
-op_xor: wr(a ^ b); return;
-op_shl: wr(a << (b & 63)); return;
-op_shr: wr(a >> (b & 63)); return;
-op_slt: wr(static_cast<i64>(a) < static_cast<i64>(b) ? 1 : 0); return;
-op_sltu: wr(a < b ? 1 : 0); return;
-op_fadd: wr(fpu(fp(a) + fp(b))); return;
-op_fsub: wr(fpu(fp(a) - fp(b))); return;
-op_fmul: wr(fpu(fp(a) * fp(b))); return;
-op_fdiv: wr(fpu(fp(a) / fp(b))); return;
-
-op_movi: wr(static_cast<u64>(simm)); return;
-op_lui: wr(zimm << 32); return;
-
-op_addi: wr(a + static_cast<u64>(simm)); return;
-op_andi: wr(a & zimm); return;
-op_ori: wr(a | zimm); return;
-op_xori: wr(a ^ zimm); return;
-op_shli: wr(a << (ins.imm & 63)); return;
-op_shri: wr(a >> (ins.imm & 63)); return;
-op_slti: wr(static_cast<i64>(a) < simm ? 1 : 0); return;
-op_muli: wr(a * static_cast<u64>(simm)); return;
-
-op_ld: wr(doLoad(a + static_cast<u64>(simm))); return;
-op_st: doStore(a + static_cast<u64>(simm), regs_[ins.rd]); return;
-op_lb: wr(doLoad(a + static_cast<u64>(simm), 1)); return;
-op_sb: doStore(a + static_cast<u64>(simm), regs_[ins.rd] & 0xff, 1); return;
-op_lw: wr(doLoad(a + static_cast<u64>(simm), 4)); return;
-op_sw:
-    doStore(a + static_cast<u64>(simm), regs_[ins.rd] & 0xffffffff, 4);
-    return;
-
-op_beq: rec.taken = a == b; goto branch;
-op_bne: rec.taken = a != b; goto branch;
-op_blt: rec.taken = static_cast<i64>(a) < static_cast<i64>(b); goto branch;
-op_bge: rec.taken = static_cast<i64>(a) >= static_cast<i64>(b); goto branch;
-op_bltu: rec.taken = a < b; goto branch;
-branch:
-    if (rec.taken)
-        rec.nextPc = ins.directTarget(pc_);
-    return;
-
-op_other:
-    execIns(ins, len, rec, sb, seq);
-#else
-    execIns(ins, len, rec, sb, seq);
-#endif
+    pc_ = rec.nextPc;
+    if (recorder_)
+        recorder_->record(rec, rec.coverDist);
+    return rec;
 }
 
 u64
@@ -799,10 +450,6 @@ Machine::replayConsumed() const
  * recorder emitted for this opcode. No architectural state beyond the PC
  * is maintained — register values, load values, and store values are
  * never timing inputs, and replay applies no stores.
- *
- * In threaded dispatch the decode rides the same superblock cursor as
- * direct execution (one guarded attach per basic block instead of one
- * cache probe per instruction); the trace events consumed are identical.
  */
 ExecRecord
 Machine::replayStep()
@@ -817,46 +464,13 @@ Machine::replayStep()
     REV_ASSERT(!replayer_->exhausted(),
                "trace replay: stepped past the recorded instruction stream");
 
-    if (dispatch_ == DispatchMode::Threaded) {
-        if (!cursorReady()) {
-            sbCur_ = dcache_.superblockAt(mem_, pc_);
-            sbIdx_ = 0;
-            sbEpoch_ = mem_.epoch();
-            sbNextPc_ = pc_;
-        }
-        if (sbCur_) {
-            const Predecoded &t = sbCur_->tokens[sbIdx_];
-            rec.ins = t.ins;
-            rec.use = t.use;
-            rec.nextPc = pc_ + t.len;
-            replayExec(t.ins, rec);
-            if (++sbIdx_ >= sbCur_->tokens.size())
-                sbCur_ = nullptr;
-            sbNextPc_ = rec.nextPc;
-            replayer_->advance();
-            pc_ = rec.nextPc;
-            return rec;
-        }
-        // No superblock at this pc (undecodable entry, page-crossing
-        // first instruction, unpopulated page): per-instruction path.
-    }
-
     const Predecoded *pd = dcache_.lookup(mem_, pc_);
     REV_ASSERT(pd, "trace replay: undecodable bytes at recorded pc");
-    rec.ins = pd->ins;
+    const Instr &ins = pd->ins;
+    rec.ins = ins;
     rec.use = pd->use;
     rec.nextPc = pc_ + pd->len;
-    replayExec(pd->ins, rec);
-    replayer_->advance();
-    pc_ = rec.nextPc;
-    return rec;
-}
 
-/** The per-opcode trace reads of replayStep() (shared by both dispatch
- *  modes). Expects rec.nextPc preset to the fall-through address. */
-void
-Machine::replayExec(const Instr &ins, ExecRecord &rec)
-{
     auto load = [&](unsigned size) {
         rec.isLoad = true;
         rec.memAddr = replayer_->readMemAddr();
@@ -915,6 +529,10 @@ Machine::replayExec(const Instr &ins, ExecRecord &rec)
       default:
         break; // plain ALU / immediate: fall-through next pc, no events
     }
+
+    replayer_->advance();
+    pc_ = rec.nextPc;
+    return rec;
 }
 
 u64

@@ -19,7 +19,9 @@
  * code page (the machine's own stores, attack injectors, reloadProgram())
  * transparently forces a re-decode of the fresh bytes. The cache is purely
  * a functional-layer speedup — decode results are byte-exact and timing
- * statistics are computed identically with or without it.
+ * statistics are computed identically with or without it. Every step()
+ * fetches one instruction through the cache and executes it
+ * (docs/INTERNALS.md §11 has the measurements behind a single path).
  */
 
 #ifndef REV_PROGRAM_INTERP_HPP
@@ -117,48 +119,6 @@ struct Predecoded
 };
 
 /**
- * Interpreter dispatch mode. Threaded (the default) executes through
- * superblock token runs — whole decoded basic blocks committed off one
- * cursor with a two-compare SMC guard per token — using a computed-goto
- * label table where the compiler supports it. Switch is the legacy
- * per-instruction decode-cache path. Both are bit-identical (pinned by
- * tests/program dispatch-equivalence tests); the mode is deliberately a
- * process-global knob, not a SimConfig field, so sweep-cache keys and
- * golden stats are dispatch-independent.
- */
-enum class DispatchMode : u8
-{
-    Switch,
-    Threaded,
-};
-
-/** Active mode: REV_DISPATCH env ("switch"/"threaded") else Threaded. */
-DispatchMode dispatchMode();
-
-/** Override the mode (CLI --dispatch; affects Machines built after). */
-void setDispatchMode(DispatchMode mode);
-
-/** "switch" or "threaded". */
-const char *dispatchModeName(DispatchMode mode);
-
-/**
- * A superblock: one basic block's instructions predecoded into a flat
- * token run. Built lazily per entry PC, bounded to one code page, ended
- * at the first control-flow instruction (inclusive), an undecodable or
- * page-crossing instruction (exclusive), or the token cap. Tagged with
- * the page's write-version so any store landing on the page — the
- * machine's own, a hook's, an attack injector's — invalidates the run.
- */
-struct SuperBlock
-{
-    Addr start = 0;
-    u64 pageNo = 0;
-    u64 version = 0;                  ///< page version at build
-    const u64 *liveVersion = nullptr; ///< live counter for the SMC guard
-    std::vector<Predecoded> tokens;
-};
-
-/**
  * Per-code-page cache of decoded instructions keyed by PC, validated
  * against SparseMemory page versions (plus the memory epoch for wholesale
  * page-set replacement, e.g. the page-shadowing rollback). Entries whose
@@ -176,18 +136,6 @@ class DecodeCache
 
     /** Drop everything (tests / explicit resets). */
     void clear();
-
-    /**
-     * Superblock starting at @p pc, building (or rebuilding, when its
-     * page version moved) on demand. Returns nullptr when the first
-     * instruction is undecodable, page-crossing, or on an unpopulated
-     * page — the caller falls back to the per-instruction slow path.
-     * The pointer stays valid until clear() (map nodes are stable).
-     */
-    const SuperBlock *superblockAt(const SparseMemory &mem, Addr pc);
-
-    /** Token cap per superblock (bounds rebuild cost after SMC). */
-    static constexpr unsigned kMaxSuperBlockTokens = 128;
 
     /** Every page number the decoder has read deciding bytes from since
      *  the last clear() (includes spill pages of page-crossing
@@ -213,7 +161,6 @@ class DecodeCache
     CodePage &pageFor(const SparseMemory &mem, u64 page_no);
 
     std::unordered_map<u64, CodePage> pages_;
-    std::unordered_map<Addr, SuperBlock> sblocks_; ///< keyed by entry pc
     u64 lastPageNo_ = kNoAddr;
     CodePage *lastPage_ = nullptr;
     u64 memEpoch_ = ~u64{0};
@@ -276,9 +223,9 @@ class Machine
 
     /**
      * Adopt architectural state captured from another Machine running the
-     * same program image (snapshot fork / restore). Drops the superblock
-     * cursor; decode-cache warmth is architecturally invisible, so the
-     * fork re-attaches lazily on its first threaded step.
+     * same program image (snapshot fork / restore). The decode cache is
+     * kept: its contents are architecturally invisible, and every fetch
+     * revalidates them against the memory epoch and page versions.
      */
     void
     restoreArch(const std::array<u64, isa::kNumArchRegs> &regs, Addr pc,
@@ -287,7 +234,6 @@ class Machine
         regs_ = regs;
         pc_ = pc;
         halted_ = halted;
-        sbCur_ = nullptr;
     }
 
     Addr pc() const { return pc_; }
@@ -322,38 +268,12 @@ class Machine
     std::vector<u64> decodePages() const { return dcache_.touchedPages(); }
 
   private:
+    /** Re-derive the record at pc_ from the attached trace. */
     ExecRecord replayStep();
 
-    /** Per-instruction decode-cache path (DispatchMode::Switch, and the
-     *  fallback for undecodable / page-crossing / unpopulated cases). */
-    ExecRecord stepSlow(StoreBuffer *sb, SeqNum seq);
-
-    /** Superblock-cursor path (DispatchMode::Threaded). */
-    ExecRecord stepThreaded(StoreBuffer *sb, SeqNum seq);
-
-    /**
-     * Attach or revalidate the superblock cursor at the current PC.
-     * Returns false when no superblock covers pc_ (caller uses the slow
-     * path). Checks, in order: memory epoch (the token storage may have
-     * been dropped wholesale), cursor continuity (pc_ must be the next
-     * token's address — setPc() and replay divergence break it), token
-     * bounds, and the page's live write-version (the per-block SMC
-     * guard; re-checked per committed token because hooks and store
-     * drains can land on the page mid-block).
-     */
-    bool cursorReady();
-
-    /** Execute one decoded instruction (shared semantic switch). */
-    void execIns(const isa::Instr &ins, unsigned len, ExecRecord &rec,
-                 StoreBuffer *sb, SeqNum seq);
-
-    /** Same semantics through the token label table (computed goto where
-     *  supported, identical switch otherwise). */
-    void execToken(const isa::Instr &ins, unsigned len, ExecRecord &rec,
-                   StoreBuffer *sb, SeqNum seq);
-
-    /** Re-derive one record's trace events (shared by replay paths). */
-    void replayExec(const isa::Instr &ins, ExecRecord &rec);
+    /** Fetch the instruction at pc_ through the decode cache and execute
+     *  its semantics. */
+    ExecRecord stepDirect(StoreBuffer *sb, SeqNum seq);
 
     std::array<u64, isa::kNumArchRegs> regs_{};
     Addr pc_;
@@ -362,12 +282,6 @@ class Machine
     DecodeCache dcache_;
     TraceRecorder *recorder_ = nullptr;
     TraceReplayer *replayer_ = nullptr;
-
-    DispatchMode dispatch_ = DispatchMode::Threaded;
-    const SuperBlock *sbCur_ = nullptr; ///< superblock cursor (threaded)
-    unsigned sbIdx_ = 0;                ///< next token to commit
-    Addr sbNextPc_ = 0;                 ///< pc the next token must match
-    u64 sbEpoch_ = ~u64{0};             ///< memory epoch at attach
 };
 
 /**

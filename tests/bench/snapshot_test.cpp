@@ -4,10 +4,10 @@
  * instruction F must be indistinguishable — every tracked statistic,
  * every verdict, every violation cycle — from a cold run that executed
  * the same prefix itself. Exercised across every sweep config (all
- * backends and validation modes), both dispatch modes, and with tamper
- * injections at the fork point (the red-team campaign's usage). Replay
- * interaction is covered separately: snapshots require direct
- * execution, and replay_test.cpp pins direct == replay.
+ * backends and validation modes) and with tamper injections at the fork
+ * point (the red-team campaign's usage). Replay interaction is covered
+ * separately: snapshots require direct execution, and replay_test.cpp
+ * pins direct == replay.
  */
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@
 #include "attacks/injector.hpp"
 #include "bench/suite.hpp"
 #include "core/snapshot.hpp"
-#include "program/interp.hpp"
 #include "workloads/generator.hpp"
 
 namespace rev::bench
@@ -27,12 +26,6 @@ namespace
 
 constexpr u64 kBudget = 20'000;
 constexpr u64 kForkIndex = 7'000;
-
-struct DispatchGuard
-{
-    prog::DispatchMode saved = prog::dispatchMode();
-    ~DispatchGuard() { prog::setDispatchMode(saved); }
-};
 
 const prog::Program &
 benchProgram()
@@ -101,18 +94,6 @@ TEST(SnapshotFork, MatchesColdRunAcrossAllConfigs)
     for (Config c : kAllConfigs) {
         SCOPED_TRACE(configName(c));
         const core::SimConfig cfg = sweepSimConfig(c, kBudget);
-        expectIdentical(coldRun(cfg), forkedRun(cfg, kForkIndex));
-    }
-}
-
-TEST(SnapshotFork, MatchesColdRunBothDispatchModes)
-{
-    DispatchGuard guard;
-    const core::SimConfig cfg = sweepSimConfig(Config::Full32, kBudget);
-    for (prog::DispatchMode mode :
-         {prog::DispatchMode::Switch, prog::DispatchMode::Threaded}) {
-        SCOPED_TRACE(prog::dispatchModeName(mode));
-        prog::setDispatchMode(mode);
         expectIdentical(coldRun(cfg), forkedRun(cfg, kForkIndex));
     }
 }

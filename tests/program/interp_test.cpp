@@ -320,6 +320,52 @@ TEST(Interp, SelfModifyingStoreRefetchesFreshBytes)
     EXPECT_EQ(machine.reg(5), 333u);
 }
 
+/** Heap slot the upcoming-patch program loads its replacement word from. */
+constexpr Addr kPatchSlot = prog::kHeapBase + 0x100;
+
+/** Straight-line code that stores a word from kPatchSlot over the MOVI at
+ *  "patch", two instructions ahead on the same page, then runs it. */
+Program
+makeSmcProgram(i32 imm)
+{
+    Assembler a(prog::kDefaultCodeBase);
+    a.label("main");
+    a.movi(1, static_cast<i32>(kPatchSlot));
+    a.ld(2, 1, 0); // r2 = replacement instruction word
+    a.la(3, "patch");
+    a.st(2, 3, 0); // overwrite the code 2 instructions ahead
+    a.label("patch");
+    a.movi(4, imm); // the store above replaces this instruction
+    a.nop();
+    a.nop();
+    a.nop();
+    a.movi(5, static_cast<i32>(test::kResultAddr));
+    a.st(4, 5, 0);
+    a.halt();
+    Program p;
+    p.addModule(a.finalize("smc", "main"));
+    return p;
+}
+
+TEST(Interp, StoreOverUpcomingInstructionExecutesFreshBytes)
+{
+    // The donor image differs only in the patched immediate; its bytes
+    // at "patch" are the replacement word the program stores.
+    const Program victim = makeSmcProgram(111);
+    const Program donor = makeSmcProgram(222);
+    const Addr patch = victim.main().symbol("patch");
+    SparseMemory donorMem;
+    donor.loadInto(donorMem);
+
+    SparseMemory mem;
+    victim.loadInto(mem);
+    mem.write(kPatchSlot, donorMem.read64(patch), 8);
+    Machine machine(victim, mem);
+    runToHalt(machine);
+    EXPECT_TRUE(machine.halted());
+    EXPECT_EQ(mem.read64(test::kResultAddr), 222u);
+}
+
 TEST(Interp, StepAfterHaltIsIdempotent)
 {
     auto p = test::makeLoopCallProgram();

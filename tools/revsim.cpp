@@ -30,8 +30,9 @@
  *                      (falls back to direct execution on any mismatch)
  *   --backend NAME     validation backend: rev (default), lofat, null
  *   --list-backends    print the registered backends and exit
- *   --dispatch MODE    interpreter dispatch: threaded (default) | switch
- *                      (host-speed knob only; simulated results identical)
+ *
+ * Bad input (an unknown bench, an invalid SC geometry, ...) prints the
+ * fatal message and exits with status 2.
  */
 
 #include <cstdio>
@@ -39,8 +40,8 @@
 #include <cstring>
 
 #include "attacks/attack.hpp"
+#include "common/logging.hpp"
 #include "core/simulator.hpp"
-#include "program/interp.hpp"
 #include "program/trace.hpp"
 #include "validate/backend_cli.hpp"
 #include "workloads/generator.hpp"
@@ -61,14 +62,11 @@ usage()
         "              [--page-shadowing] [--interrupts N] [--dma N]\n"
         "              [--no-wrong-path] [--seed N] [--stats] [--list]\n"
         "              [--record-trace FILE] [--replay-trace FILE]\n"
-        "              [--backend NAME] [--list-backends]\n"
-        "              [--dispatch threaded|switch]\n");
+        "              [--backend NAME] [--list-backends]\n");
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     std::string bench = "mcf";
     std::string attack;
@@ -130,16 +128,6 @@ main(int argc, char **argv)
             record_path = next();
         } else if (arg == "--replay-trace") {
             replay_path = next();
-        } else if (arg == "--dispatch") {
-            const std::string mode = next();
-            if (mode == "switch")
-                prog::setDispatchMode(prog::DispatchMode::Switch);
-            else if (mode == "threaded")
-                prog::setDispatchMode(prog::DispatchMode::Threaded);
-            else {
-                usage();
-                return 2;
-            }
         } else if (validate::backendCliOptions(argc, argv, &i, &backend)) {
             // shared --backend / --list-backends handling
         } else if (arg == "--list") {
@@ -336,4 +324,17 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(value));
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
 }

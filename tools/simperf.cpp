@@ -48,7 +48,6 @@
 #include "crypto/cubehash.hpp"
 #include "crypto/cubehash_lanes.hpp"
 #include "mem/memsys.hpp"
-#include "program/interp.hpp"
 #include "sig/table.hpp"
 #include "validate/backend_cli.hpp"
 #include "workloads/generator.hpp"
@@ -74,7 +73,7 @@ usage(int code)
 {
     std::printf("usage: simperf [--quick] [--bench a,b,c] [--instrs N]\n"
                 "               [--threads N] [--out FILE] [--golden FILE]\n"
-                "               [--dispatch switch|threaded] [--cores N]\n"
+                "               [--cores N]\n"
                 "               %s\n",
                 rev::validate::kBackendCliUsage);
     std::exit(code);
@@ -123,18 +122,6 @@ parseArgs(int argc, char **argv)
                 usage(2);
         } else if (arg == "--golden") {
             args.goldenPath = next(i);
-        } else if (arg == "--dispatch") {
-            const std::string mode = next(i);
-            if (mode == "switch")
-                prog::setDispatchMode(prog::DispatchMode::Switch);
-            else if (mode == "threaded")
-                prog::setDispatchMode(prog::DispatchMode::Threaded);
-            else {
-                std::fprintf(stderr,
-                             "simperf: unknown dispatch mode '%s'\n",
-                             mode.c_str());
-                usage(2);
-            }
         } else if (validate::backendCliOptions(argc, argv, &i,
                                                &args.opts.backend)) {
             // shared --backend / --list-backends handling
@@ -437,9 +424,7 @@ writeReport(const Args &args, const Sweep &sweep, const SweepRunner &runner,
     double total_job_wall = 0;
     std::size_t replayed_jobs = 0;
     os << "{\n"
-       << "  \"schema\": \"rev-sim-speed-v4\",\n"
-       << "  \"dispatch\": \""
-       << prog::dispatchModeName(prog::dispatchMode()) << "\",\n"
+       << "  \"schema\": \"rev-sim-speed-v5\",\n"
        << "  \"instr_budget\": " << args.opts.instrBudget << ",\n"
        << "  \"threads\": " << runner.threadsUsed() << ",\n"
        << "  \"jobs\": [\n";
@@ -490,15 +475,13 @@ writeReport(const Args &args, const Sweep &sweep, const SweepRunner &runner,
     std::printf("simperf: %zu jobs (%zu replayed), %.2fs wall "
                 "(gen %.2f + proto %.2f + image %.2f + record %.2f + "
                 "replay %.2f), "
-                "dispatch=%s hash=%s (%.0f MB/s scalar, %.0f MB/s x%u), "
+                "hash=%s (%.0f MB/s scalar, %.0f MB/s x%u), "
                 "report -> %s\n",
                 timings.size(), replayed_jobs, total_wall,
                 ph.generateSeconds, ph.protoSeconds, ph.imageSeconds,
-                ph.recordSeconds, ph.replaySeconds,
-                prog::dispatchModeName(prog::dispatchMode()),
-                crypto::cubehashImpl(), micro.hashScalarMBps,
-                micro.hashBatchMBps, micro.statesPerRound,
-                args.outPath.c_str());
+                ph.recordSeconds, ph.replaySeconds, crypto::cubehashImpl(),
+                micro.hashScalarMBps, micro.hashBatchMBps,
+                micro.statesPerRound, args.outPath.c_str());
 }
 
 } // namespace
@@ -506,32 +489,37 @@ writeReport(const Args &args, const Sweep &sweep, const SweepRunner &runner,
 int
 main(int argc, char **argv)
 {
-    const Args args = parseArgs(argc, argv);
+    try {
+        const Args args = parseArgs(argc, argv);
 
-    if (args.cores)
-        return runMulticoreScaling(args);
+        if (args.cores)
+            return runMulticoreScaling(args);
 
-    const auto t0 = std::chrono::steady_clock::now();
-    SweepRunner runner(args.opts);
-    const Sweep sweep = runner.run();
-    const double total_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
+        const auto t0 = std::chrono::steady_clock::now();
+        SweepRunner runner(args.opts);
+        const Sweep sweep = runner.run();
+        const double total_wall =
+            std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+                .count();
 
-    writeReport(args, sweep, runner, total_wall, runMicro());
+        writeReport(args, sweep, runner, total_wall, runMicro());
 
-    if (!args.goldenPath.empty()) {
-        const auto diffs =
-            compareToGolden(sweep, args.opts, args.goldenPath);
-        if (!diffs.empty()) {
-            for (const auto &d : diffs)
-                std::fprintf(stderr, "simperf: GOLDEN MISMATCH %s/%s: %s\n",
-                             d.bench.c_str(), configName(d.config),
-                             d.detail.c_str());
-            return 1;
+        if (!args.goldenPath.empty()) {
+            const auto diffs =
+                compareToGolden(sweep, args.opts, args.goldenPath);
+            if (!diffs.empty()) {
+                for (const auto &d : diffs)
+                    std::fprintf(stderr, "simperf: GOLDEN MISMATCH %s/%s: %s\n",
+                                 d.bench.c_str(), configName(d.config),
+                                 d.detail.c_str());
+                return 1;
+            }
+            std::printf("simperf: all statistics match golden snapshot %s\n",
+                        args.goldenPath.c_str());
         }
-        std::printf("simperf: all statistics match golden snapshot %s\n",
-                    args.goldenPath.c_str());
+        return 0;
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
     }
-    return 0;
 }
