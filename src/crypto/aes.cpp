@@ -3,6 +3,19 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/logging.hpp"
+
+// GCC and Clang compile the AES-NI kernel into a baseline-ISA binary via
+// __attribute__((target("aes"))); it is chosen at run time with
+// __builtin_cpu_supports.
+#if (defined(__x86_64__) || defined(__i386__)) &&                            \
+    (defined(__GNUC__) || defined(__clang__))
+#define REV_AES_NI 1
+#include <immintrin.h>
+#else
+#define REV_AES_NI 0
+#endif
+
 namespace rev::crypto
 {
 
@@ -162,6 +175,8 @@ Aes128::Aes128(const AesKey &key)
         }
         roundKeys_[i] = roundKeys_[i - 4] ^ temp;
     }
+    for (int i = 0; i < 44; ++i)
+        storeBe32(roundKeyBytes_.data() + 4 * i, roundKeys_[i]);
 }
 
 void
@@ -228,25 +243,110 @@ void
 Aes128::ctrCryptAt(u8 *data, std::size_t len, u64 nonce,
                    u64 byte_offset) const
 {
-    std::size_t done = 0;
-    while (done < len) {
-        const u64 stream_pos = byte_offset + done;
-        const u64 counter = stream_pos / 16;
-        const unsigned skip = static_cast<unsigned>(stream_pos % 16);
+    detail::ctrCryptAtWith(detail::aesniSupported() ? detail::CtrKernel::AesNi
+                                                    : detail::CtrKernel::TTable,
+                           *this, data, len, nonce, byte_offset);
+}
 
-        u8 keystream[16];
-        for (int i = 0; i < 8; ++i) {
-            keystream[i] = static_cast<u8>(nonce >> (8 * i));
-            keystream[8 + i] = static_cast<u8>(counter >> (8 * i));
+namespace
+{
+
+#if REV_AES_NI
+
+/**
+ * Keystream blocks @p counter .. @p counter + 3 into @p ks with AES-NI:
+ * four independent aesenc chains hide the instruction's latency.
+ */
+__attribute__((target("aes"))) void
+keystreamAesni(const u8 *round_keys, u64 nonce, u64 counter, u8 *ks)
+{
+    const auto *rk = reinterpret_cast<const __m128i *>(round_keys);
+    __m128i b[4];
+    for (int i = 0; i < 4; ++i)
+        b[i] = _mm_xor_si128(
+            _mm_set_epi64x(static_cast<long long>(counter + i),
+                           static_cast<long long>(nonce)),
+            _mm_loadu_si128(rk));
+    for (int r = 1; r < 10; ++r) {
+        const __m128i k = _mm_loadu_si128(rk + r);
+        for (int i = 0; i < 4; ++i)
+            b[i] = _mm_aesenc_si128(b[i], k);
+    }
+    const __m128i last = _mm_loadu_si128(rk + 10);
+    for (int i = 0; i < 4; ++i)
+        _mm_storeu_si128(reinterpret_cast<__m128i *>(ks) + i,
+                         _mm_aesenclast_si128(b[i], last));
+}
+
+#else
+
+void
+keystreamAesni(const u8 *, u64, u64, u8 *)
+{
+    panic("AES-NI kernel without AES-NI");
+}
+
+#endif // REV_AES_NI
+
+} // namespace
+
+const char *
+aesImpl()
+{
+    return detail::aesniSupported() ? "aesni" : "ttable";
+}
+
+namespace detail
+{
+
+bool
+aesniSupported()
+{
+#if REV_AES_NI
+    static const bool has = __builtin_cpu_supports("aes") != 0;
+    return has;
+#else
+    return false;
+#endif
+}
+
+void
+ctrCryptAtWith(CtrKernel kernel, const Aes128 &aes, u8 *data,
+               std::size_t len, u64 nonce, u64 byte_offset)
+{
+    const bool aesni = kernel == CtrKernel::AesNi;
+    if (aesni && !aesniSupported())
+        fatal("AES: the CPU has no AES-NI");
+    u64 counter = byte_offset / 16;
+    std::size_t skip = byte_offset % 16;
+    while (len > 0) {
+        // Up to four keystream blocks; a counter block is the nonce
+        // then the block counter, both little-endian.
+        alignas(16) u8 ks[64];
+        const std::size_t blocks =
+            std::min<std::size_t>(4, (skip + len + 15) / 16);
+        if (aesni) {
+            keystreamAesni(aes.roundKeyBytes_.data(), nonce, counter, ks);
+        } else {
+            for (std::size_t b = 0; b < blocks; ++b) {
+                u8 *block = ks + 16 * b;
+                for (int i = 0; i < 8; ++i) {
+                    block[i] = static_cast<u8>(nonce >> (8 * i));
+                    block[8 + i] = static_cast<u8>((counter + b) >> (8 * i));
+                }
+                aes.encryptBlock(block);
+            }
         }
-        encryptBlock(keystream);
-
-        const std::size_t take =
-            std::min<std::size_t>(16 - skip, len - done);
+        const std::size_t take = std::min<std::size_t>(16 * blocks - skip, len);
         for (std::size_t i = 0; i < take; ++i)
-            data[done + i] ^= keystream[skip + i];
-        done += take;
+            data[i] ^= ks[skip + i];
+        data += take;
+        len -= take;
+        counter += blocks;
+        skip = 0;
     }
 }
+
+} // namespace detail
 
 } // namespace rev::crypto

@@ -14,19 +14,18 @@
 
 #include <array>
 #include <cstddef>
-#include <vector>
 
 #include "common/types.hpp"
 
 namespace rev::crypto
 {
 
-/** A CubeHash digest (up to 512 bits; we use 256-bit by default). */
+/** A CubeHash digest (up to 256 bits, the default size). */
 using Digest = std::array<u8, 32>;
 
 /**
- * Name of the compiled-in single-state permutation kernel: "avx2",
- * "sse2", or "scalar" (the latter also when built with
+ * Name of the single-state permutation kernel on the running CPU:
+ * "avx2", "sse2", or "scalar" (always when built with
  * -DREV_DISABLE_SIMD_HASH). All kernels are bit-identical.
  */
 const char *cubehashImpl();
@@ -44,7 +43,7 @@ class CubeHash
     /**
      * @param rounds      Rounds per message block (paper uses 5).
      * @param block_bytes Message block size in bytes (1..128).
-     * @param digest_bits Digest size in bits (8..512, multiple of 8).
+     * @param digest_bits Digest size in bits (8..256, multiple of 8).
      */
     explicit CubeHash(unsigned rounds = 5, unsigned block_bytes = 32,
                       unsigned digest_bits = 256);
@@ -54,12 +53,6 @@ class CubeHash
 
     /** Absorb @p len bytes of message. */
     void update(const u8 *data, std::size_t len);
-
-    void
-    update(const std::vector<u8> &data)
-    {
-        update(data.data(), data.size());
-    }
 
     /**
      * Finalize and return the digest. The hasher must be reset() before
@@ -73,17 +66,10 @@ class CubeHash
     /** Truncated 32-bit signature (low 4 bytes of digest), per Sec. V.C. */
     static u32 signature32(const Digest &d);
 
-    unsigned rounds() const { return rounds_; }
-    unsigned blockBytes() const { return blockBytes_; }
-    unsigned digestBits() const { return digestBits_; }
-
     /** Post-initialization state for these (r, b, h) parameters. */
     const std::array<u32, 32> &iv() const { return iv_; }
 
   private:
-    /** Apply @p n rounds of the CubeHash permutation to the state. */
-    void permute(unsigned n);
-
     /** Absorb the staged block and permute. */
     void absorbBlock();
 
@@ -96,6 +82,36 @@ class CubeHash
     std::array<u8, 128> buffer_;
     unsigned bufFill_ = 0;
 };
+
+/** One message for cubehashBatch (borrowed bytes). */
+struct HashMsg
+{
+    const u8 *data = nullptr;
+    std::size_t len = 0;
+};
+
+/**
+ * Hash @p n independent messages with CubeHash<@p rounds, 32, 256>:
+ * out[i] receives msgs[i]'s digest, bit-identical to
+ * CubeHash::hash(msgs[i].data, msgs[i].len, rounds).
+ *
+ * On an AVX-512F host, a batch of eight or more messages runs sixteen
+ * states per round; a lane that finishes its message takes the next
+ * one, so ragged lengths keep every lane busy. Smaller batches, other
+ * hosts and -DREV_DISABLE_SIMD_HASH builds hash one message at a time
+ * with the single-state kernel.
+ */
+void cubehashBatch(const HashMsg *msgs, std::size_t n, unsigned rounds,
+                   Digest *out);
+
+/**
+ * Name of the kernel cubehashBatch runs for a full batch: "avx512x16",
+ * or cubehashImpl() when it falls back to one state at a time.
+ */
+const char *cubehashBatchImpl();
+
+/** States one round of that kernel advances: 16 or 1. */
+unsigned cubehashBatchLanes();
 
 } // namespace rev::crypto
 

@@ -1,28 +1,18 @@
 /**
  * @file
- * CubeHash round primitives shared by the scalar hasher (cubehash.cpp)
- * and the multi-lane batch hasher (cubehash_lanes.cpp).
+ * CubeHash round kernels for cubehash.cpp, all bit-identical to the
+ * reference roundScalar() (tests/crypto pins that):
  *
- * Three implementations of the same permutation live here:
+ *  - permuteSse2/Avx2: one state; the spec's swap steps become
+ *    xor-permuted indexing, i.e. register renamings and in-register
+ *    shuffles (see the comment on roundScalar).
+ *  - stepX16Avx512:    sixteen independent states, word-major (one zmm
+ *    register per state word), for the batch hasher.
  *
- *  - roundScalar():    one state, plain u32 arithmetic (the reference).
- *  - roundSimd():      one state, SSE2/AVX2. The spec's swap steps become
- *                      xor-permuted indexing (see the comment on
- *                      roundScalar); with the state split into 4-word
- *                      vectors, i^8 and i^4 are register renamings and
- *                      i^2 / i^1 are in-register shuffles.
- *  - roundX4*():       four independent states in word-major SoA layout
- *                      (row w holds word w of all four lanes), so every
- *                      step is a plain vertical add/rot/xor with no
- *                      shuffles at all.
- *
- * All three are bit-identical by construction; tests/crypto pins that.
- * SIMD is compiled in when the target supports SSE2 (any x86-64); the
- * AVX2 variants are additionally compiled as target("avx2") clones on
- * GCC/Clang and chosen at run time via __builtin_cpu_supports, so a
- * baseline build still uses them on AVX2 hardware. Everything can be
- * disabled wholesale with -DREV_DISABLE_SIMD_HASH to keep the portable
- * fallback honest.
+ * SSE2 is compiled in on any x86-64. The AVX2 and AVX-512F kernels are
+ * target(...) clones chosen at run time, so a baseline build still uses
+ * them on capable hardware. -DREV_DISABLE_SIMD_HASH leaves only the
+ * portable scalar round.
  */
 
 #ifndef REV_CRYPTO_CUBEHASH_ROUND_HPP
@@ -41,20 +31,16 @@
 #define REV_CUBEHASH_SIMD 0
 #endif
 
-// GCC and Clang can compile AVX2 kernels into a baseline-ISA binary via
-// __attribute__((target("avx2"))) and select them at run time with
-// __builtin_cpu_supports, so the AVX2 paths below do not require -mavx2
-// (or REV_NATIVE_ARCH) at configure time.
+// GCC and Clang compile the AVX2 and AVX-512F kernels into a
+// baseline-ISA binary via __attribute__((target(...))); they are chosen at
+// run time with __builtin_cpu_supports, so neither needs -mavx2 /
+// -mavx512f (or REV_NATIVE_ARCH) at configure time.
 #if REV_CUBEHASH_SIMD && (defined(__GNUC__) || defined(__clang__))
-#define REV_CUBEHASH_AVX2_DISPATCH 1
-#else
-#define REV_CUBEHASH_AVX2_DISPATCH 0
-#endif
-
-#if defined(__AVX2__)
-#define REV_CH_TARGET_AVX2 /* already compiling for AVX2 */
-#elif REV_CUBEHASH_AVX2_DISPATCH
+#define REV_CUBEHASH_DISPATCH 1
 #define REV_CH_TARGET_AVX2 __attribute__((target("avx2")))
+#define REV_CH_TARGET_AVX512 __attribute__((target("avx512f")))
+#else
+#define REV_CUBEHASH_DISPATCH 0
 #endif
 
 namespace rev::crypto::detail
@@ -152,18 +138,16 @@ permuteSse2(std::array<u32, 32> &x, unsigned n)
     _mm_storeu_si128(p + 7, B3);
 }
 
-#if defined(__AVX2__) || REV_CUBEHASH_AVX2_DISPATCH
+#endif // REV_CUBEHASH_SIMD
 
-/** Whether the running CPU can execute the AVX2 kernels. */
+#if REV_CUBEHASH_DISPATCH
+
+/** Whether the running CPU can execute the AVX2 kernel. */
 inline bool
 cpuHasAvx2()
 {
-#if defined(__AVX2__)
-    return true; // the whole binary already assumes it
-#else
     static const bool has = __builtin_cpu_supports("avx2") != 0;
     return has;
-#endif
 }
 
 #define REV_CH_ROT7_256(v)                                                   \
@@ -206,167 +190,93 @@ permuteAvx2(std::array<u32, 32> &x, unsigned n)
     _mm256_storeu_si256(p + 3, B23);
 }
 
-#endif // __AVX2__ || REV_CUBEHASH_AVX2_DISPATCH
+/** Whether the running CPU can execute the AVX-512F batch kernel. */
+inline bool
+cpuHasAvx512f()
+{
+    static const bool has = __builtin_cpu_supports("avx512f") != 0;
+    return has;
+}
 
-#endif // REV_CUBEHASH_SIMD
+// vprold with an all-ones zeroing mask: the same instruction as
+// _mm512_rol_epi32, without GCC 12's -Wmaybe-uninitialized false
+// positive on that intrinsic's undefined pass-through operand.
+#define REV_CH_ROL512(v, k) _mm512_maskz_rol_epi32(0xFFFF, (v), (k))
+
+/** Lanes of the batch kernel: one zmm register holds one state word. */
+inline constexpr unsigned kBatchLanes = 16;
+
+/**
+ * One step of the 16-lane batch hasher on the 64-byte aligned state
+ * @p s, where s[16*j + lane] is word j of that lane. In this order it
+ *   - resets the lanes in @p reset to the post-initialization state @p iv,
+ *   - xors message words msg[16*j + lane] (j = 0..7, one 32-byte block)
+ *     into words 0..7 of the lanes in @p absorb,
+ *   - xors 1 into word 31 of the lanes in @p fin (start of finalization),
+ * then runs @p rounds rounds on all sixteen lanes. The 32 rows stay in
+ * the 32 zmm registers for the whole step, every xor-permuted index is a
+ * register renaming, and each rotate is a single vprold. The unroll
+ * pragmas let GCC replace the register arrays by scalars; without them
+ * it keeps the state in memory and the step runs ~40 % slower.
+ */
+REV_CH_TARGET_AVX512 inline void
+stepX16Avx512(u32 *s, const u32 *msg, u16 absorb, u16 fin,
+              u16 reset, const u32 *iv, unsigned rounds)
+{
+    __m512i x[32];
+#pragma GCC unroll 32
+    for (int j = 0; j < 32; ++j)
+        x[j] = _mm512_load_si512(s + 16 * j);
+    if (reset) {
+#pragma GCC unroll 32
+        for (int j = 0; j < 32; ++j)
+            x[j] = _mm512_mask_mov_epi32(
+                x[j], reset, _mm512_set1_epi32(static_cast<int>(iv[j])));
+    }
+#pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j)
+        x[j] = _mm512_mask_xor_epi32(x[j], absorb, x[j],
+                                     _mm512_load_si512(msg + 16 * j));
+    x[31] = _mm512_mask_xor_epi32(x[31], fin, x[31], _mm512_set1_epi32(1));
+    for (unsigned k = 0; k < rounds; ++k) {
+        __m512i a[16], b[16], c[16];
+#pragma GCC unroll 16
+        for (int i = 0; i < 16; ++i)
+            b[i] = _mm512_add_epi32(x[16 + i], x[i]);
+#pragma GCC unroll 16
+        for (int i = 0; i < 16; ++i)
+            a[i] = _mm512_xor_si512(REV_CH_ROL512(x[i ^ 8], 7), b[i]);
+#pragma GCC unroll 16
+        for (int i = 0; i < 16; ++i)
+            c[i] = _mm512_add_epi32(b[i ^ 2], a[i]);
+#pragma GCC unroll 16
+        for (int i = 0; i < 16; ++i)
+            x[i] = _mm512_xor_si512(REV_CH_ROL512(a[i ^ 4], 11), c[i]);
+#pragma GCC unroll 16
+        for (int i = 0; i < 16; ++i)
+            x[16 + i] = c[i ^ 1];
+    }
+#pragma GCC unroll 32
+    for (int j = 0; j < 32; ++j)
+        _mm512_store_si512(s + 16 * j, x[j]);
+}
+
+#endif // REV_CUBEHASH_DISPATCH
 
 /** n rounds on a single state with the fastest kernel the running CPU
  *  supports (AVX2 is selected at run time, not configure time). */
 inline void
 permuteActive(std::array<u32, 32> &x, unsigned n)
 {
-#if REV_CUBEHASH_SIMD && (defined(__AVX2__) || REV_CUBEHASH_AVX2_DISPATCH)
-    if (cpuHasAvx2()) {
-        permuteAvx2(x, n);
-        return;
-    }
+#if REV_CUBEHASH_DISPATCH
+    if (cpuHasAvx2())
+        return permuteAvx2(x, n);
 #endif
 #if REV_CUBEHASH_SIMD
     permuteSse2(x, n);
 #else
     for (unsigned i = 0; i < n; ++i)
         roundScalar(x);
-#endif
-}
-
-/** Name of the single-state kernel permuteActive() resolves to. */
-inline const char *
-permuteImplName()
-{
-#if REV_CUBEHASH_SIMD && (defined(__AVX2__) || REV_CUBEHASH_AVX2_DISPATCH)
-    if (cpuHasAvx2())
-        return "avx2";
-#endif
-#if REV_CUBEHASH_SIMD
-    return "sse2";
-#else
-    return "scalar";
-#endif
-}
-
-/**
- * Four-lane SoA state: row w is an aligned group of 4 u32 holding word w
- * of lanes 0..3, i.e. soa[4*w + lane] = lane's state word w.
- */
-struct SoaState4
-{
-    alignas(32) u32 w[32 * 4];
-};
-
-/** One round applied to all four SoA lanes, reference implementation. */
-inline void
-roundX4Scalar(SoaState4 &s)
-{
-    u32 a[16][4], b[16][4], c[16][4];
-    for (int i = 0; i < 16; ++i)
-        for (int l = 0; l < 4; ++l)
-            b[i][l] = s.w[4 * (16 + i) + l] + s.w[4 * i + l];
-    for (int i = 0; i < 16; ++i)
-        for (int l = 0; l < 4; ++l)
-            a[i][l] = rotl32(s.w[4 * (i ^ 8) + l], 7) ^ b[i][l];
-    for (int i = 0; i < 16; ++i)
-        for (int l = 0; l < 4; ++l)
-            c[i][l] = b[i ^ 2][l] + a[i][l];
-    for (int i = 0; i < 16; ++i)
-        for (int l = 0; l < 4; ++l)
-            s.w[4 * i + l] = rotl32(a[i ^ 4][l], 11) ^ c[i][l];
-    for (int i = 0; i < 16; ++i)
-        for (int l = 0; l < 4; ++l)
-            s.w[4 * (16 + i) + l] = c[i ^ 1][l];
-}
-
-#if REV_CUBEHASH_SIMD
-
-/**
- * n rounds applied to all four SoA lanes, SSE2. Each row is one vector,
- * the xor-permuted indexing happens on whole rows, so the round body is
- * pure vertical arithmetic — no shuffles.
- */
-inline void
-permuteX4Sse2(SoaState4 &s, unsigned n)
-{
-    __m128i *row = reinterpret_cast<__m128i *>(s.w);
-    for (unsigned k = 0; k < n; ++k) {
-        __m128i a[16], b[16], c[16];
-        for (int i = 0; i < 16; ++i)
-            b[i] = _mm_add_epi32(row[16 + i], row[i]);
-        for (int i = 0; i < 16; ++i)
-            a[i] = _mm_xor_si128(REV_CH_ROT7_128(row[i ^ 8]), b[i]);
-        for (int i = 0; i < 16; ++i)
-            c[i] = _mm_add_epi32(b[i ^ 2], a[i]);
-        for (int i = 0; i < 16; ++i)
-            row[i] = _mm_xor_si128(REV_CH_ROT11_128(a[i ^ 4]), c[i]);
-        for (int i = 0; i < 16; ++i)
-            row[16 + i] = c[i ^ 1];
-    }
-}
-
-#if defined(__AVX2__) || REV_CUBEHASH_AVX2_DISPATCH
-
-/**
- * n rounds on all four SoA lanes, AVX2. Rows i and i^8 are packed into
- * the two 128-bit halves of one ymm register (V[i] = rows (i, i+8) of
- * the A half, W[i] = rows (16+i, 24+i) of the B half, i = 0..7), so the
- * full 4-lane state occupies exactly the sixteen ymm registers and every
- * round runs register-resident:
- *
- *   i^8 — a half swap inside the register (permute4x64 0x4E);
- *   i^4, i^2, i^1 — flip bits inside the 0..7 pair index: renamings.
- */
-REV_CH_TARGET_AVX2 inline void
-permuteX4Avx2(SoaState4 &s, unsigned n)
-{
-    const __m128i *row = reinterpret_cast<const __m128i *>(s.w);
-    __m256i V[8], W[8];
-    for (int i = 0; i < 8; ++i) {
-        V[i] = _mm256_set_m128i(_mm_loadu_si128(row + (i + 8)),
-                                _mm_loadu_si128(row + i));
-        W[i] = _mm256_set_m128i(_mm_loadu_si128(row + (24 + i)),
-                                _mm_loadu_si128(row + (16 + i)));
-    }
-    for (unsigned k = 0; k < n; ++k) {
-        __m256i a[8], b[8], c[8];
-        for (int i = 0; i < 8; ++i)
-            b[i] = _mm256_add_epi32(W[i], V[i]);
-        for (int i = 0; i < 8; ++i)
-            a[i] = _mm256_xor_si256(
-                REV_CH_ROT7_256(_mm256_permute4x64_epi64(V[i], 0x4E)), b[i]);
-        for (int i = 0; i < 8; ++i)
-            c[i] = _mm256_add_epi32(b[i ^ 2], a[i]);
-        for (int i = 0; i < 8; ++i)
-            V[i] = _mm256_xor_si256(REV_CH_ROT11_256(a[i ^ 4]), c[i]);
-        for (int i = 0; i < 8; ++i)
-            W[i] = c[i ^ 1];
-    }
-    __m128i *out = reinterpret_cast<__m128i *>(s.w);
-    for (int i = 0; i < 8; ++i) {
-        _mm_storeu_si128(out + i, _mm256_castsi256_si128(V[i]));
-        _mm_storeu_si128(out + (i + 8), _mm256_extracti128_si256(V[i], 1));
-        _mm_storeu_si128(out + (16 + i), _mm256_castsi256_si128(W[i]));
-        _mm_storeu_si128(out + (24 + i), _mm256_extracti128_si256(W[i], 1));
-    }
-}
-
-#endif // __AVX2__ || REV_CUBEHASH_AVX2_DISPATCH
-
-#endif // REV_CUBEHASH_SIMD
-
-/** n rounds on all four SoA lanes with the fastest kernel the running
- *  CPU supports (AVX2 is selected at run time, not configure time). */
-inline void
-permuteX4Active(SoaState4 &s, unsigned n)
-{
-#if REV_CUBEHASH_SIMD && (defined(__AVX2__) || REV_CUBEHASH_AVX2_DISPATCH)
-    if (cpuHasAvx2()) {
-        permuteX4Avx2(s, n);
-        return;
-    }
-#endif
-#if REV_CUBEHASH_SIMD
-    permuteX4Sse2(s, n);
-#else
-    for (unsigned i = 0; i < n; ++i)
-        roundX4Scalar(s);
 #endif
 }
 

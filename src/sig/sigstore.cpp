@@ -1,10 +1,7 @@
 #include "sig/sigstore.hpp"
 
-#include <algorithm>
-
 #include "common/bitutil.hpp"
 #include "common/logging.hpp"
-#include "crypto/cubehash_lanes.hpp"
 
 namespace rev::sig
 {
@@ -78,29 +75,9 @@ SigStore::rebuildWith(const prog::Program &program, const SigStore *cfg_donor)
     for (std::size_t i = 0; i < sigs.size(); ++i) {
         auto &sig = sigs[i];
         sig.module = &modules[i];
-        const auto &blocks = sig.cfg->blocks();
-        if (mode_ != ValidationMode::CfiOnly && !sig.blockHashes) {
-            // Hash the module's blocks four lanes at a time through the
-            // multi-lane CubeHash (bit-identical to bbHash).
-            const auto &mod = *sig.module;
-            auto hashes = std::make_shared<std::vector<u32>>(blocks.size());
-            BbHashJob jobs[crypto::CubeHashX4::kLanes];
-            for (std::size_t b = 0; b < blocks.size();
-                 b += crypto::CubeHashX4::kLanes) {
-                const unsigned n = static_cast<unsigned>(std::min<std::size_t>(
-                    crypto::CubeHashX4::kLanes, blocks.size() - b));
-                for (unsigned l = 0; l < n; ++l) {
-                    const auto &bb = blocks[b + l];
-                    REV_ASSERT(bb.start >= mod.base &&
-                                   bb.end <= mod.codeEnd(),
-                               "SigStore: block outside module code");
-                    jobs[l] = {mod.image.data() + (bb.start - mod.base),
-                               bb.sizeBytes(), bb.start, bb.term};
-                }
-                bbHashBatch(jobs, n, hashRounds_, hashes->data() + b);
-            }
-            sig.blockHashes = std::move(hashes);
-        }
+        if (mode_ != ValidationMode::CfiOnly && !sig.blockHashes)
+            sig.blockHashes = std::make_shared<std::vector<u32>>(
+                bbHashModule(*sig.module, *sig.cfg, hashRounds_));
         const crypto::AesKey key = vault_.generateModuleKey(rng);
         const u64 nonce = rng.next();
         BuiltTable built =

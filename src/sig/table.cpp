@@ -7,7 +7,6 @@
 
 #include "common/logging.hpp"
 #include "crypto/cubehash.hpp"
-#include "crypto/cubehash_lanes.hpp"
 #include "program/program.hpp"
 
 namespace rev::sig
@@ -186,32 +185,38 @@ bbHashBytes(const u8 *code, std::size_t len, Addr start, Addr term,
 }
 
 void
-bbHashBatch(const BbHashJob *jobs, unsigned n, unsigned hash_rounds,
+bbHashBatch(const BbHashJob *jobs, std::size_t n, unsigned hash_rounds,
             u32 *out)
 {
-    // Each lane's message is code || 16-byte (start, term) binding, same
-    // bytes bbHashBytes absorbs. The concatenation is staged in reused
-    // per-thread scratch so CubeHashX4 sees one contiguous message.
-    thread_local std::vector<u8> scratch[crypto::CubeHashX4::kLanes];
-    REV_ASSERT(n >= 1 && n <= crypto::CubeHashX4::kLanes,
-               "bbHashBatch: 1..4 jobs");
-    crypto::CubeHashX4::Msg msgs[crypto::CubeHashX4::kLanes];
-    for (unsigned i = 0; i < n; ++i) {
-        auto &buf = scratch[i];
-        buf.assign(jobs[i].code, jobs[i].code + jobs[i].len);
-        for (int b = 0; b < 8; ++b) {
-            buf.push_back(static_cast<u8>(jobs[i].start >> (8 * b)));
+    // Each message is code || 16-byte (start, term) binding, the bytes
+    // bbHashBytes absorbs. Messages are staged a fixed-size chunk at a
+    // time in reused per-thread scratch, never a whole module at once.
+    constexpr std::size_t kChunk = 512;
+    thread_local std::vector<u8> scratch;
+    thread_local std::vector<crypto::HashMsg> msgs(kChunk);
+    thread_local std::vector<crypto::Digest> digests(kChunk);
+    for (std::size_t first = 0; first < n; first += kChunk) {
+        const std::size_t m = std::min(kChunk, n - first);
+        const BbHashJob *chunk = jobs + first;
+        std::size_t bytes = 0;
+        for (std::size_t i = 0; i < m; ++i)
+            bytes += chunk[i].len + 16;
+        scratch.resize(bytes);
+        u8 *p = scratch.data();
+        for (std::size_t i = 0; i < m; ++i) {
+            const BbHashJob &job = chunk[i];
+            msgs[i] = {p, job.len + 16};
+            p = std::copy_n(job.code, job.len, p);
+            for (int b = 0; b < 8; ++b) {
+                p[b] = static_cast<u8>(job.start >> (8 * b));
+                p[8 + b] = static_cast<u8>(job.term >> (8 * b));
+            }
+            p += 16;
         }
-        for (int b = 0; b < 8; ++b) {
-            buf.push_back(static_cast<u8>(jobs[i].term >> (8 * b)));
-        }
-        msgs[i] = {buf.data(), buf.size()};
+        crypto::cubehashBatch(msgs.data(), m, hash_rounds, digests.data());
+        for (std::size_t i = 0; i < m; ++i)
+            out[first + i] = crypto::CubeHash::signature32(digests[i]);
     }
-    crypto::CubeHashX4 hx(hash_rounds);
-    crypto::Digest digests[crypto::CubeHashX4::kLanes];
-    hx.hashBatch(msgs, n, digests);
-    for (unsigned i = 0; i < n; ++i)
-        out[i] = crypto::CubeHash::signature32(digests[i]);
 }
 
 u32
@@ -222,6 +227,23 @@ bbHash(const prog::Module &mod, const prog::BasicBlock &bb,
                "bbHash: block outside module code");
     return bbHashBytes(mod.image.data() + (bb.start - mod.base),
                        bb.sizeBytes(), bb.start, bb.term, hash_rounds);
+}
+
+std::vector<u32>
+bbHashModule(const prog::Module &mod, const prog::Cfg &cfg,
+             unsigned hash_rounds)
+{
+    std::vector<BbHashJob> jobs;
+    jobs.reserve(cfg.blocks().size());
+    for (const auto &bb : cfg.blocks()) {
+        REV_ASSERT(bb.start >= mod.base && bb.end <= mod.codeEnd(),
+                   "bbHashModule: block outside module code");
+        jobs.push_back({mod.image.data() + (bb.start - mod.base),
+                        bb.sizeBytes(), bb.start, bb.term});
+    }
+    std::vector<u32> hashes(jobs.size());
+    bbHashBatch(jobs.data(), jobs.size(), hash_rounds, hashes.data());
+    return hashes;
 }
 
 BuiltTable
@@ -256,14 +278,18 @@ buildTable(const prog::Module &mod, const prog::Cfg &cfg,
             }
         }
     } else {
+        std::vector<u32> own_hashes;
+        if (!block_hashes) {
+            own_hashes = bbHashModule(mod, cfg, hash_rounds);
+            block_hashes = &own_hashes;
+        }
         for (std::size_t i = 0; i < cfg.blocks().size(); ++i) {
             const auto &bb = cfg.blocks()[i];
             Logical e{};
             e.termOff = static_cast<u32>(bb.term - mod.base);
             e.startOff = static_cast<u32>(bb.start - mod.base);
             e.kind = bb.kind;
-            e.hash = block_hashes ? (*block_hashes)[i]
-                                  : bbHash(mod, bb, hash_rounds);
+            e.hash = (*block_hashes)[i];
             if (mode == ValidationMode::Aggressive) {
                 // Verify every branch target explicitly (returns are
                 // still validated via predecessors, Sec. V.A).

@@ -98,13 +98,16 @@ struct BbHashJob
 };
 
 /**
- * Batched bbHashBytes: hash up to 4 blocks in one multi-lane CubeHash
- * pass (crypto::CubeHashX4), writing out[i] = bbHashBytes(jobs[i]...).
- * Bit-identical to the scalar path; proto-build (SigStore) feeds every
- * module's block list through this 4 lanes at a time.
+ * Batched bbHashBytes: out[i] = bbHashBytes(jobs[i]...) for any n >= 1,
+ * through crypto::cubehashBatch. The table builders pass a module's
+ * whole block list in one call; the CHG passes its lane queue.
  */
-void bbHashBatch(const BbHashJob *jobs, unsigned n, unsigned hash_rounds,
+void bbHashBatch(const BbHashJob *jobs, std::size_t n, unsigned hash_rounds,
                  u32 *out);
+
+/** bbHash() of every block of @p cfg, in cfg.blocks() order, batched. */
+std::vector<u32> bbHashModule(const prog::Module &mod, const prog::Cfg &cfg,
+                              unsigned hash_rounds);
 
 /**
  * Build the signature table for @p mod / @p cfg in @p mode, encrypted with

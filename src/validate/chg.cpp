@@ -2,14 +2,10 @@
 
 #include <vector>
 
-#include "crypto/cubehash_lanes.hpp"
 #include "sig/table.hpp"
 
 namespace rev::validate
 {
-
-static_assert(Chg::kLanes == crypto::CubeHashX4::kLanes,
-              "Chg lane queue must match the CubeHashX4 batch width");
 
 Chg::Chg(const SparseMemory &mem, const ChgConfig &cfg)
     : mem_(mem), cfg_(cfg)

@@ -46,7 +46,7 @@ struct ChgConfig
 class Chg
 {
   public:
-    /** Lane width of the batched hash path (crypto::CubeHashX4). */
+    /** Depth of the lane queue that flushLanes() hashes in one batch. */
     static constexpr unsigned kLanes = 4;
 
   private:
@@ -87,7 +87,7 @@ class Chg
     /**
      * Digest of the block [start, end) terminated at @p term, as hashed
      * from the bytes currently in memory. If the block is staged in the
-     * lane queue, the queue is flushed (multi-lane) first.
+     * lane queue, the queue is flushed first.
      */
     u32 digest(Addr start, Addr term, Addr end);
 
@@ -97,13 +97,13 @@ class Chg
      * what an immediate digest() would hash — so a later flush computes
      * the same value regardless of intervening stores, and blocksHashed
      * counts here, where the scalar path would have hashed. Up to kLanes
-     * requests accumulate and are hashed in one CubeHashX4 pass by
+     * requests accumulate and are hashed in one sig::bbHashBatch call by
      * flushLanes() (or transparently by digest() / a full queue).
      * Memo-fresh requests are dropped immediately, like a memo hit.
      */
     void queueDigest(Addr start, Addr term, Addr end);
 
-    /** Hash every staged request in one multi-lane pass. */
+    /** Hash every staged request in one sig::bbHashBatch call. */
     void flushLanes();
 
     /** Host-side introspection of the batched path (not simulated stats). */

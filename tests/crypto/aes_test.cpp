@@ -7,7 +7,9 @@
 
 #include <cstring>
 #include <string>
+#include <vector>
 
+#include "common/logging.hpp"
 #include "common/random.hpp"
 #include "crypto/aes.hpp"
 
@@ -211,6 +213,76 @@ TEST(Aes128, CtrNonMultipleOf16Length)
     aes.ctrCrypt(data, 9);
     aes.ctrCrypt(data, 9);
     EXPECT_EQ(data, orig);
+}
+
+/** Pinned CTR keystream: 48 bytes from stream offset 5 (a partial first
+ *  block, two whole blocks, a partial last one), as the T-table kernel
+ *  produced it before the AES-NI kernel existed. */
+TEST(Aes128, CtrKeystreamKnownAnswer)
+{
+    AesKey key;
+    for (int i = 0; i < 16; ++i)
+        key[i] = static_cast<u8>(i * 17 + 3);
+    const std::vector<u8> want = {
+        0xf6, 0x05, 0x31, 0x33, 0x7a, 0x0b, 0xc5, 0xd4, 0x40, 0xf2, 0x76,
+        0xc2, 0xae, 0x06, 0x90, 0x24, 0x36, 0x7e, 0xac, 0x2a, 0xdd, 0x5b,
+        0xeb, 0x3c, 0xb3, 0xa2, 0xc4, 0x43, 0x79, 0xc6, 0x4e, 0xdc, 0xa1,
+        0x5a, 0x37, 0x85, 0xfc, 0x1f, 0x16, 0xf5, 0x71, 0xd7, 0xc0, 0x6e,
+        0xf5, 0x0a, 0xd9, 0x19};
+    const Aes128 aes(key);
+    const u64 nonce = 0x0123456789abcdefULL;
+    std::vector<u8> ks(want.size(), 0);
+    aes.ctrCryptAt(ks.data(), ks.size(), nonce, 5);
+    EXPECT_EQ(ks, want);
+    ks.assign(want.size(), 0);
+    detail::ctrCryptAtWith(detail::CtrKernel::TTable, aes, ks.data(),
+                           ks.size(), nonce, 5);
+    EXPECT_EQ(ks, want);
+}
+
+/** The AES-NI and T-table CTR kernels produce the same bytes at random
+ *  stream offsets (unaligned ones included) and lengths (under one
+ *  block, and across many four-block passes). The default entry point
+ *  agrees with both. */
+TEST(Aes128, CtrAesniMatchesTTable)
+{
+    EXPECT_EQ(std::string(aesImpl()),
+              detail::aesniSupported() ? "aesni" : "ttable");
+    Rng rng(4242);
+    for (int t = 0; t < 500; ++t) {
+        AesKey key;
+        for (auto &b : key)
+            b = static_cast<u8>(rng.next());
+        const Aes128 aes(key);
+        const u64 nonce = rng.next();
+        u64 offset = rng.below(4096);
+        if (t % 3 == 0)
+            offset = 16 * rng.below(256); // block-aligned
+        const std::size_t len =
+            t % 4 == 0 ? rng.below(16) : rng.below(t % 4 == 1 ? 64 : 700);
+        std::vector<u8> data(len);
+        for (auto &b : data)
+            b = static_cast<u8>(rng.next());
+
+        std::vector<u8> ttable = data;
+        detail::ctrCryptAtWith(detail::CtrKernel::TTable, aes,
+                               ttable.data(), len, nonce, offset);
+        std::vector<u8> active = data;
+        aes.ctrCryptAt(active.data(), len, nonce, offset);
+        ASSERT_EQ(active, ttable) << "offset=" << offset << " len=" << len;
+        if (detail::aesniSupported()) {
+            std::vector<u8> aesni = data;
+            detail::ctrCryptAtWith(detail::CtrKernel::AesNi, aes,
+                                   aesni.data(), len, nonce, offset);
+            ASSERT_EQ(aesni, ttable) << "offset=" << offset << " len=" << len;
+        }
+    }
+    if (!detail::aesniSupported()) {
+        u8 byte = 0;
+        EXPECT_THROW(detail::ctrCryptAtWith(detail::CtrKernel::AesNi,
+                                            Aes128(AesKey{}), &byte, 1, 0, 0),
+                     FatalError);
+    }
 }
 
 } // namespace

@@ -118,6 +118,9 @@ TEST(CubeHash, RejectsBadParameters)
     EXPECT_THROW(CubeHash(5, 129, 256), FatalError);
     EXPECT_THROW(CubeHash(5, 32, 7), FatalError);
     EXPECT_THROW(CubeHash(5, 32, 600), FatalError);
+    // Digest holds 256 bits: longer digests are refused, not truncated.
+    EXPECT_THROW(CubeHash(5, 32, 264), FatalError);
+    EXPECT_THROW(CubeHash(5, 32, 512), FatalError);
 }
 
 /** Property sweep: no collisions among many distinct random messages. */

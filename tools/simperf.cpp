@@ -45,8 +45,8 @@
 #include "bench/sweep_runner.hpp"
 #include "common/logging.hpp"
 #include "core/snapshot.hpp"
+#include "crypto/aes.hpp"
 #include "crypto/cubehash.hpp"
-#include "crypto/cubehash_lanes.hpp"
 #include "mem/memsys.hpp"
 #include "sig/table.hpp"
 #include "validate/backend_cli.hpp"
@@ -143,12 +143,14 @@ struct MicroNumbers
     double bbHashNs = 0;      ///< one 64-byte basic-block signature hash
     double memsysAccessNs = 0; ///< one timing-model memory access
 
-    // Hash-throughput breakdown: the single-state kernel vs the 4-lane
-    // batch kernel over the same total bytes (64-byte block-sized
+    // Hash-throughput breakdown: the single-state kernel vs the batch
+    // entry point over the same total bytes (64-byte block-sized
     // messages, the sweep's common case).
     double hashScalarMBps = 0; ///< single-state permute kernel
-    double hashBatchMBps = 0;  ///< CubeHashX4 lockstep batches of 4
-    unsigned statesPerRound = 1; ///< lanes one round call advances
+    double hashBatchMBps = 0;  ///< crypto::cubehashBatch, 64 per call
+    unsigned statesPerRound = 1; ///< states the batch kernel's round advances
+
+    double aesCtrMBps = 0; ///< Aes128::ctrCrypt over 4 KiB buffers
 
     // Machine-snapshot primitives (core/snapshot.hpp): what the
     // campaign / sweep pay per warmed-state reuse instead of
@@ -197,25 +199,37 @@ runMicro()
                 secs > 0 ? kIters * sizeof(buf) / secs / 1e6 : 0;
             (void)sink;
         }
-        // 4-lane batch kernel throughput over the same bytes.
+        // Batch entry point throughput over the same bytes.
         {
-            crypto::CubeHashX4::Msg msgs[4];
+            constexpr int kBatch = 64;
+            crypto::HashMsg msgs[kBatch];
             for (auto &msg : msgs)
                 msg = {buf, sizeof(buf)};
-            crypto::Digest out[4];
+            crypto::Digest out[kBatch];
             u32 sink = 0;
             const auto t0 = Clock::now();
-            for (int i = 0; i < kIters / 4; ++i) {
-                crypto::CubeHashX4 hx(5, 32, 256);
-                hx.hashBatch(msgs, 4, out);
-                sink ^= crypto::CubeHash::signature32(out[i & 3]);
+            for (int i = 0; i < kIters / kBatch; ++i) {
+                crypto::cubehashBatch(msgs, kBatch, 5, out);
+                sink ^= crypto::CubeHash::signature32(out[i % kBatch]);
             }
             const double secs = secsSince(t0);
-            m.hashBatchMBps =
-                secs > 0 ? (kIters / 4) * 4 * sizeof(buf) / secs / 1e6 : 0;
+            m.hashBatchMBps = secs > 0 ? (kIters / kBatch) * kBatch *
+                                             sizeof(buf) / secs / 1e6
+                                       : 0;
             (void)sink;
         }
-        m.statesPerRound = crypto::CubeHashX4::statesPerRound();
+        m.statesPerRound = crypto::cubehashBatchLanes();
+    }
+    {
+        // Table-encryption throughput: CTR over 4 KiB buffers.
+        std::vector<u8> buf(4096, 0x5a);
+        const crypto::Aes128 aes(crypto::AesKey{});
+        constexpr int kIters = 2000;
+        const auto t0 = Clock::now();
+        for (int i = 0; i < kIters; ++i)
+            aes.ctrCrypt(buf, static_cast<u64>(i));
+        const double secs = secsSince(t0);
+        m.aesCtrMBps = secs > 0 ? kIters * buf.size() / secs / 1e6 : 0;
     }
     {
         mem::MemorySystem ms{mem::MemConfig{}};
@@ -459,6 +473,8 @@ writeReport(const Args &args, const Sweep &sweep, const SweepRunner &runner,
        << ", \"hash_batch_mbps\": " << micro.hashBatchMBps
        << ", \"hash_states_per_round\": " << micro.statesPerRound
        << ", \"hash_impl\": \"" << crypto::cubehashImpl() << "\""
+       << ", \"aes_impl\": \"" << crypto::aesImpl() << "\""
+       << ", \"aes_ctr_mbps\": " << micro.aesCtrMBps
        << ", \"snapshot_capture_us\": " << micro.snapshotCaptureUs
        << ", \"snapshot_mem_fork_us\": " << micro.snapshotForkUs
        << ", \"snapshot_restore_us\": " << micro.snapshotRestoreUs
@@ -475,13 +491,14 @@ writeReport(const Args &args, const Sweep &sweep, const SweepRunner &runner,
     std::printf("simperf: %zu jobs (%zu replayed), %.2fs wall "
                 "(gen %.2f + proto %.2f + image %.2f + record %.2f + "
                 "replay %.2f), "
-                "hash=%s (%.0f MB/s scalar, %.0f MB/s x%u), "
-                "report -> %s\n",
+                "hash=%s (%.0f MB/s scalar, %.0f MB/s batch %s), "
+                "aes=%s (%.0f MB/s ctr), report -> %s\n",
                 timings.size(), replayed_jobs, total_wall,
                 ph.generateSeconds, ph.protoSeconds, ph.imageSeconds,
                 ph.recordSeconds, ph.replaySeconds, crypto::cubehashImpl(),
                 micro.hashScalarMBps, micro.hashBatchMBps,
-                micro.statesPerRound, args.outPath.c_str());
+                crypto::cubehashBatchImpl(), crypto::aesImpl(),
+                micro.aesCtrMBps, args.outPath.c_str());
 }
 
 } // namespace
