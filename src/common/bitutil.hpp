@@ -30,6 +30,20 @@ log2i(u64 v)
     return static_cast<unsigned>(std::countr_zero(v));
 }
 
+/**
+ * Number of set bits in @p v. std::popcount compiles to a libgcc call
+ * when the target has no POPCNT instruction (the portable build); this
+ * bit-parallel count stays inline everywhere.
+ */
+constexpr u32
+popcount64(u64 v)
+{
+    v = v - ((v >> 1) & 0x5555555555555555ULL);
+    v = (v & 0x3333333333333333ULL) + ((v >> 2) & 0x3333333333333333ULL);
+    v = (v + (v >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
+    return static_cast<u32>((v * 0x0101010101010101ULL) >> 56);
+}
+
 /** Extract bits [lo, hi] (inclusive) of @p v. */
 constexpr u64
 bits(u64 v, unsigned hi, unsigned lo)

@@ -9,10 +9,12 @@
  * The hot paths (instruction fetch, loads/stores, CHG hashing, clone)
  * resolve the page once per span and move whole runs of bytes with
  * memcpy/word operations instead of one hash-map lookup per byte; a
- * one-entry translation cache per direction short-circuits the map for
- * consecutive accesses to the same page. Semantics are unchanged from the
- * byte-at-a-time reference: reads of unwritten locations return zero,
- * writes allocate pages on demand, and multi-byte values are
+ * one-entry write cursor short-circuits the map for consecutive writes to
+ * the same page. Reads go straight to the page map and write nothing, so
+ * any number of threads may read one memory at once (the red-team
+ * campaign's workers share its golden image). Semantics are unchanged
+ * from the byte-at-a-time reference: reads of unwritten locations return
+ * zero, writes allocate pages on demand, and multi-byte values are
  * little-endian.
  *
  * Pages are copy-on-write: fork() produces a memory sharing every page
@@ -60,14 +62,14 @@ class SparseMemory
     SparseMemory() = default;
 
     // Copying is explicit via fork()/clone(). Moves transfer the page
-    // set; both operands' translation caches are reset so no cached
+    // set; both operands' write cursors are reset so no cached
     // pointer outlives the slots it refers to, and the epoch is bumped so
     // external caches holding page views revalidate.
     SparseMemory(SparseMemory &&other) noexcept
         : pages_(std::move(other.pages_)), epoch_(other.epoch_ + 1)
     {
         other.pages_.clear();
-        other.resetTranslationCaches();
+        other.resetWriteCursor();
         ++other.epoch_;
     }
 
@@ -77,8 +79,8 @@ class SparseMemory
         if (this != &other) {
             pages_ = std::move(other.pages_);
             other.pages_.clear();
-            resetTranslationCaches();
-            other.resetTranslationCaches();
+            resetWriteCursor();
+            other.resetWriteCursor();
             ++epoch_;
             ++other.epoch_;
         }
@@ -88,7 +90,7 @@ class SparseMemory
     u8
     read8(Addr addr) const
     {
-        const Slot *slot = findSlotCached(addr >> kPageShift);
+        const Slot *slot = findSlot(addr >> kPageShift);
         return slot ? slot->page->bytes[addr & (kPageSize - 1)] : 0;
     }
 
@@ -105,7 +107,7 @@ class SparseMemory
     {
         const u64 off = addr & (kPageSize - 1);
         if (off + size <= kPageSize) {
-            const Slot *slot = findSlotCached(addr >> kPageShift);
+            const Slot *slot = findSlot(addr >> kPageShift);
             return slot ? loadLE(slot->page->bytes.data() + off, size) : 0;
         }
         u64 v = 0;
@@ -138,7 +140,7 @@ class SparseMemory
             const u64 off = addr & (kPageSize - 1);
             const std::size_t chunk =
                 static_cast<std::size_t>(std::min<u64>(len, kPageSize - off));
-            const Slot *slot = findSlotCached(addr >> kPageShift);
+            const Slot *slot = findSlot(addr >> kPageShift);
             if (slot)
                 std::memcpy(out, slot->page->bytes.data() + off, chunk);
             else
@@ -181,7 +183,7 @@ class SparseMemory
     u64
     pageVersion(u64 page_no) const
     {
-        const Slot *slot = findSlotCached(page_no);
+        const Slot *slot = findSlot(page_no);
         return slot ? slot->version : 0;
     }
 
@@ -218,7 +220,7 @@ class SparseMemory
     PageView
     pageView(u64 page_no) const
     {
-        const Slot *slot = findSlotCached(page_no);
+        const Slot *slot = findSlot(page_no);
         return slot ? PageView{slot->page->bytes.data(), &slot->version}
                     : PageView{};
     }
@@ -319,16 +321,10 @@ class SparseMemory
     }
 
     const Slot *
-    findSlotCached(u64 page_no) const
+    findSlot(u64 page_no) const
     {
-        if (page_no == readPageNo_)
-            return readSlot_;
         auto it = pages_.find(page_no);
-        if (it == pages_.end())
-            return nullptr; // absence is not cached: a write may populate
-        readPageNo_ = page_no;
-        readSlot_ = &it->second;
-        return readSlot_;
+        return it == pages_.end() ? nullptr : &it->second;
     }
 
     /**
@@ -360,17 +356,13 @@ class SparseMemory
     }
 
     void
-    resetTranslationCaches()
+    resetWriteCursor()
     {
-        readPageNo_ = kNoPage;
-        readSlot_ = nullptr;
         writePageNo_ = kNoPage;
         writeSlot_ = nullptr;
     }
 
     std::unordered_map<u64, Slot> pages_;
-    mutable u64 readPageNo_ = kNoPage;
-    mutable const Slot *readSlot_ = nullptr;
     u64 writePageNo_ = kNoPage;
     Slot *writeSlot_ = nullptr;
     u64 epoch_ = 0;

@@ -5,177 +5,25 @@
 namespace rev::isa
 {
 
-namespace
-{
-
-void
-putImm32(std::vector<u8> &out, i32 imm)
-{
-    const u32 v = static_cast<u32>(imm);
-    out.push_back(static_cast<u8>(v));
-    out.push_back(static_cast<u8>(v >> 8));
-    out.push_back(static_cast<u8>(v >> 16));
-    out.push_back(static_cast<u8>(v >> 24));
-}
-
-i32
-getImm32(const u8 *p)
-{
-    const u32 v = static_cast<u32>(p[0]) | (static_cast<u32>(p[1]) << 8) |
-                  (static_cast<u32>(p[2]) << 16) |
-                  (static_cast<u32>(p[3]) << 24);
-    return static_cast<i32>(v);
-}
-
-/** Encoding formats keyed by length and opcode group. */
-enum class Format
-{
-    Op,      // 1B: op
-    OpReg,   // 2B: op, rs1
-    OpImm8,  // 2B: op, imm8
-    R3,      // 4B: op, rd, rs1, rs2
-    OpImm32, // 5B: op, imm32
-    RdImm32, // 6B: op, rd, imm32
-    RI,      // 7B: op, rd, rs1, imm32
-    Mem,     // 7B: op, rd, rs1(base), imm32
-    Br,      // 7B: op, rs1, rs2, imm32
-};
-
-Format
-formatOf(Opcode op)
-{
-    switch (opcodeClass(op)) {
-      case InstrClass::Nop:
-      case InstrClass::Halt:
-      case InstrClass::Return:
-        return Format::Op;
-      case InstrClass::CallIndirect:
-      case InstrClass::JumpIndirect:
-        return Format::OpReg;
-      case InstrClass::Syscall:
-        return Format::OpImm8;
-      case InstrClass::Jump:
-      case InstrClass::Call:
-        return Format::OpImm32;
-      case InstrClass::Load:
-      case InstrClass::Store:
-        return Format::Mem;
-      case InstrClass::Branch:
-        return Format::Br;
-      default:
-        break;
-    }
-    // Remaining ALU-ish opcodes split by encoded length.
-    switch (opcodeLength(op)) {
-      case 4:
-        return Format::R3;
-      case 6:
-        return Format::RdImm32;
-      case 7:
-        return Format::RI;
-      default:
-        panic("formatOf: unclassified opcode ", static_cast<int>(op));
-    }
-}
-
-} // namespace
-
 unsigned
 encode(const Instr &ins, std::vector<u8> &out)
 {
-    const std::size_t start = out.size();
-    out.push_back(static_cast<u8>(ins.op));
-    switch (formatOf(ins.op)) {
-      case Format::Op:
-        break;
-      case Format::OpReg:
-        out.push_back(ins.rs1);
-        break;
-      case Format::OpImm8:
-        out.push_back(static_cast<u8>(ins.imm));
-        break;
-      case Format::R3:
-        out.push_back(ins.rd);
-        out.push_back(ins.rs1);
-        out.push_back(ins.rs2);
-        break;
-      case Format::OpImm32:
-        putImm32(out, ins.imm);
-        break;
-      case Format::RdImm32:
-        out.push_back(ins.rd);
-        putImm32(out, ins.imm);
-        break;
-      case Format::RI:
-      case Format::Mem:
-        out.push_back(ins.rd);
-        out.push_back(ins.rs1);
-        putImm32(out, ins.imm);
-        break;
-      case Format::Br:
-        out.push_back(ins.rs1);
-        out.push_back(ins.rs2);
-        putImm32(out, ins.imm);
-        break;
-    }
-    const unsigned len = static_cast<unsigned>(out.size() - start);
-    REV_ASSERT(len == ins.length(), "encode length mismatch for ",
-               opcodeName(ins.op));
-    return len;
-}
+    const detail::Layout &f = detail::kLayouts[static_cast<u8>(ins.op)];
+    if (f.len == 0)
+        panic("encode: undefined opcode ", static_cast<int>(ins.op));
 
-std::optional<Instr>
-decode(const u8 *bytes, std::size_t avail)
-{
-    if (avail == 0 || !opcodeValid(bytes[0]))
-        return std::nullopt;
-
-    Instr ins;
-    ins.op = static_cast<Opcode>(bytes[0]);
-    const unsigned len = ins.length();
-    if (avail < len)
-        return std::nullopt;
-
-    switch (formatOf(ins.op)) {
-      case Format::Op:
-        break;
-      case Format::OpReg:
-        ins.rs1 = bytes[1];
-        break;
-      case Format::OpImm8:
-        ins.imm = bytes[1];
-        break;
-      case Format::R3:
-        ins.rd = bytes[1];
-        ins.rs1 = bytes[2];
-        ins.rs2 = bytes[3];
-        break;
-      case Format::OpImm32:
-        ins.imm = getImm32(bytes + 1);
-        break;
-      case Format::RdImm32:
-        ins.rd = bytes[1];
-        ins.imm = getImm32(bytes + 2);
-        break;
-      case Format::RI:
-      case Format::Mem:
-        ins.rd = bytes[1];
-        ins.rs1 = bytes[2];
-        ins.imm = getImm32(bytes + 3);
-        break;
-      case Format::Br:
-        ins.rs1 = bytes[1];
-        ins.rs2 = bytes[2];
-        ins.imm = getImm32(bytes + 3);
-        break;
-    }
-
-    // Register fields must name architectural registers.
-    if (ins.rd >= kNumArchRegs || ins.rs1 >= kNumArchRegs ||
-        ins.rs2 >= kNumArchRegs) {
-        return std::nullopt;
-    }
-    return ins;
+    u8 buf[8] = {static_cast<u8>(ins.op)};
+    if (f.rd)
+        buf[f.rd] = ins.rd;
+    if (f.rs1)
+        buf[f.rs1] = ins.rs1;
+    if (f.rs2)
+        buf[f.rs2] = ins.rs2;
+    const u32 imm = static_cast<u32>(ins.imm);
+    for (unsigned b = 0; b < f.immBytes; ++b)
+        buf[f.imm + b] = static_cast<u8>(imm >> (8 * b));
+    out.insert(out.end(), buf, buf + f.len);
+    return f.len;
 }
 
 } // namespace rev::isa

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <bit>
-#include <deque>
 
+#include "common/bitutil.hpp"
 #include "common/logging.hpp"
 #include "isa/codec.hpp"
 
@@ -55,7 +55,7 @@ Cfg::OffsetRank::finalize()
     u32 n = 0;
     for (std::size_t w = 0; w < bits_.size(); ++w) {
         before_[w] = n;
-        n += static_cast<u32>(std::popcount(bits_[w]));
+        n += popcount64(bits_[w]);
     }
     before_.back() = n;
 }
@@ -69,7 +69,16 @@ Cfg::OffsetRank::find(u64 off) const
     const u64 bit = u64{1} << (off & 63);
     if (!(bits_[w] & bit))
         return kNone;
-    return before_[w] + static_cast<u32>(std::popcount(bits_[w] & (bit - 1)));
+    return before_[w] + popcount64(bits_[w] & (bit - 1));
+}
+
+bool
+Cfg::OffsetRank::covers(const std::vector<u64> &bits) const
+{
+    for (std::size_t w = 0; w < bits.size(); ++w)
+        if (bits[w] & ~bits_[w])
+            return false;
+    return true;
 }
 
 u32
@@ -137,7 +146,7 @@ Cfg::stats() const
     u64 instrs = 0, succs = 0;
     for (const auto &bb : blocks_) {
         instrs += bb.numInstrs;
-        succs += bb.succs.size();
+        succs += bb.succSpan.count;
         if (termIsComputed(bb.kind) && blocksAtTerm(bb.term)[0] == bb.id)
             ++s.numComputedSites;
     }
@@ -156,38 +165,56 @@ deriveCfg(const Module &mod, const SplitLimits &limits)
     cfg.base_ = mod.base;
     cfg.codeSize_ = mod.codeSize;
 
-    // ---- pass 1: one linear decode of the code region -------------------
-    // Instructions are stored densely in address order; a rank index over
-    // their start offsets maps an address to its instruction.
+    // ---- pass 1: one linear decode, with leader discovery ----------------
+    // Opcode bytes are stored densely in address order; a rank index over
+    // the instructions' start offsets maps an address to its index. One
+    // bit per code byte marks block starts: the direct-branch targets and
+    // the fall-throughs of control transfers.
     const std::size_t code_size = mod.codeSize;
-    std::vector<Instr> instrs;
-    instrs.reserve(code_size / 4);
+    const u8 *code = mod.image.data();
+    std::vector<u8> ops;
+    ops.reserve(code_size / 4);
     Cfg::OffsetRank at;
     at.reset(code_size);
-    for (std::size_t off = 0; off < code_size;) {
-        auto ins = isa::decode(mod.image.data() + off, code_size - off);
-        if (!ins)
-            fatal("buildCfg: undecodable code in '", mod.name,
-                  "' at offset ", off);
-        at.set(off);
-        instrs.push_back(*ins);
-        off += ins->length();
-    }
-    at.finalize();
-    const u32 num_instrs = static_cast<u32>(instrs.size());
-
-    /** Index in instrs of the instruction starting at @p a, or kNone. */
-    auto index_of = [&](Addr a) {
-        return a - mod.base < code_size ? at.find(a - mod.base)
-                                        : Cfg::OffsetRank::kNone;
-    };
-
-    // ---- pass 2: leader discovery ---------------------------------------
-    // One bit per code byte marks block starts.
     std::vector<u64> leader((code_size + 63) / 64, 0);
     auto mark = [&](Addr a) {
         const u64 off = a - mod.base;
         leader[off >> 6] |= u64{1} << (off & 63);
+    };
+    bool wild_target = false; // a direct target outside the code region
+    for (std::size_t off = 0; off < code_size;) {
+        const auto ins = isa::decode(code + off, code_size - off);
+        if (!ins)
+            fatal("buildCfg: undecodable code in '", mod.name,
+                  "' at offset ", off);
+        at.set(off);
+        ops.push_back(static_cast<u8>(ins->op));
+        const Addr pc = mod.base + off;
+        off += ins->length();
+        switch (ins->klass()) {
+          case InstrClass::Branch:
+          case InstrClass::Jump:
+          case InstrClass::Call: {
+            const Addr target = ins->directTarget(pc);
+            if (target - mod.base < code_size)
+                mark(target);
+            else
+                wild_target = true;
+            break;
+          }
+          default:
+            break;
+        }
+        if (ins->isControlFlow() && off < code_size)
+            mark(mod.base + off);
+    }
+    at.finalize();
+    const u32 num_instrs = static_cast<u32>(ops.size());
+
+    /** Index in ops of the instruction starting at @p a, or kNone. */
+    auto index_of = [&](Addr a) {
+        return a - mod.base < code_size ? at.find(a - mod.base)
+                                        : Cfg::OffsetRank::kNone;
     };
     auto add_leader = [&](Addr a, const char *why) {
         if (index_of(a) == Cfg::OffsetRank::kNone)
@@ -198,22 +225,21 @@ deriveCfg(const Module &mod, const SplitLimits &limits)
 
     if (code_size > 0)
         add_leader(mod.entry, "entry");
-
-    {
-        Addr pc = mod.base;
-        for (const Instr &ins : instrs) {
+    if (wild_target || !at.covers(leader)) {
+        // Some direct target starts no instruction: name the first one in
+        // code order.
+        for (std::size_t off = 0; off < code_size;) {
+            const Instr ins = *isa::decode(code + off, code_size - off);
             switch (ins.klass()) {
               case InstrClass::Branch:
               case InstrClass::Jump:
               case InstrClass::Call:
-                add_leader(ins.directTarget(pc), "direct branch");
+                add_leader(ins.directTarget(mod.base + off), "direct branch");
                 break;
               default:
                 break;
             }
-            pc = ins.fallThrough(pc);
-            if (ins.isControlFlow() && pc < mod.codeEnd())
-                mark(pc);
+            off += ins.length();
         }
     }
     for (const auto &[site, targets] : mod.indirectTargets) {
@@ -228,7 +254,7 @@ deriveCfg(const Module &mod, const SplitLimits &limits)
         }
     }
 
-    // ---- pass 3: walk each leader to its terminator ----------------------
+    // ---- pass 2: walk each leader to its terminator ----------------------
     // Walking may create artificial-split fall-through leaders; use a
     // worklist. Leaders seed it in ascending address order (block IDs — and
     // thus table layout — depend on it). The leader bits double as the
@@ -252,7 +278,7 @@ deriveCfg(const Module &mod, const SplitLimits &limits)
             if (i >= num_instrs)
                 fatal("buildCfg: '", mod.name, "': control falls off the ",
                       "end of code at 0x", std::hex, pc);
-            const Instr &ins = instrs[i];
+            const Instr ins{.op = static_cast<isa::Opcode>(ops[i])};
             ++bb.numInstrs;
             if (ins.writesMem())
                 ++bb.numStores;
@@ -289,21 +315,25 @@ deriveCfg(const Module &mod, const SplitLimits &limits)
     }
     cfg.index();
 
-    // ---- pass 4: successor sets per terminator ---------------------------
-    // Successors are a property of the terminating instruction, shared by
-    // every (suffix) block ending at it.
-    std::vector<Addr> succs;
-    auto add_succ = [&](Addr target) {
-        if (std::find(succs.begin(), succs.end(), target) == succs.end())
-            succs.push_back(target);
-    };
+    // ---- pass 3: successor lists per terminator --------------------------
+    // Successors are a property of the terminating instruction: one list
+    // per terminator, shared by every (suffix) block ending at it. Return
+    // successors are linked later (linkCfgs); halt has none.
+    std::vector<Addr> &out = cfg.succs_;
+    out.reserve(cfg.blocks_.size() * 2);
     for (const BasicBlock &bb : cfg.blocks_) {
         const Addr term = bb.term;
         const std::span<const u32> ids = cfg.blocksAtTerm(term);
-        if (ids[0] != bb.id)
+        if (ids[0] != bb.id || bb.kind == TermKind::Return)
             continue; // the terminator's first block did the whole group
-        const Instr &ins = instrs[index_of(term)];
-        succs.clear();
+        const Instr ins = *isa::decode(code + (term - mod.base),
+                                       code_size - (term - mod.base));
+        const std::size_t first = out.size();
+        auto add_succ = [&](Addr target) {
+            if (std::find(out.begin() + first, out.end(), target) ==
+                out.end())
+                out.push_back(target);
+        };
         switch (bb.kind) {
           case TermKind::Branch:
             add_succ(ins.directTarget(term));
@@ -326,10 +356,12 @@ deriveCfg(const Module &mod, const SplitLimits &limits)
             break;
           case TermKind::Return:
           case TermKind::Halt:
-            break; // returns are linked later; halt has no successor
+            break;
         }
+        const EdgeSpan span{static_cast<u32>(first),
+                            static_cast<u32>(out.size() - first)};
         for (u32 id : ids)
-            cfg.blocks_[id].succs = succs;
+            cfg.blocks_[id].succSpan = span;
     }
     return cfg;
 }
@@ -351,21 +383,36 @@ linkCfgs(const std::vector<Cfg *> &cfgs)
     struct Scratch
     {
         std::vector<u32> visited; ///< BFS stamp per block
-        std::vector<u32> memo;    ///< block id -> rets_of_entry slot, or kNone
+        std::vector<u32> memo;    ///< block id -> entry_rets slot, or kNone
+        /**
+         * Return edges in discovery order, as (list, address). List 2*id
+         * holds the return successors of the RET whose first block is id;
+         * list 2*id+1 the return predecessors of block id.
+         */
+        std::vector<std::pair<u32, Addr>> edges;
     };
     constexpr u32 kNone = ~u32{0};
     std::vector<Scratch> scratch(cfgs.size());
     for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        for (auto &bb : cfgs[c]->blocks_) {
-            // Reset any previous return-edge information (idempotence).
+        Cfg &cfg = *cfgs[c];
+        // Drop any previous return-edge information (idempotence).
+        for (BasicBlock &bb : cfg.blocks_) {
             if (bb.kind == TermKind::Return)
-                bb.succs.clear();
-            bb.retPreds.clear();
+                bb.succSpan = {};
+            bb.retPredSpan = {};
         }
-        scratch[c].visited.assign(cfgs[c]->blocks_.size(), 0);
-        scratch[c].memo.assign(cfgs[c]->blocks_.size(), kNone);
+        cfg.retEdges_.clear();
+        scratch[c].visited.assign(cfg.blocks_.size(), 0);
+        scratch[c].memo.assign(cfg.blocks_.size(), kNone);
     }
 
+    /** Index into cfgs of the CFG whose code holds @p a, or kNone. */
+    auto owner = [&](Addr a) -> u32 {
+        for (std::size_t c = 0; c < cfgs.size(); ++c)
+            if (a - cfgs[c]->base_ < cfgs[c]->codeSize_)
+                return static_cast<u32>(c);
+        return kNone;
+    };
     // The block starting at @p a: {index into cfgs, block id}, with id
     // kNone when no known module has a block there.
     struct Loc
@@ -374,63 +421,65 @@ linkCfgs(const std::vector<Cfg *> &cfgs)
         u32 id = kNone;
     };
     auto locate = [&](Addr a) -> Loc {
-        for (std::size_t c = 0; c < cfgs.size(); ++c)
-            if (a - cfgs[c]->base_ < cfgs[c]->codeSize_)
-                return {static_cast<u32>(c), cfgs[c]->idAtStart(a)};
-        return {};
+        const u32 c = owner(a);
+        return c == kNone ? Loc{} : Loc{c, cfgs[c]->idAtStart(a)};
     };
 
     // RET instructions reachable intra-procedurally from a function entry,
-    // following edges across modules. Memoized per entry block.
-    std::deque<std::vector<Addr>> rets_of_entry;
-    const std::vector<Addr> no_rets;
+    // following edges across modules. Memoized per entry block: each
+    // entry's RETs sit back to back in entry_rets.
+    std::vector<Addr> entry_rets;
+    std::vector<std::pair<u32, u32>> entry_range; ///< memo slot -> [b, e)
     std::vector<Addr> bfs;
     u32 stamp = 0;
-    auto reachable_rets = [&](Addr entry) -> const std::vector<Addr> & {
+    auto reachable_rets = [&](Addr entry) -> std::span<const Addr> {
         const Loc e = locate(entry);
         if (e.id == kNone)
-            return no_rets; // not a block entry of any known module
+            return {}; // not a block entry of any known module
         u32 &memo = scratch[e.cfg].memo[e.id];
-        if (memo != kNone)
-            return rets_of_entry[memo];
-
-        std::vector<Addr> rets;
-        ++stamp;
-        bfs.assign(1, entry);
-        for (std::size_t head = 0; head < bfs.size(); ++head) {
-            const Loc at = locate(bfs[head]);
-            if (at.id == kNone)
-                continue; // target outside every known block
-            u32 &visited = scratch[at.cfg].visited[at.id];
-            if (visited == stamp)
-                continue;
-            visited = stamp;
-            const BasicBlock &bb = cfgs[at.cfg]->blocks_[at.id];
-            switch (bb.kind) {
-              case TermKind::Return:
-                rets.push_back(bb.term);
-                break;
-              case TermKind::Halt:
-                break;
-              case TermKind::Call:
-              case TermKind::CallIndirect:
-                // Intra-procedural flow resumes at the return site.
-                bfs.push_back(bb.end);
-                break;
-              default:
-                for (Addr t : bb.succs)
-                    bfs.push_back(t);
-                break;
+        if (memo == kNone) {
+            const auto begin = static_cast<u32>(entry_rets.size());
+            ++stamp;
+            bfs.assign(1, entry);
+            for (std::size_t head = 0; head < bfs.size(); ++head) {
+                const Loc at = locate(bfs[head]);
+                if (at.id == kNone)
+                    continue; // target outside every known block
+                u32 &visited = scratch[at.cfg].visited[at.id];
+                if (visited == stamp)
+                    continue;
+                visited = stamp;
+                const Cfg &cfg = *cfgs[at.cfg];
+                const BasicBlock &bb = cfg.blocks_[at.id];
+                switch (bb.kind) {
+                  case TermKind::Return:
+                    entry_rets.push_back(bb.term);
+                    break;
+                  case TermKind::Halt:
+                    break;
+                  case TermKind::Call:
+                  case TermKind::CallIndirect:
+                    // Intra-procedural flow resumes at the return site.
+                    bfs.push_back(bb.end);
+                    break;
+                  default:
+                    for (Addr t : cfg.succs(bb))
+                        bfs.push_back(t);
+                    break;
+                }
             }
+            memo = static_cast<u32>(entry_range.size());
+            entry_range.emplace_back(begin,
+                                     static_cast<u32>(entry_rets.size()));
         }
-        memo = static_cast<u32>(rets_of_entry.size());
-        rets_of_entry.push_back(std::move(rets));
-        return rets_of_entry.back();
+        const auto [b, end] = entry_range[memo];
+        return {entry_rets.data() + b, entry_rets.data() + end};
     };
 
-    // Visit every call site once (by terminator address).
+    // Visit every call site once (by terminator address); a RET reachable
+    // from a callee may transfer to the call's return site.
     for (Cfg *cfg : cfgs) {
-        for (const auto &bb : cfg->blocks_) {
+        for (const BasicBlock &bb : cfg->blocks_) {
             if (bb.kind != TermKind::Call &&
                 bb.kind != TermKind::CallIndirect)
                 continue;
@@ -440,22 +489,55 @@ linkCfgs(const std::vector<Cfg *> &cfgs)
             const Loc ret_at = locate(return_site);
             if (ret_at.id == kNone)
                 continue;
-            BasicBlock &rb = cfgs[ret_at.cfg]->blocks_[ret_at.id];
-            for (Addr entry : bb.succs) {
+            for (Addr entry : cfg->succs(bb)) {
                 for (Addr r : reachable_rets(entry)) {
-                    // The RET may transfer to this call's return site.
-                    Cfg &rcfg = *cfgs[locate(r).cfg];
-                    for (u32 id : rcfg.blocksAtTerm(r)) {
-                        auto &succs = rcfg.blocks_[id].succs;
-                        if (std::find(succs.begin(), succs.end(),
-                                      return_site) == succs.end())
-                            succs.push_back(return_site);
-                    }
-                    auto &preds = rb.retPreds;
-                    if (std::find(preds.begin(), preds.end(), r) ==
-                        preds.end())
-                        preds.push_back(r);
+                    const u32 rc = owner(r);
+                    const u32 first = cfgs[rc]->blocksAtTerm(r)[0];
+                    scratch[rc].edges.emplace_back(2 * first, return_site);
+                    scratch[ret_at.cfg].edges.emplace_back(
+                        2 * ret_at.id + 1, r);
                 }
+            }
+        }
+    }
+
+    // Lay each CFG's edges out list by list with a stable counting sort,
+    // keeping the first occurrence of each address in a list: the order
+    // a find-before-push per list would build.
+    for (std::size_t c = 0; c < cfgs.size(); ++c) {
+        Cfg &cfg = *cfgs[c];
+        const std::vector<std::pair<u32, Addr>> &edges = scratch[c].edges;
+        const u32 lists = static_cast<u32>(2 * cfg.blocks_.size());
+        std::vector<u32> begin(lists + 1, 0);
+        for (const auto &[list, a] : edges)
+            ++begin[list + 1];
+        for (u32 l = 0; l < lists; ++l)
+            begin[l + 1] += begin[l];
+        std::vector<Addr> sorted(edges.size());
+        {
+            std::vector<u32> cursor(begin.begin(), begin.end() - 1);
+            for (const auto &[list, a] : edges)
+                sorted[cursor[list]++] = a;
+        }
+
+        std::vector<Addr> &out = cfg.retEdges_;
+        out.reserve(sorted.size());
+        for (u32 l = 0; l < lists; ++l) {
+            if (begin[l] == begin[l + 1])
+                continue;
+            const std::size_t first = out.size();
+            for (u32 i = begin[l]; i < begin[l + 1]; ++i)
+                if (std::find(out.begin() + first, out.end(), sorted[i]) ==
+                    out.end())
+                    out.push_back(sorted[i]);
+            const EdgeSpan span{static_cast<u32>(first),
+                                static_cast<u32>(out.size() - first)};
+            BasicBlock &bb = cfg.blocks_[l / 2];
+            if (l % 2 == 1) {
+                bb.retPredSpan = span;
+            } else {
+                for (u32 id : cfg.blocksAtTerm(bb.term))
+                    cfg.blocks_[id].succSpan = span;
             }
         }
     }

@@ -48,35 +48,41 @@ termIsComputed(TermKind k)
     return k == TermKind::CallIndirect || k == TermKind::JumpIndirect;
 }
 
+/** A run of addresses in one of a Cfg's edge arrays. */
+struct EdgeSpan
+{
+    u32 begin = 0;
+    u32 count = 0;
+};
+
 /**
  * One validation unit: entry point -> terminating control-flow
- * instruction.
+ * instruction. A plain value: its edge lists live in the owning Cfg and
+ * are read through Cfg::succs() and Cfg::retPreds().
  */
 struct BasicBlock
 {
-    u32 id = 0;
-
     Addr start = 0; ///< address of the first instruction
     Addr term = 0;  ///< address of the terminating instruction (BB identity)
     Addr end = 0;   ///< first byte past the terminator (fall-through addr)
 
+    u32 id = 0;
     u32 numInstrs = 0;
     u32 numStores = 0; ///< memory-writing instructions (ST and CALL*)
 
     TermKind kind = TermKind::Halt;
 
-    /** Start addresses of the possible successor BBs. */
-    std::vector<Addr> succs;
-
-    /**
-     * For BBs whose start can be entered via a return: addresses of the
-     * RET instructions that may precede entry (Sec. V.A delayed return
-     * validation).
-     */
-    std::vector<Addr> retPreds;
+    /** Successor list: in the Cfg's return-edge array for a Return
+     *  block, else in its successor array. */
+    EdgeSpan succSpan;
+    /** Return-predecessor list, in the Cfg's return-edge array. */
+    EdgeSpan retPredSpan;
 
     u64 sizeBytes() const { return end - start; }
 };
+
+static_assert(sizeof(BasicBlock) <= 56,
+              "a block is a small value; its edge lists live in the Cfg");
 
 /** Artificial-split thresholds (Sec. IV.A). */
 struct SplitLimits
@@ -104,12 +110,40 @@ struct CfgStats
  * Block lookups index the module's contiguous code region by offset: one
  * bit per code byte marks block starts (and, separately, terminators),
  * and a running count per 64-bit bitmap word turns a marked offset into
- * its rank, so both lookups are O(1) and allocation-free.
+ * its rank, so both lookups are O(1) and allocation-free. Edge lists sit
+ * back to back in two flat arrays, one for the successors derived from
+ * the code and one for the return edges linkCfgs() resolves.
  */
 class Cfg
 {
   public:
     const std::vector<BasicBlock> &blocks() const { return blocks_; }
+
+    /**
+     * Start addresses of the possible successor blocks of @p bb, a block
+     * of this CFG. Every block ending at one terminator shares one list.
+     * A view into the CFG, valid while the Cfg lives and until the next
+     * linkCfgs() over it.
+     */
+    std::span<const Addr>
+    succs(const BasicBlock &bb) const
+    {
+        const std::vector<Addr> &a =
+            bb.kind == TermKind::Return ? retEdges_ : succs_;
+        return {a.data() + bb.succSpan.begin, bb.succSpan.count};
+    }
+
+    /**
+     * For a block whose start can be entered via a return: addresses of
+     * the RET instructions that may precede entry (Sec. V.A delayed
+     * return validation), in discovery order. Same validity as succs().
+     */
+    std::span<const Addr>
+    retPreds(const BasicBlock &bb) const
+    {
+        return {retEdges_.data() + bb.retPredSpan.begin,
+                bb.retPredSpan.count};
+    }
 
     /** Block whose entry point is @p start; nullptr if not a valid entry. */
     const BasicBlock *blockAtStart(Addr start) const;
@@ -145,6 +179,9 @@ class Cfg
         u32 count() const { return before_.empty() ? 0 : before_.back(); }
         /** Rank of @p off among the set's offsets, or kNone if absent. */
         u32 find(u64 off) const;
+        /** True iff every offset set in @p bits (one bit per code byte,
+         *  as bits_) is in the set. */
+        bool covers(const std::vector<u64> &bits) const;
 
       private:
         std::vector<u64> bits_;
@@ -157,6 +194,11 @@ class Cfg
     void index();
 
     std::vector<BasicBlock> blocks_;
+    /** Successor lists of non-Return terminators, one per terminator,
+     *  in terminator order. */
+    std::vector<Addr> succs_;
+    /** Return successors and return predecessors (linkCfgs()). */
+    std::vector<Addr> retEdges_;
     Addr base_ = 0;      ///< module code base
     u64 codeSize_ = 0;   ///< bytes in the code region
     OffsetRank starts_;  ///< offsets where a block starts

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
+#include <span>
 #include <utility>
 
 #include "common/logging.hpp"
@@ -74,10 +75,10 @@ slotDecode(u32 slot)
 }
 
 /**
- * One validation unit before packing. Target/predecessor sets are borrowed
- * from the CFG's BasicBlock vectors (never copied — buildTable is on the
- * sweep's proto-build critical path); CFI-only entries carry their single
- * target inline instead.
+ * One validation unit before packing. Target/predecessor sets are views
+ * into the CFG's edge arrays (never copied — buildTable is on the sweep's
+ * proto-build critical path); CFI-only entries carry their single target
+ * inline instead.
  */
 struct Logical
 {
@@ -85,12 +86,10 @@ struct Logical
     u32 startOff;
     TermKind kind;
     u32 hash;
-    Addr cfiTarget;                          ///< CfiOnly: the one target
-    const std::vector<Addr> *targets;        ///< nullptr = none
-    const std::vector<Addr> *preds;          ///< nullptr = none
+    Addr cfiTarget;                   ///< CfiOnly: the one target
+    std::span<const Addr> targets;    ///< empty = none
+    std::span<const Addr> preds;      ///< empty = none
 };
-
-const std::vector<Addr> kNoAddrs;
 
 /** Slots available per continuation record. */
 unsigned
@@ -115,9 +114,9 @@ constexpr unsigned kNextFieldOffset = 8;
 std::size_t
 inlineTargets(ValidationMode mode, const Logical &e)
 {
-    if (mode != ValidationMode::Aggressive || !e.targets)
+    if (mode != ValidationMode::Aggressive)
         return 0;
-    return std::min<std::size_t>(2, e.targets->size());
+    return std::min<std::size_t>(2, e.targets.size());
 }
 
 /**
@@ -269,7 +268,7 @@ buildTable(const prog::Module &mod, const prog::Cfg &cfg,
                 continue;
             if (!termIsComputed(bb.kind) && bb.kind != TermKind::Return)
                 continue;
-            for (Addr t : bb.succs) {
+            for (Addr t : cfg.succs(bb)) {
                 Logical e{};
                 e.termOff = static_cast<u32>(bb.term - mod.base);
                 e.kind = bb.kind;
@@ -294,11 +293,11 @@ buildTable(const prog::Module &mod, const prog::Cfg &cfg,
                 // Verify every branch target explicitly (returns are
                 // still validated via predecessors, Sec. V.A).
                 if (bb.kind != TermKind::Return)
-                    e.targets = &bb.succs;
+                    e.targets = cfg.succs(bb);
             } else if (termIsComputed(bb.kind)) {
-                e.targets = &bb.succs;
+                e.targets = cfg.succs(bb);
             }
-            e.preds = &bb.retPreds;
+            e.preds = cfg.retPreds(bb);
             entries.push_back(e);
         }
     }
@@ -334,9 +333,8 @@ buildTable(const prog::Module &mod, const prog::Cfg &cfg,
     const unsigned *slot_off = contSlotOffsets(mode);
     u64 num_cont = 0, max_chain = 0, chained = 0;
     for (const auto &e : entries) {
-        const u64 spill = (e.targets ? e.targets->size() : 0) -
-                          inlineTargets(mode, e) +
-                          (e.preds ? e.preds->size() : 0);
+        const u64 spill = e.targets.size() - inlineTargets(mode, e) +
+                          e.preds.size();
         num_cont += (spill + per - 1) / per;
     }
     for (u32 b = 0; b < P; ++b) {
@@ -375,9 +373,8 @@ buildTable(const prog::Module &mod, const prog::Cfg &cfg,
             }
             put32(rec + 4, e->hash);
 
-            const std::vector<Addr> &targets =
-                e->targets ? *e->targets : kNoAddrs;
-            const std::vector<Addr> &preds = e->preds ? *e->preds : kNoAddrs;
+            const std::span<const Addr> targets = e->targets;
+            const std::span<const Addr> preds = e->preds;
             std::size_t t = inlineTargets(mode, *e), p = 0;
             if (t > 0)
                 put24(rec + 11, slotEncode(targets[0]));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "common/logging.hpp"
 #include "validate/verdict.hpp"
@@ -112,8 +113,9 @@ LoFatValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
         any_successor = true;
         if (b.kind == TermKind::Return)
             is_return = true;
-        if (std::find(b.succs.begin(), b.succs.end(), actual_target) !=
-            b.succs.end())
+        const std::span<const Addr> succs = cfg.succs(b);
+        if (std::find(succs.begin(), succs.end(), actual_target) !=
+            succs.end())
             edge_ok = true;
     }
     if (!edge_ok && any_successor) {

@@ -10,11 +10,10 @@
  * are bound to, not the prover's memory.
  *
  * Layout: one shard per module. Each shard owns a private copy of the
- * table image (TableReader lookups go through SparseMemory, whose
- * translation cache makes even const reads non-reentrant) plus a mutex,
- * so worker threads verifying different sessions can look up different
- * modules concurrently; the verifier core batches each session's pending
- * lookups by shard to amortize the lock (see verifier/service.hpp).
+ * table image plus a mutex, so worker threads verifying different
+ * sessions can look up different modules concurrently; the verifier core
+ * batches each session's pending lookups by shard to amortize the lock
+ * (see verifier/service.hpp).
  * Lookups run the *real* TableReader decrypt-and-walk path — the
  * verifier's found/termSeen/targets/preds semantics are the in-core
  * semantics by construction, not by re-implementation.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 
 #include "validate/rev_validator.hpp"
 #include "validate/verdict.hpp"
@@ -20,7 +21,7 @@ namespace
 constexpr std::size_t kCompactThreshold = 64 * 1024;
 
 bool
-contains(const std::vector<Addr> &v, Addr a)
+contains(std::span<const Addr> v, Addr a)
 {
     return std::find(v.begin(), v.end(), a) != v.end();
 }
@@ -336,7 +337,7 @@ StreamVerifier::handleBlockLoFat(const MeasurementEvent &ev)
         any_successor = true;
         if (b.kind == TermKind::Return)
             is_return = true;
-        if (contains(b.succs, ev.target))
+        if (contains(cfg->succs(b), ev.target))
             edge_ok = true;
     }
     if (!edge_ok && any_successor) {

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/bitutil.hpp"
 
 namespace rev
@@ -20,6 +22,22 @@ TEST(BitUtil, IsPow2)
     EXPECT_FALSE(isPow2(3));
     EXPECT_TRUE(isPow2(1ull << 40));
     EXPECT_FALSE(isPow2((1ull << 40) + 1));
+}
+
+TEST(BitUtil, Popcount64MatchesStdPopcount)
+{
+    EXPECT_EQ(popcount64(0), 0u);
+    EXPECT_EQ(popcount64(~0ull), 64u);
+    EXPECT_EQ(popcount64(1ull << 63), 1u);
+    u64 x = 0x9e3779b97f4a7c15ull;
+    for (int i = 0; i < 1000; ++i) {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        EXPECT_EQ(popcount64(x), static_cast<u32>(std::popcount(x))) << x;
+        EXPECT_EQ(popcount64(x & (x >> 3)),
+                  static_cast<u32>(std::popcount(x & (x >> 3))));
+    }
 }
 
 TEST(BitUtil, Log2i)

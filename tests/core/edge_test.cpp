@@ -174,7 +174,7 @@ TEST(WalkNeeds, EarlyExitShortensSpillWalks)
     EXPECT_EQ(full_walk.targets.size(), 12u);
 
     sig::WalkNeeds needs;
-    needs.target = bb->succs.front();
+    needs.target = ms.cfg->succs(*bb).front();
     const auto short_walk =
         reader.lookup(bb->term, hash, p.main().base, &needs);
     ASSERT_TRUE(short_walk.found);

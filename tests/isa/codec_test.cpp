@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <vector>
 
 #include "common/random.hpp"
@@ -176,6 +178,120 @@ TEST(Codec, DirectTargetArithmetic)
     const Instr b{.op = Opcode::Beq, .imm = -16};
     EXPECT_EQ(b.directTarget(0x1000), 0xff0u);
     EXPECT_EQ(b.fallThrough(0x1000), 0x1007u);
+}
+
+/**
+ * The switch-based decoder the table decoder replaced, kept verbatim in
+ * behaviour as the oracle: a format per instruction class, then per
+ * encoded length for the remaining ALU opcodes.
+ */
+std::optional<Instr>
+switchDecode(const u8 *bytes, std::size_t avail)
+{
+    if (avail == 0 || !opcodeValid(bytes[0]))
+        return std::nullopt;
+    Instr ins;
+    ins.op = static_cast<Opcode>(bytes[0]);
+    const unsigned len = ins.length();
+    if (avail < len)
+        return std::nullopt;
+    auto imm32 = [&](unsigned at) {
+        return static_cast<i32>(static_cast<u32>(bytes[at]) |
+                                (static_cast<u32>(bytes[at + 1]) << 8) |
+                                (static_cast<u32>(bytes[at + 2]) << 16) |
+                                (static_cast<u32>(bytes[at + 3]) << 24));
+    };
+    switch (opcodeClass(ins.op)) {
+      case InstrClass::Nop:
+      case InstrClass::Halt:
+      case InstrClass::Return:
+        break;
+      case InstrClass::CallIndirect:
+      case InstrClass::JumpIndirect:
+        ins.rs1 = bytes[1];
+        break;
+      case InstrClass::Syscall:
+        ins.imm = bytes[1];
+        break;
+      case InstrClass::Jump:
+      case InstrClass::Call:
+        ins.imm = imm32(1);
+        break;
+      case InstrClass::Load:
+      case InstrClass::Store:
+        ins.rd = bytes[1];
+        ins.rs1 = bytes[2];
+        ins.imm = imm32(3);
+        break;
+      case InstrClass::Branch:
+        ins.rs1 = bytes[1];
+        ins.rs2 = bytes[2];
+        ins.imm = imm32(3);
+        break;
+      default:
+        switch (len) {
+          case 4:
+            ins.rd = bytes[1];
+            ins.rs1 = bytes[2];
+            ins.rs2 = bytes[3];
+            break;
+          case 6:
+            ins.rd = bytes[1];
+            ins.imm = imm32(2);
+            break;
+          case 7:
+            ins.rd = bytes[1];
+            ins.rs1 = bytes[2];
+            ins.imm = imm32(3);
+            break;
+          default:
+            ADD_FAILURE() << "unclassified opcode " << int(bytes[0]);
+            return std::nullopt;
+        }
+        break;
+    }
+    if (ins.rd >= kNumArchRegs || ins.rs1 >= kNumArchRegs ||
+        ins.rs2 >= kNumArchRegs)
+        return std::nullopt;
+    return ins;
+}
+
+TEST(Codec, TableDecoderMatchesSwitchOracle)
+{
+    // Every first byte; bytes 1..3 (registers, or the low bytes of an
+    // immediate) from values either side of the register limit and of a
+    // sign bit; bytes 4..7 from a few immediates; every available length.
+    const u8 fields[] = {0, 1, 31, 32, 0x7f, 0x80, 255};
+    const u32 imms[] = {0, 1, 0x80000000, 0xdeadbeef, 0xffffffff};
+    u64 checked = 0, valid = 0;
+    for (unsigned op = 0; op < 256; ++op)
+    for (u8 b1 : fields)
+    for (u8 b2 : fields)
+    for (u8 b3 : fields)
+    for (u32 imm : imms) {
+        const u8 buf[8] = {static_cast<u8>(op), b1, b2, b3,
+                           static_cast<u8>(imm), static_cast<u8>(imm >> 8),
+                           static_cast<u8>(imm >> 16),
+                           static_cast<u8>(imm >> 24)};
+        for (std::size_t avail = 0; avail <= sizeof(buf); ++avail) {
+            const auto want = switchDecode(buf, avail);
+            const auto got = decode(buf, avail);
+            ++checked;
+            ASSERT_EQ(got, want) << "op " << op << " avail " << avail;
+            if (!want)
+                continue;
+            ++valid;
+            // Every field is a whole byte range, so a valid instruction
+            // re-encodes to the bytes it came from.
+            std::vector<u8> enc;
+            ASSERT_EQ(encode(*got, enc), got->length());
+            ASSERT_TRUE(std::equal(enc.begin(), enc.end(), buf))
+                << "op " << op;
+            ASSERT_EQ(decode(enc.data(), enc.size()), got);
+        }
+    }
+    EXPECT_EQ(checked, 256u * 7 * 7 * 7 * 5 * 9);
+    EXPECT_GT(valid, 0u);
 }
 
 } // namespace

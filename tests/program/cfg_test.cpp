@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "isa/codec.hpp"
@@ -18,10 +21,10 @@ namespace
 {
 
 bool
-hasSucc(const BasicBlock &bb, Addr target)
+hasSucc(const Cfg &cfg, const BasicBlock &bb, Addr target)
 {
-    return std::find(bb.succs.begin(), bb.succs.end(), target) !=
-           bb.succs.end();
+    const std::span<const Addr> succs = cfg.succs(bb);
+    return std::find(succs.begin(), succs.end(), target) != succs.end();
 }
 
 TEST(Cfg, LoopCallProgramStructure)
@@ -34,34 +37,34 @@ TEST(Cfg, LoopCallProgramStructure)
     const BasicBlock *entry = cfg.blockAtStart(m.symbol("main"));
     ASSERT_NE(entry, nullptr);
     EXPECT_EQ(entry->kind, TermKind::Branch);
-    EXPECT_TRUE(hasSucc(*entry, m.symbol("loop")));
+    EXPECT_TRUE(hasSucc(cfg, *entry, m.symbol("loop")));
 
     // Loop block: loop..bne, successors = loop and fall-through.
     const BasicBlock *loop = cfg.blockAtStart(m.symbol("loop"));
     ASSERT_NE(loop, nullptr);
     EXPECT_EQ(loop->kind, TermKind::Branch);
-    EXPECT_EQ(loop->succs.size(), 2u);
-    EXPECT_TRUE(hasSucc(*loop, m.symbol("loop")));
+    EXPECT_EQ(cfg.succs(*loop).size(), 2u);
+    EXPECT_TRUE(hasSucc(cfg, *loop, m.symbol("loop")));
 
     // The block after the loop ends with CALL helper.
     const BasicBlock *callbb = cfg.blockAtStart(loop->end);
     ASSERT_NE(callbb, nullptr);
     EXPECT_EQ(callbb->kind, TermKind::Call);
-    EXPECT_TRUE(hasSucc(*callbb, m.symbol("helper")));
+    EXPECT_TRUE(hasSucc(cfg, *callbb, m.symbol("helper")));
 
     // Helper ends with RET whose successor is the call's return site.
     const BasicBlock *helper = cfg.blockAtStart(m.symbol("helper"));
     ASSERT_NE(helper, nullptr);
     EXPECT_EQ(helper->kind, TermKind::Return);
-    ASSERT_EQ(helper->succs.size(), 1u);
-    EXPECT_EQ(helper->succs[0], callbb->end);
+    ASSERT_EQ(cfg.succs(*helper).size(), 1u);
+    EXPECT_EQ(cfg.succs(*helper)[0], callbb->end);
 
     // The return site records the RET instruction as its predecessor
     // (delayed return validation, Sec. V.A).
     const BasicBlock *retsite = cfg.blockAtStart(callbb->end);
     ASSERT_NE(retsite, nullptr);
-    ASSERT_EQ(retsite->retPreds.size(), 1u);
-    EXPECT_EQ(retsite->retPreds[0], helper->term);
+    ASSERT_EQ(cfg.retPreds(*retsite).size(), 1u);
+    EXPECT_EQ(cfg.retPreds(*retsite)[0], helper->term);
 }
 
 TEST(Cfg, IndirectDispatchTargetsFromAnnotations)
@@ -76,14 +79,14 @@ TEST(Cfg, IndirectDispatchTargetsFromAnnotations)
         if (bb.kind == TermKind::CallIndirect)
             callr = &bb;
     ASSERT_NE(callr, nullptr);
-    EXPECT_TRUE(hasSucc(*callr, m.symbol("fn_a")));
-    EXPECT_TRUE(hasSucc(*callr, m.symbol("fn_b")));
+    EXPECT_TRUE(hasSucc(cfg, *callr, m.symbol("fn_a")));
+    EXPECT_TRUE(hasSucc(cfg, *callr, m.symbol("fn_b")));
 
     // Both functions' RETs return to the single return site; that site
     // lists both RET addresses as predecessors.
     const BasicBlock *retsite = cfg.blockAtStart(callr->end);
     ASSERT_NE(retsite, nullptr);
-    EXPECT_EQ(retsite->retPreds.size(), 2u);
+    EXPECT_EQ(cfg.retPreds(*retsite).size(), 2u);
 }
 
 TEST(Cfg, BranchIntoBlockMiddleCreatesSuffixBlock)
@@ -127,13 +130,13 @@ TEST(Cfg, ArtificialSplitOnInstrLimit)
     ASSERT_NE(first, nullptr);
     EXPECT_EQ(first->kind, TermKind::Split);
     EXPECT_EQ(first->numInstrs, 8u);
-    ASSERT_EQ(first->succs.size(), 1u);
+    ASSERT_EQ(cfg.succs(*first).size(), 1u);
 
     // Chain: 8 + 8 + 4 instrs + halt.
-    const BasicBlock *second = cfg.blockAtStart(first->succs[0]);
+    const BasicBlock *second = cfg.blockAtStart(cfg.succs(*first)[0]);
     ASSERT_NE(second, nullptr);
     EXPECT_EQ(second->kind, TermKind::Split);
-    const BasicBlock *third = cfg.blockAtStart(second->succs[0]);
+    const BasicBlock *third = cfg.blockAtStart(cfg.succs(*second)[0]);
     ASSERT_NE(third, nullptr);
     EXPECT_EQ(third->kind, TermKind::Halt);
     EXPECT_EQ(third->numInstrs, 5u);
@@ -187,20 +190,28 @@ TEST(Cfg, HaltHasNoSuccessors)
     Cfg cfg = buildCfg(m);
     const BasicBlock *bb = cfg.blockAtStart(m.base);
     ASSERT_NE(bb, nullptr);
-    EXPECT_TRUE(bb->succs.empty());
+    EXPECT_TRUE(cfg.succs(*bb).empty());
 }
 
 TEST(Cfg, LinkCfgsIsIdempotent)
 {
     auto p = test::makeLoopCallProgram();
     Cfg cfg = buildCfg(p.main());
-    auto snapshot = cfg.blocks();
+    // Snapshot the edge lists by value: the views point into the CFG.
+    using Edges = std::vector<Addr>;
+    auto copy = [](std::span<const Addr> v) {
+        return Edges(v.begin(), v.end());
+    };
+    std::vector<std::pair<Edges, Edges>> snapshot;
+    for (const BasicBlock &bb : cfg.blocks())
+        snapshot.emplace_back(copy(cfg.succs(bb)), copy(cfg.retPreds(bb)));
     linkCfgs({&cfg});
     linkCfgs({&cfg});
     ASSERT_EQ(cfg.blocks().size(), snapshot.size());
     for (std::size_t i = 0; i < snapshot.size(); ++i) {
-        EXPECT_EQ(cfg.blocks()[i].succs, snapshot[i].succs) << i;
-        EXPECT_EQ(cfg.blocks()[i].retPreds, snapshot[i].retPreds) << i;
+        const BasicBlock &bb = cfg.blocks()[i];
+        EXPECT_EQ(copy(cfg.succs(bb)), snapshot[i].first) << i;
+        EXPECT_EQ(copy(cfg.retPreds(bb)), snapshot[i].second) << i;
     }
 }
 

@@ -43,7 +43,7 @@ TEST(Profiler, ApplyProfileMergesAnnotations)
     for (const auto &bb : cfg.blocks()) {
         if (bb.kind == TermKind::CallIndirect) {
             found = true;
-            EXPECT_EQ(bb.succs.size(), 2u);
+            EXPECT_EQ(cfg.succs(bb).size(), 2u);
         }
     }
     EXPECT_TRUE(found);

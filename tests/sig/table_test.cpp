@@ -71,7 +71,7 @@ TEST(SigTable, FullModeLookupEveryBlock)
         // Full mode: explicit targets only for computed sites.
         EXPECT_TRUE(res.targets.empty());
         // Return-site predecessors surface.
-        EXPECT_EQ(res.retPreds.size(), bb.retPreds.size());
+        EXPECT_EQ(res.retPreds.size(), f.cfg.retPreds(bb).size());
     }
 }
 
@@ -97,7 +97,7 @@ TEST(SigTable, ComputedTargetsInFullMode)
         ASSERT_EQ(res.targets.size(), 2u);
         EXPECT_TRUE(std::is_permutation(res.targets.begin(),
                                         res.targets.end(),
-                                        bb.succs.begin()));
+                                        f.cfg.succs(bb).begin()));
     }
 }
 
@@ -113,10 +113,10 @@ TEST(SigTable, AggressiveModeListsAllBranchTargets)
         if (bb.kind == TermKind::Return) {
             EXPECT_TRUE(res.targets.empty());
         } else {
-            ASSERT_EQ(res.targets.size(), bb.succs.size());
+            ASSERT_EQ(res.targets.size(), f.cfg.succs(bb).size());
             EXPECT_TRUE(std::is_permutation(res.targets.begin(),
                                             res.targets.end(),
-                                            bb.succs.begin()));
+                                            f.cfg.succs(bb).begin()));
         }
     }
 }
@@ -131,10 +131,10 @@ TEST(SigTable, CfiOnlyRecordsComputedAndReturnSitesOnly)
         const LookupResult res = reader.lookupSite(bb.term, mod.base);
         if (termIsComputed(bb.kind) || bb.kind == TermKind::Return) {
             ASSERT_TRUE(res.found) << "site 0x" << std::hex << bb.term;
-            ASSERT_EQ(res.targets.size(), bb.succs.size());
+            ASSERT_EQ(res.targets.size(), f.cfg.succs(bb).size());
             EXPECT_TRUE(std::is_permutation(res.targets.begin(),
                                             res.targets.end(),
-                                            bb.succs.begin()));
+                                            f.cfg.succs(bb).begin()));
         } else {
             EXPECT_FALSE(res.found);
         }

@@ -105,11 +105,11 @@ class Harness
                 ev.actualTarget = b->end;
             } else {
                 Addr target = 0;
-                for (Addr s : b->succs)
+                for (Addr s : c.succs(*b))
                     if (s == b->end)
                         target = s; // fall through: escapes the loop
                 if (!target)
-                    for (Addr s : b->succs)
+                    for (Addr s : c.succs(*b))
                         if (c.blockAtStart(s)) {
                             target = s;
                             break;

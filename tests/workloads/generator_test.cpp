@@ -81,7 +81,7 @@ TEST(Generator, AnnotatesEveryComputedSite)
     prog::Cfg cfg = prog::buildCfg(p.main());
     for (const auto &bb : cfg.blocks()) {
         if (termIsComputed(bb.kind)) {
-            EXPECT_FALSE(bb.succs.empty())
+            EXPECT_FALSE(cfg.succs(bb).empty())
                 << "unannotated computed site at 0x" << std::hex << bb.term;
         }
     }

@@ -223,10 +223,8 @@ writeVerdicts(const std::string &path, const verifier::LoadGenReport &r)
         os << line << "\n";
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     const Args args = parseArgs(argc, argv);
 
@@ -274,4 +272,17 @@ main(int argc, char **argv)
                 "validation\n",
                 r.sessions);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
 }

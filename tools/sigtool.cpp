@@ -7,21 +7,28 @@
  * reference entry is reachable through the decrypting walker.
  *
  *   sigtool [benchmark] [--mode full|aggressive|cfi] [--verify]
+ *
+ * Bad input (an unknown benchmark, mode or flag) prints a message on
+ * stderr and exits with status 2.
  */
 
 #include <cstdio>
 #include <cstring>
 #include <map>
 
+#include "common/logging.hpp"
 #include "program/cfg.hpp"
 #include "sig/sigstore.hpp"
 #include "workloads/generator.hpp"
 
-int
-main(int argc, char **argv)
+namespace
 {
-    using namespace rev;
 
+using namespace rev;
+
+int
+run(int argc, char **argv)
+{
     std::string bench = "mcf";
     std::string mode_s = "full";
     bool verify = false;
@@ -33,12 +40,19 @@ main(int argc, char **argv)
             verify = true;
         else if (arg[0] != '-')
             bench = arg;
+        else
+            fatal("sigtool: unknown option '", arg,
+                  "'; usage: sigtool [benchmark] "
+                  "[--mode full|aggressive|cfi] [--verify]");
     }
     sig::ValidationMode mode = sig::ValidationMode::Full;
     if (mode_s == "aggressive")
         mode = sig::ValidationMode::Aggressive;
     else if (mode_s == "cfi")
         mode = sig::ValidationMode::CfiOnly;
+    else if (mode_s != "full")
+        fatal("sigtool: unknown --mode '", mode_s,
+              "' (full, aggressive or cfi)");
 
     std::printf("sigtool: %s (%s validation)\n", bench.c_str(),
                 sig::modeName(mode));
@@ -107,4 +121,17 @@ main(int argc, char **argv)
         }
     }
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return run(argc, argv);
+    } catch (const rev::FatalError &e) {
+        std::fprintf(stderr, "%s\n", e.what());
+        return 2;
+    }
 }

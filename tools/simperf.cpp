@@ -438,7 +438,7 @@ writeReport(const Args &args, const Sweep &sweep, const SweepRunner &runner,
     double total_job_wall = 0;
     std::size_t replayed_jobs = 0;
     os << "{\n"
-       << "  \"schema\": \"rev-sim-speed-v5\",\n"
+       << "  \"schema\": \"rev-sim-speed-v6\",\n"
        << "  \"instr_budget\": " << args.opts.instrBudget << ",\n"
        << "  \"threads\": " << runner.threadsUsed() << ",\n"
        << "  \"jobs\": [\n";
