@@ -100,7 +100,7 @@ struct BbHashJob
 /**
  * Batched bbHashBytes: out[i] = bbHashBytes(jobs[i]...) for any n >= 1,
  * through crypto::cubehashBatch. The table builders pass a module's
- * whole block list in one call; the CHG passes its lane queue.
+ * whole block list in one call.
  */
 void bbHashBatch(const BbHashJob *jobs, std::size_t n, unsigned hash_rounds,
                  u32 *out);

@@ -22,7 +22,6 @@
 #ifndef REV_VALIDATE_CHG_HPP
 #define REV_VALIDATE_CHG_HPP
 
-#include <array>
 #include <unordered_map>
 #include <vector>
 
@@ -45,11 +44,6 @@ struct ChgConfig
  */
 class Chg
 {
-  public:
-    /** Depth of the lane queue that flushLanes() hashes in one batch. */
-    static constexpr unsigned kLanes = 4;
-
-  private:
     // Implementation types first: the public State below aggregates them.
     struct Key
     {
@@ -72,43 +66,15 @@ class Chg
         u64 verSum; ///< spanVersionSum of [start, end) when hashed
     };
 
-    /** One staged digest request: key + byte snapshot taken at queue time. */
-    struct PendingLane
-    {
-        Key key{};
-        Addr end = 0;
-        u64 verSum = 0;
-        std::vector<u8> bytes; ///< reused across flushes
-    };
-
   public:
     Chg(const SparseMemory &mem, const ChgConfig &cfg = {});
 
     /**
      * Digest of the block [start, end) terminated at @p term, as hashed
-     * from the bytes currently in memory. If the block is staged in the
-     * lane queue, the queue is flushed first.
+     * from the bytes currently in memory: a memo hit unless a store
+     * landed on the block's pages since it was last hashed.
      */
     u32 digest(Addr start, Addr term, Addr end);
-
-    /**
-     * Stage a digest request in the lane queue without resolving it. The
-     * block's bytes and page-version sum are snapshotted now — exactly
-     * what an immediate digest() would hash — so a later flush computes
-     * the same value regardless of intervening stores, and blocksHashed
-     * counts here, where the scalar path would have hashed. Up to kLanes
-     * requests accumulate and are hashed in one sig::bbHashBatch call by
-     * flushLanes() (or transparently by digest() / a full queue).
-     * Memo-fresh requests are dropped immediately, like a memo hit.
-     */
-    void queueDigest(Addr start, Addr term, Addr end);
-
-    /** Hash every staged request in one sig::bbHashBatch call. */
-    void flushLanes();
-
-    /** Host-side introspection of the batched path (not simulated stats). */
-    u64 laneFlushes() const { return laneFlushes_; }
-    u64 laneBlocksHashed() const { return laneBlocksHashed_; }
 
     /** Cycle the digest becomes available given the fetch-complete time. */
     Cycle readyAt(Cycle fetch_done) const { return fetch_done + cfg_.latency; }
@@ -116,17 +82,8 @@ class Chg
     /** A misprediction flushed the in-flight pipeline state. */
     void flush() { ++flushes_; }
 
-    /**
-     * Code space was modified externally: recompute future digests.
-     * Staged lane requests are dropped (their hash was already counted
-     * when staged, matching the scalar path's count-at-fetch).
-     */
-    void
-    invalidate()
-    {
-        cache_.clear();
-        lanesUsed_ = 0;
-    }
+    /** Code space was modified externally: recompute future digests. */
+    void invalidate() { cache_.clear(); }
 
     unsigned latency() const { return cfg_.latency; }
     u64 blocksHashed() const { return blocksHashed_; }
@@ -135,7 +92,7 @@ class Chg
     void addStats(stats::StatGroup &group) const;
 
     /**
-     * Copyable mid-run state — digest memo, staged lane queue, counters —
+     * Copyable mid-run state — digest memo and counters —
      * for snapshot capture. The memory binding is not part of the state:
      * a fork restores into a Chg constructed over its own (forked)
      * memory, whose page versions match the source's, so memoized
@@ -144,43 +101,28 @@ class Chg
     struct State
     {
         std::unordered_map<Key, Memo, KeyHash> cache;
-        std::array<PendingLane, kLanes> lanes;
-        unsigned lanesUsed = 0;
-        u64 laneFlushes = 0;
-        u64 laneBlocksHashed = 0;
         stats::Counter blocksHashed, flushes;
     };
 
     State
     saveState() const
     {
-        return State{cache_,      lanes_,           lanesUsed_,
-                     laneFlushes_, laneBlocksHashed_, blocksHashed_,
-                     flushes_};
+        return State{cache_, blocksHashed_, flushes_};
     }
 
     void
     restoreState(const State &state)
     {
         cache_ = state.cache;
-        lanes_ = state.lanes;
-        lanesUsed_ = state.lanesUsed;
-        laneFlushes_ = state.laneFlushes;
-        laneBlocksHashed_ = state.laneBlocksHashed;
         blocksHashed_ = state.blocksHashed;
         flushes_ = state.flushes;
     }
 
   private:
-    bool pendingIndex(const Key &key, unsigned *idx) const;
-
     const SparseMemory &mem_;
     ChgConfig cfg_;
     std::unordered_map<Key, Memo, KeyHash> cache_;
     std::vector<u8> scratch_; ///< reused block-byte buffer
-    std::array<PendingLane, kLanes> lanes_;
-    unsigned lanesUsed_ = 0;
-    u64 laneFlushes_ = 0, laneBlocksHashed_ = 0;
     stats::Counter blocksHashed_, flushes_;
 };
 

@@ -33,11 +33,10 @@ LoFatValidator::onBBFetched(const BBFetchInfo &info)
         return;
     }
     // The CHG digests the fetched bytes; the digest is both the chain's
-    // code component and the earliest the event record can be sealed. The
-    // model stages the request (byte snapshot) in the CHG lane queue and
-    // resolves it at validateBB, batching in-flight units' hashes into
-    // one multi-lane pass.
-    chg_.queueDigest(info.start, info.term, info.end);
+    // code component and the earliest the event record can be sealed. It
+    // is read again at validateBB (a memo hit unless a store landed on
+    // the block's pages in between).
+    chg_.digest(info.start, info.term, info.end);
     cur_.hashPending = true;
     cur_.hashReadyAt = chg_.readyAt(info.fetchDoneAt);
 }
@@ -74,8 +73,9 @@ LoFatValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
     }
     const BBFetchInfo info = cur_.info;
 
-    // Resolve the lane-queued digest (one multi-lane flush) before the
-    // measurement record and the chain fold consume it.
+    // Read the fetch-time digest (current bytes if a store landed on the
+    // block since fetch) before the measurement record and the chain fold
+    // consume it.
     if (cur_.hashPending) {
         cur_.codeDigest = chg_.digest(info.start, info.term, info.end);
         cur_.hashPending = false;

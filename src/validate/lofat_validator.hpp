@@ -118,7 +118,7 @@ class LoFatValidator final : public Validator
         bool bypass = false;
         BBFetchInfo info;
         u32 codeDigest = 0;
-        /** Digest staged in the CHG lane queue, resolved at validate. */
+        /** Digest computed at fetch, read again at validate. */
         bool hashPending = false;
         Cycle hashReadyAt = 0;
     };

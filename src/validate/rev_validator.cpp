@@ -136,13 +136,13 @@ RevValidator::onBBFetched(const BBFetchInfo &info)
     }
 
     // --- CHG ----------------------------------------------------------------
-    // The hash unit starts digesting the fetched bytes now; the model
-    // stages the request in the CHG lane queue (byte snapshot taken here)
-    // and resolves it when the digest value is first consumed — by the
-    // table walk below on an SC miss, or at validateBB() on an SC hit —
-    // so several in-flight units' hashes flush as one multi-lane pass.
+    // The hash unit digests the fetched bytes now (counted here, memoized
+    // against the pages' write versions). The value is read again where
+    // it is first consumed — by the table walk below on an SC miss, or at
+    // validateBB() on an SC hit — which is a memo hit unless a store
+    // landed on the block's pages in between.
     if (mode != ValidationMode::CfiOnly) {
-        chg_.queueDigest(info.start, info.term, info.end);
+        chg_.digest(info.start, info.term, info.end);
         cur.hashPending = true;
         cur.hashReadyAt = chg_.readyAt(info.fetchDoneAt);
     }
@@ -228,7 +228,7 @@ RevValidator::onBBFetched(const BBFetchInfo &info)
     if (need_pred)
         needs.pred = *pendingReturn_;
     // Complete-miss walks present the CHG digest as the discriminator, so
-    // the staged hash must resolve now (flushing the lane queue).
+    // the hash must resolve now.
     resolveHash(cur);
     const sig::LookupResult ref = walk(*sag_entry, info.term,
                                        cur.computedHash, t,
@@ -289,9 +289,8 @@ RevValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
     const BBFetchInfo info = cur.info;
     const ValidationMode mode = store_.mode();
 
-    // SC-hit blocks deferred their digest; resolve it (one multi-lane
-    // flush covers every unit queued since the last resolve) before the
-    // measurement record and the hash compare below consume it.
+    // SC-hit blocks read their digest here, before the measurement
+    // record and the hash compare below consume it.
     resolveHash(cur);
 
     // Prover-side measurement: report the block before adjudicating it —

@@ -234,7 +234,7 @@ class RevValidator final : public Validator
         Cycle hashReadyAt = 0;
         Cycle scReadyAt = 0;
         u32 computedHash = 0;
-        /** Digest staged in the CHG lane queue, resolved at validate. */
+        /** Digest computed at fetch, read again where consumed. */
         bool hashPending = false;
         bool refFound = false;
         bool termSeen = false; ///< terminator present, hash mismatched
@@ -284,7 +284,8 @@ class RevValidator final : public Validator
      * @param key For Full/Aggressive tables the generated hash (the
      *            Sec. V.B discriminator); ignored for CFI-only.
      */
-    /** Resolve a lane-queued digest (flushes the CHG lane queue). */
+    /** Read the fetch-time digest (a CHG memo hit unless a store landed
+     *  on the block's pages since fetch). */
     void
     resolveHash(PendingBB &cur)
     {

@@ -42,7 +42,7 @@ enum class Backend : u8
 
 /**
  * Opaque capture of a backend's complete mid-run state — inflight ring,
- * hash chain, CHG lane queue and memo, caches, latches, counters.
+ * hash chain, CHG memo, caches, latches, counters.
  * Produced by Validator::saveSnapshot() and consumed by
  * restoreSnapshot() on a validator of the same backend and configuration
  * bound to a fork of the source's memory image (snapshot forking,

@@ -12,6 +12,8 @@
  *  - mid-record disconnects: after a configured number of payload
  *    bytes, the stream is cut — the inner transport is closed and the
  *    remainder silently dropped, exactly like a prover dying mid-frame.
+ *    (A socket seals once its pending frame is in the kernel; the
+ *    session's closeSession() finishes that seal.)
  *
  * The decorator never reorders or corrupts bytes: everything it lets
  * through is a prefix of the true stream, so the expected verdict is
@@ -80,12 +82,9 @@ class FlakyTransport final : public Transport
         return accepted;
     }
 
-    void
-    closeSend() override
-    {
-        if (!disconnected_)
-            inner_->closeSend();
-    }
+    /** Idempotent on the inner transport, so after a disconnect this
+     *  finishes the seal the cut started. */
+    bool closeSend() override { return inner_->closeSend(); }
 
     std::size_t
     recv(u8 *out, std::size_t max) override
@@ -100,7 +99,6 @@ class FlakyTransport final : public Transport
     bool finished() const override { return inner_->finished(); }
     bool corrupt() const override { return inner_->corrupt(); }
     std::size_t peakBytes() const override { return inner_->peakBytes(); }
-    int watchFd() const override { return inner_->watchFd(); }
 
     u64 bytesDelivered() const { return sentBytes_; }
     bool disconnected() const { return disconnected_; }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <exception>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -198,83 +199,103 @@ runLoadGen(const LoadGenOptions &opts)
     std::vector<std::pair<u64, std::size_t>> idToCase; // session id -> case
     std::mutex idToCaseLock;
 
+    // A prover that throws (a socket session that cannot be opened is
+    // a FatalError) stops every prover; the first error is rethrown on
+    // the caller's thread once they have all joined.
+    std::exception_ptr proverError;
+    std::atomic<bool> failed{false};
+    const auto proverLoop = [&] {
+        struct Feed
+        {
+            u64 session;
+            const std::vector<u8> *stream;
+            std::size_t off = 0;
+        };
+        std::vector<Feed> feeds;
+        std::vector<std::pair<u64, std::size_t>> openedHere;
+        bool exhausted = false;
+        for (;;) {
+            if (failed.load(std::memory_order_relaxed))
+                return; // another prover failed; main rethrows
+            // Refill the live window from the shared slot counter.
+            // The window bounds *unadjudicated* sessions, not just
+            // this prover's feeds: a closed session still holds its
+            // transport (fds, buffers) until the verifier renders
+            // its verdict, so opening ahead of the verification
+            // backlog would hoard fds at soak scale.
+            while (!exhausted && feeds.size() < perProver &&
+                   service.sessionsOpened() -
+                           service.sessionsAdjudicated() <
+                       window) {
+                const u64 slot =
+                    nextSlot.fetch_add(1, std::memory_order_relaxed);
+                if (slot >= report.sessions) {
+                    exhausted = true;
+                    break;
+                }
+                const std::size_t ci = slot % report.cases.size();
+                const u64 id = service.openSession(
+                    *refsByBench[caseRefIdx[ci]]->refs, opts.transport,
+                    opts.ringBytes);
+                openedHere.emplace_back(id, ci);
+                feeds.push_back({id, &report.cases[ci].stream, 0});
+            }
+            if (feeds.empty()) {
+                if (exhausted)
+                    break;
+                // Backlogged: wait for the verifier to catch up.
+                std::this_thread::yield();
+                continue;
+            }
+
+            bool progressed = false;
+            for (std::size_t i = 0; i < feeds.size();) {
+                Feed &f = feeds[i];
+                if (f.off < f.stream->size()) {
+                    const std::size_t n =
+                        std::min(opts.chunkBytes,
+                                 f.stream->size() - f.off);
+                    const std::size_t accepted = service.offer(
+                        f.session, f.stream->data() + f.off, n);
+                    f.off += accepted;
+                    progressed |= accepted != 0;
+                }
+                if (f.off >= f.stream->size()) {
+                    service.closeSession(f.session);
+                    progressed = true;
+                    feeds[i] = feeds.back();
+                    feeds.pop_back();
+                    continue; // the swapped-in feed runs this pass
+                }
+                ++i;
+            }
+            // Every transport full: let the verifier workers run.
+            if (!progressed)
+                std::this_thread::yield();
+        }
+        std::lock_guard<std::mutex> lock(idToCaseLock);
+        idToCase.insert(idToCase.end(), openedHere.begin(),
+                        openedHere.end());
+    };
+
     const auto feedStart = Clock::now();
     std::vector<std::thread> provers;
     for (unsigned p = 0; p < report.provers; ++p) {
         provers.emplace_back([&] {
-            struct Feed
-            {
-                u64 session;
-                const std::vector<u8> *stream;
-                std::size_t off = 0;
-            };
-            std::vector<Feed> feeds;
-            std::vector<std::pair<u64, std::size_t>> openedHere;
-            bool exhausted = false;
-            for (;;) {
-                // Refill the live window from the shared slot counter.
-                // The window bounds *unadjudicated* sessions, not just
-                // this prover's feeds: a closed session still holds its
-                // transport (fds, buffers) until the verifier renders
-                // its verdict, so opening ahead of the verification
-                // backlog would hoard fds at soak scale.
-                while (!exhausted && feeds.size() < perProver &&
-                       service.sessionsOpened() -
-                               service.sessionsAdjudicated() <
-                           window) {
-                    const u64 slot =
-                        nextSlot.fetch_add(1, std::memory_order_relaxed);
-                    if (slot >= report.sessions) {
-                        exhausted = true;
-                        break;
-                    }
-                    const std::size_t ci = slot % report.cases.size();
-                    const u64 id = service.openSession(
-                        *refsByBench[caseRefIdx[ci]]->refs, opts.transport,
-                        opts.ringBytes);
-                    openedHere.emplace_back(id, ci);
-                    feeds.push_back({id, &report.cases[ci].stream, 0});
-                }
-                if (feeds.empty()) {
-                    if (exhausted)
-                        break;
-                    // Backlogged: wait for the verifier to catch up.
-                    std::this_thread::yield();
-                    continue;
-                }
-
-                bool progressed = false;
-                for (std::size_t i = 0; i < feeds.size();) {
-                    Feed &f = feeds[i];
-                    if (f.off < f.stream->size()) {
-                        const std::size_t n =
-                            std::min(opts.chunkBytes,
-                                     f.stream->size() - f.off);
-                        const std::size_t accepted = service.offer(
-                            f.session, f.stream->data() + f.off, n);
-                        f.off += accepted;
-                        progressed |= accepted != 0;
-                    }
-                    if (f.off >= f.stream->size()) {
-                        service.closeSession(f.session);
-                        progressed = true;
-                        feeds[i] = feeds.back();
-                        feeds.pop_back();
-                        continue; // the swapped-in feed runs this pass
-                    }
-                    ++i;
-                }
-                // Every transport full: let the verifier workers run.
-                if (!progressed)
-                    std::this_thread::yield();
+            try {
+                proverLoop();
+            } catch (...) {
+                std::lock_guard<std::mutex> lock(idToCaseLock);
+                if (!proverError)
+                    proverError = std::current_exception();
+                failed.store(true, std::memory_order_relaxed);
             }
-            std::lock_guard<std::mutex> lock(idToCaseLock);
-            idToCase.insert(idToCase.end(), openedHere.begin(),
-                            openedHere.end());
         });
     }
     for (std::thread &t : provers)
         t.join();
+    if (proverError)
+        std::rethrow_exception(proverError);
     service.drain();
     report.wallSeconds = secondsSince(feedStart);
 

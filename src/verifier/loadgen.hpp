@@ -142,7 +142,9 @@ struct LoadGenReport
     std::vector<std::string> verdictLines;
 };
 
-/** Build the corpus, run the session fan-out, adjudicate divergences. */
+/** Build the corpus, run the session fan-out, adjudicate divergences.
+ *  Errors raised on prover threads (FatalError when a socket session
+ *  cannot be opened) are rethrown to the caller. */
 LoadGenReport runLoadGen(const LoadGenOptions &opts);
 
 } // namespace rev::verifier

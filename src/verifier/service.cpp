@@ -1,17 +1,10 @@
 #include "verifier/service.hpp"
 
 #include <algorithm>
-#include <cstdlib>
+#include <cerrno>
+#include <cstring>
 
 #include "common/logging.hpp"
-
-#if defined(__linux__)
-#define REV_VERIFIER_EPOLL 1
-#include <cerrno>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <unistd.h>
-#endif
 
 namespace rev::verifier
 {
@@ -33,32 +26,6 @@ VerifierService::VerifierService(const ServiceOptions &opts)
     if (opts.dedupEntries != 0)
         cache_ = std::make_unique<VerifiedUnitCache>(opts.dedupEntries);
 
-#if REV_VERIFIER_EPOLL
-    // Escape hatch so the condvar fallback stays testable on epoll
-    // hosts (sockets degrade to rings under it).
-    const char *noEpoll = std::getenv("REV_VERIFIER_NO_EPOLL");
-    const bool wantEpoll =
-        noEpoll == nullptr || *noEpoll == '\0' || *noEpoll == '0';
-    if (wantEpoll)
-        epollFd_ = epoll_create1(EPOLL_CLOEXEC);
-    doorbellFd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    stopFd_ = eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (epollFd_ >= 0 && doorbellFd_ >= 0 && stopFd_ >= 0) {
-        epollMode_ = true;
-        epoll_event ev{};
-        // The doorbell is level-triggered: if rings queue while every
-        // worker is busy, the next epoll_wait still sees it readable.
-        ev.events = EPOLLIN;
-        ev.data.ptr = &doorbellFd_;
-        epoll_ctl(epollFd_, EPOLL_CTL_ADD, doorbellFd_, &ev);
-        // The stop fd is never read, so once written every worker's
-        // epoll_wait keeps returning it until they all exit.
-        ev.events = EPOLLIN;
-        ev.data.ptr = &stopFd_;
-        epoll_ctl(epollFd_, EPOLL_CTL_ADD, stopFd_, &ev);
-    }
-#endif
-
     const unsigned workers = std::max(1u, opts.workers);
     workers_.reserve(workers);
     for (unsigned i = 0; i < workers; ++i)
@@ -67,35 +34,38 @@ VerifierService::VerifierService(const ServiceOptions &opts)
 
 VerifierService::~VerifierService()
 {
-    stop_.store(true, std::memory_order_release);
-#if REV_VERIFIER_EPOLL
-    if (epollMode_) {
-        const u64 one = 1;
-        [[maybe_unused]] ssize_t w = write(stopFd_, &one, sizeof(one));
+    {
+        std::lock_guard<std::mutex> lock(readyLock_);
+        stop_ = true;
     }
-#endif
     readyCv_.notify_all();
     for (std::thread &t : workers_)
         t.join();
-#if REV_VERIFIER_EPOLL
-    if (epollFd_ >= 0)
-        close(epollFd_);
-    if (doorbellFd_ >= 0)
-        close(doorbellFd_);
-    if (stopFd_ >= 0)
-        close(stopFd_);
-#endif
 }
 
 u64
-VerifierService::addSession(const validate::RefStore &refs,
-                            std::unique_ptr<Transport> transport)
+VerifierService::openSession(const validate::RefStore &refs,
+                             TransportKind kind, std::size_t ring_bytes)
+{
+    if (kind == TransportKind::Memory)
+        return openSessionWith(refs,
+                               std::make_unique<RingTransport>(ring_bytes));
+    auto sock = std::make_unique<SocketTransport>(ring_bytes);
+    if (!sock->valid())
+        fatal("verifier: cannot open a socket transport: socketpair() "
+              "failed (", std::strerror(errno),
+              "); raise the open-file limit or use the memory transport");
+    return openSessionWith(refs, std::move(sock));
+}
+
+u64
+VerifierService::openSessionWith(const validate::RefStore &refs,
+                                 std::unique_ptr<Transport> transport)
 {
     auto s = std::make_unique<Session>();
     s->transport = std::move(transport);
     s->verifier =
         std::make_unique<validate::StreamVerifier>(refs, cache_.get());
-    Session *raw = s.get();
     u64 id;
     {
         std::lock_guard<std::mutex> lock(sessionsLock_);
@@ -105,58 +75,7 @@ VerifierService::addSession(const validate::RefStore &refs,
         sessions_.push_back(std::move(s));
     }
     opened_.fetch_add(1, std::memory_order_relaxed);
-
-#if REV_VERIFIER_EPOLL
-    const int fd = raw->transport->watchFd();
-    if (epollMode_ && fd >= 0) {
-        // One-shot readiness: exactly one worker wakes per event, owns
-        // the session while draining, and re-arms afterwards.
-        epoll_event ev{};
-        ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
-        ev.data.ptr = raw;
-        if (epoll_ctl(epollFd_, EPOLL_CTL_ADD, fd, &ev) == 0) {
-            raw->watched.store(true, std::memory_order_relaxed);
-        } else {
-            // ADD can fail under fd/memory pressure (ENOMEM/ENOSPC) at
-            // soak scale. The session must not go dark: unwatched fd
-            // sessions are scheduled through the doorbell instead —
-            // offer() and closeSession() notify() for them.
-            warn("verifier: epoll ADD failed for session fd, "
-                 "falling back to doorbell scheduling");
-        }
-    }
-#else
-    (void)raw;
-#endif
     return id;
-}
-
-u64
-VerifierService::openSession(const validate::RefStore &refs,
-                             TransportKind kind, std::size_t ring_bytes)
-{
-    std::unique_ptr<Transport> t;
-    if (kind == TransportKind::Socket) {
-        auto sock = std::make_unique<SocketTransport>(ring_bytes);
-        if (epollMode_ && sock->valid())
-            t = std::move(sock);
-        else
-            warn("verifier: socket transport unavailable, "
-                 "falling back to memory ring");
-    }
-    if (!t)
-        t = std::make_unique<RingTransport>(ring_bytes);
-    return addSession(refs, std::move(t));
-}
-
-u64
-VerifierService::openSessionWith(const validate::RefStore &refs,
-                                 std::unique_ptr<Transport> transport)
-{
-    const int fd = transport->watchFd();
-    if (fd >= 0 && !epollMode_)
-        fatal("verifier: fd-backed transports need the epoll event loop");
-    return addSession(refs, std::move(transport));
 }
 
 VerifierService::Session *
@@ -176,13 +95,12 @@ VerifierService::offer(u64 session, const u8 *data, std::size_t n)
     // only reset s->transport after observing proverGone, which this
     // same thread publishes at the end of closeSession() — and the
     // session contract forbids offer() after closeSession().
-    Transport *t = s->transport.get();
-    const std::size_t accepted = t->send(data, n);
-    // Watched sockets wake workers through epoll itself; rings and fd
-    // sessions whose epoll registration failed go through the doorbell.
-    if (accepted != 0 &&
-        (t->watchFd() < 0 || !s->watched.load(std::memory_order_relaxed)))
-        notify(s);
+    const std::size_t accepted = s->transport->send(data, n);
+    // Invariant 1: schedule a pass even when nothing was accepted — a
+    // socket send() that returns 0 may still have moved an earlier
+    // frame's remainder into the kernel, and nothing else tells a
+    // worker. Already queued, this is one atomic exchange.
+    notify(s);
     return accepted;
 }
 
@@ -193,15 +111,23 @@ VerifierService::closeSession(u64 session)
     s->closedAt = Clock::now();
     Transport *t = s->transport.get(); // safe: see offer()
     s->closeSeen.store(true, std::memory_order_seq_cst);
-    t->closeSend();
+    // Invariant 2: the service drives the close flush. A socket seals
+    // only once its last frame is whole in the kernel, and the kernel
+    // takes the remainder only as a worker drains the reader side —
+    // which happens only after a notify(). A done session still drains
+    // (service() discards its bytes), so this loop always ends.
+    while (!t->closeSend()) {
+        notify(s);
+        std::this_thread::yield();
+    }
     // Last prover-side transport access is done: from here on a worker
     // pass that observes this flag may tear the transport down.
     s->proverGone.store(true, std::memory_order_seq_cst);
     closed_.fetch_add(1, std::memory_order_relaxed);
-    // Every close schedules one doorbell pass guaranteed to observe
-    // proverGone (closeNotify's ordering argument), so even a session
-    // whose fd never fires again — EOF or corruption already consumed —
-    // is drained, retired, and counted.
+    // Every close schedules one pass guaranteed to observe proverGone
+    // (closeNotify's ordering argument), so even a session with nothing
+    // left to read — EOF or corruption already consumed — is drained,
+    // retired, and counted.
     closeNotify(s);
     // Dekker pairing with finishSession(): whichever of close/finish
     // runs second observes the other's flag and counts the session.
@@ -236,13 +162,6 @@ VerifierService::notify(Session *s)
         std::lock_guard<std::mutex> lock(readyLock_);
         ready_.push_back(s);
     }
-#if REV_VERIFIER_EPOLL
-    if (epollMode_) {
-        const u64 one = 1;
-        [[maybe_unused]] ssize_t w = write(doorbellFd_, &one, sizeof(one));
-        return;
-    }
-#endif
     readyCv_.notify_one();
 }
 
@@ -266,93 +185,30 @@ VerifierService::closeNotify(Session *s)
             enqueued = true;
         }
     }
-    if (!enqueued)
-        return;
-#if REV_VERIFIER_EPOLL
-    if (epollMode_) {
-        const u64 one = 1;
-        [[maybe_unused]] ssize_t w = write(doorbellFd_, &one, sizeof(one));
-        return;
-    }
-#endif
-    readyCv_.notify_one();
+    if (enqueued)
+        readyCv_.notify_one();
 }
 
 void
 VerifierService::workerLoop()
 {
-#if REV_VERIFIER_EPOLL
-    if (epollMode_) {
-        epoll_event evs[64];
-        for (;;) {
-            const int n = epoll_wait(epollFd_, evs, 64, -1);
-            if (n < 0) {
-                if (errno == EINTR)
-                    continue;
-                return;
-            }
-            for (int i = 0; i < n; ++i) {
-                void *p = evs[i].data.ptr;
-                if (p == &stopFd_)
-                    return; // never consumed: all workers see it
-                if (p == &doorbellFd_) {
-                    u64 cnt;
-                    [[maybe_unused]] ssize_t r =
-                        read(doorbellFd_, &cnt, sizeof(cnt));
-                    for (;;) {
-                        Session *s = nullptr;
-                        {
-                            std::lock_guard<std::mutex> lock(readyLock_);
-                            if (ready_.empty())
-                                break;
-                            s = ready_.front();
-                            ready_.pop_front();
-                        }
-                        // seq_cst: pairs with closeNotify's exchange so
-                        // a close that coalesced onto this entry is
-                        // seen by the pass below.
-                        s->queued.store(false, std::memory_order_seq_cst);
-                        service(s);
-                        // Re-notify if bytes (or the close) raced in
-                        // while this worker held the session. Under
-                        // s->work: another worker may be resetting the
-                        // transport concurrently.
-                        {
-                            std::lock_guard<std::mutex> work(s->work);
-                            Transport *t = s->transport.get();
-                            if (!s->done.load(std::memory_order_acquire) &&
-                                t != nullptr &&
-                                (t->readable() != 0 || t->finished()))
-                                notify(s);
-                        }
-                    }
-                    continue;
-                }
-                // Watched fd session: service() re-arms the one-shot
-                // registration itself, under the session lock, so the
-                // re-arm can never race a concurrent transport reset.
-                service(static_cast<Session *>(p));
-            }
-        }
-    }
-#endif
-    // Fallback hosts: the PR 6 condvar ready queue (memory transports
-    // only; openSession degrades sockets to rings here).
     for (;;) {
         Session *s = nullptr;
         {
             std::unique_lock<std::mutex> lock(readyLock_);
-            readyCv_.wait(lock, [&] {
-                return stop_.load(std::memory_order_acquire) ||
-                       !ready_.empty();
-            });
+            readyCv_.wait(lock, [&] { return stop_ || !ready_.empty(); });
             if (ready_.empty())
                 return; // stop requested and queue drained
             s = ready_.front();
             ready_.pop_front();
         }
+        // seq_cst: pairs with closeNotify's exchange so a close that
+        // coalesced onto this entry is seen by the pass below.
         s->queued.store(false, std::memory_order_seq_cst);
         service(s);
+        // Re-notify if bytes (or the close) raced in while this worker
+        // held the session. Under s->work: another worker may be
+        // resetting the transport concurrently.
         {
             std::lock_guard<std::mutex> work(s->work);
             Transport *t = s->transport.get();
@@ -374,31 +230,24 @@ VerifierService::service(Session *s)
     // Load before draining: a seq_cst read of true synchronizes with
     // closeSession()'s store, so the drain below then sees every byte
     // and the close the prover published. A stale false only defers
-    // teardown to the close-time doorbell pass, which is guaranteed to
-    // load true (see closeNotify).
+    // teardown to the close-time pass, which is guaranteed to load true
+    // (see closeNotify).
     const bool proverGone =
         s->proverGone.load(std::memory_order_seq_cst);
 
     u8 chunk[16384];
-    if (s->done.load(std::memory_order_relaxed)) {
-        // Verdict already rendered: keep draining so a prover that is
-        // still feeding can finish (its bytes are discarded, and the
-        // report stays frozen — it was published before `done`).
-        while (t->recv(chunk, sizeof(chunk)) != 0) {
-        }
-    } else {
+    if (!s->done.load(std::memory_order_relaxed)) {
         validate::StreamVerifier &v = *s->verifier;
         for (std::size_t n; (n = t->recv(chunk, sizeof(chunk))) != 0;) {
             if (!v.feed(chunk, n))
-                break; // verdict latched; the drain continues next pass
+                break; // verdict latched
         }
 
         if (!v.done()) {
             if (t->corrupt()) {
                 v.abortMalformed(); // framing violated: adjudicate now
             } else if (!t->finished()) {
-                rearm(s, t); // wait for more bytes
-                return;
+                return; // the next offer() or close queues another pass
             } else {
                 v.finish(); // stream closed mid-session: truncation
             }
@@ -407,46 +256,16 @@ VerifierService::service(Session *s)
         finishSession(s, t);
     }
 
+    // Verdict rendered: keep draining so a prover that is still feeding
+    // (or sealing a socket) can finish. Its bytes are discarded; the
+    // report stays frozen — it was published before `done`.
+    while (t->recv(chunk, sizeof(chunk)) != 0) {
+    }
+
     // Retire the transport once the stream is over and the prover has
-    // published its close; until then keep fd sessions armed while the
-    // prover can still produce events (a latched socket session drains
-    // its prover's in-flight bytes so closeSend() never stalls). A
-    // finished-but-not-yet-closed fd stays unarmed — re-arming would
-    // busy-spin on EPOLLRDHUP — and is retired by the close pass.
-    if (!maybeRetire(s, t, proverGone) && !t->finished())
-        rearm(s, t);
-}
-
-void
-VerifierService::rearm(Session *s, Transport *t)
-{
-#if REV_VERIFIER_EPOLL
-    if (!epollMode_ || !s->watched.load(std::memory_order_relaxed))
-        return;
-    const int fd = t->watchFd();
-    if (fd < 0)
-        return;
-    // Caller holds s->work, so the fd cannot be concurrently closed by
-    // a transport reset (and thus never re-registered after reuse).
-    epoll_event ev{};
-    ev.events = EPOLLIN | EPOLLRDHUP | EPOLLONESHOT;
-    ev.data.ptr = s;
-    epoll_ctl(epollFd_, EPOLL_CTL_MOD, fd, &ev);
-#else
-    (void)s;
-    (void)t;
-#endif
-}
-
-bool
-VerifierService::maybeRetire(Session *s, Transport *t, bool proverGone)
-{
-    if (!proverGone)
-        return false; // the close-time doorbell pass will retire it
-    if (!t->finished() && !t->corrupt())
-        return false;
-    s->transport.reset(); // fds close; epoll deregisters
-    return true;
+    // published its close; until then the close-time pass retires it.
+    if (proverGone && (t->finished() || t->corrupt()))
+        s->transport.reset();
 }
 
 void
@@ -470,7 +289,7 @@ VerifierService::finishSession(Session *s, Transport *t)
 
     // Release the decode state now — a 100k-session soak must not hold
     // every finished session's buffers. The transport is retired by the
-    // caller (maybeRetire) once the prover has published its close.
+    // caller once the prover has published its close.
     s->verifier.reset();
 
     adjudicated_.fetch_add(1, std::memory_order_relaxed);

@@ -6,18 +6,29 @@
  * attestation-as-a-service): any number of provers each hold one open
  * *session* — a Transport they write their serialized measurement
  * stream into — and a small worker pool drains ready sessions and
- * advances their StreamVerifiers. Since PR 9 the scheduling core is a
- * real event loop, not a mutex/condvar ready queue:
+ * advances their StreamVerifiers.
  *
- *  - Every worker blocks in epoll_wait() on one shared epoll set.
- *    Socket-transport sessions register their verifier-side fd with
- *    EPOLLONESHOT, so readiness wakes exactly one worker, that worker
- *    owns the session while it drains, and re-arms the fd afterwards.
- *    In-memory (ring) sessions signal through an eventfd *doorbell*
- *    plus a tiny ready deque — a session enters it at most once (the
- *    atomic `queued` flag). One worker services tens of thousands of
- *    idle sessions without a thread, a condvar wait, or a poll tick
- *    each.
+ * Scheduling is one mutex/condvar ready queue for ring and socket
+ * sessions alike. Provers are in-process and reach the service only
+ * through offer() and closeSession(), so the service learns of every
+ * byte arrival at the call that made it; nothing has to be rediscovered
+ * from the kernel. A session sits in the queue at most once (its atomic
+ * `queued` flag); a worker clears the flag before draining, so bytes
+ * offered during the drain queue the session again. Two invariants keep
+ * a session from going dark:
+ *
+ *  1. offer() schedules a pass on *every* call, even one that accepted
+ *     nothing: a socket send() that returns 0 may still have flushed an
+ *     earlier frame's remainder into the kernel. When the session is
+ *     already queued this costs one atomic exchange.
+ *  2. The service drives the close flush. closeSession() retries
+ *     Transport::closeSend() — which never blocks — and schedules a
+ *     pass between tries until the last frame's remainder is in the
+ *     kernel and the stream is sealed. A frame larger than the socket
+ *     buffer therefore arrives whole instead of turning into a
+ *     truncation verdict.
+ *
+ * Further properties:
  *  - Per-session decode state is fully resumable: the StreamVerifier
  *    consumes partial records and the socket FrameDecoder reassembles
  *    torn reads, so a worker can abandon a session mid-record at any
@@ -32,9 +43,6 @@
  *  - A finished session releases its verifier and transport memory
  *    (the verdict is snapshotted into its report first), so a 100k
  *    session soak holds live state only for the in-flight window.
- *
- * On hosts without epoll the service falls back to the PR 6
- * mutex/condvar loop (socket transports degrade to rings there).
  *
  * Session latency is measured from close (the prover sealed the
  * transport) to the verdict render; the load generator reports the p99
@@ -63,7 +71,7 @@ namespace rev::verifier
 /** Which transport a session runs over. */
 enum class TransportKind : u8
 {
-    Memory, ///< in-process SPSC ByteRing (PR 6 behavior)
+    Memory, ///< in-process SPSC ByteRing
     Socket, ///< Unix-domain socketpair, length-framed chunks
 };
 
@@ -122,7 +130,9 @@ class VerifierService
      * Open a session adjudicated against @p refs (per-session: one
      * service multiplexes sessions of any number of attested programs).
      * @p refs must outlive the service. Returns the session id (dense,
-     * in open order).
+     * in open order). Throws FatalError when a socket session cannot be
+     * created (socketpair() failed, e.g. at the open-file limit): a
+     * socket run never silently runs on rings.
      */
     u64 openSession(const validate::RefStore &refs,
                     TransportKind kind = TransportKind::Memory,
@@ -175,7 +185,7 @@ class VerifierService
         std::unique_ptr<Transport> transport;
         std::unique_ptr<validate::StreamVerifier> verifier;
         std::mutex work; ///< serializes workers over this session
-        std::atomic<bool> queued{false}; ///< present in the ready deque
+        std::atomic<bool> queued{false}; ///< present in the ready queue
         std::atomic<bool> done{false};   ///< verdict rendered
         std::atomic<bool> closeSeen{false};
         /** The prover made its last transport access (published at the
@@ -184,14 +194,11 @@ class VerifierService
         std::atomic<bool> counted{false}; ///< contributed to drained_
         Clock::time_point closedAt{};
         SessionReport report; ///< snapshotted at finish
-        std::atomic<bool> watched{false}; ///< fd in the event loop
     };
 
-    u64 addSession(const validate::RefStore &refs,
-                   std::unique_ptr<Transport> transport);
     Session *sessionPtr(u64 id) const;
 
-    /** Enqueue @p s on the doorbell path unless already queued. */
+    /** Enqueue @p s on the ready queue unless already queued. */
     void notify(Session *s);
 
     /** Close-time notify: guarantees a service pass that observes
@@ -202,18 +209,8 @@ class VerifierService
     void workerLoop();
 
     /** Drain and verify everything available for @p s (one worker);
-     *  re-arms / retires the transport under the session lock. */
+     *  retires the transport under the session lock. */
     void service(Session *s);
-
-    /** Re-register @p s's fd (EPOLLONESHOT) for the next readiness
-     *  event. Requires s->work; no-op for unwatched sessions. */
-    void rearm(Session *s, Transport *t);
-
-    /** Tear the transport down once the stream is over and the prover
-     *  has published its close (@p proverGone — load it before
-     *  draining so close-side state is visible). Requires s->work.
-     *  @return true when the transport was released. */
-    bool maybeRetire(Session *s, Transport *t, bool proverGone);
 
     /** Verdict rendered: snapshot the report, release big state. */
     void finishSession(Session *s, Transport *t);
@@ -227,10 +224,12 @@ class VerifierService
     mutable std::mutex sessionsLock_;
     std::atomic<u64> opened_{0};
 
-    // Doorbell ready queue (in-memory transports only).
+    // The ready queue; stop_ is guarded by readyLock_ too, so a worker
+    // cannot miss the shutdown wakeup between its check and its wait.
     std::deque<Session *> ready_;
     std::mutex readyLock_;
-    std::condition_variable readyCv_; ///< fallback hosts only
+    std::condition_variable readyCv_;
+    bool stop_ = false;
 
     std::atomic<u64> closed_{0};
     std::atomic<u64> drained_{0}; ///< sessions both closed and done
@@ -238,18 +237,9 @@ class VerifierService
     std::condition_variable doneCv_; ///< signaled on session completion
     mutable std::mutex doneLock_;
 
-    std::atomic<bool> stop_{false};
     std::vector<std::thread> workers_;
 
     std::unique_ptr<VerifiedUnitCache> cache_;
-
-    // Event loop (epoll hosts): all workers share one epoll set; the
-    // doorbell eventfd carries ring-session readiness, the stop eventfd
-    // fans shutdown out to every worker.
-    int epollFd_ = -1;
-    int doorbellFd_ = -1;
-    int stopFd_ = -1;
-    bool epollMode_ = false;
 };
 
 } // namespace rev::verifier

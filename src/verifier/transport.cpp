@@ -7,7 +7,6 @@
 #define REV_HAVE_SOCKETPAIR 1
 #include <cerrno>
 #include <fcntl.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -123,7 +122,7 @@ SocketTransport::SocketTransport(std::size_t bufBytes)
 {
     int fds[2];
     if (socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0)
-        return; // valid() stays false; the service falls back to a ring
+        return; // valid() stays false; the service refuses the session
     wfd_ = fds[0];
     rfd_ = fds[1];
     setNonBlocking(wfd_);
@@ -162,9 +161,14 @@ SocketTransport::flushPending()
         }
         if (w < 0 && errno == EINTR)
             continue;
-        // EAGAIN (kernel buffer full) or a dead peer: keep the frame
-        // remainder pending; back-pressure reaches the caller as 0.
-        return false;
+        // Kernel buffer full: keep the frame remainder pending;
+        // back-pressure reaches the caller as 0.
+        if (w < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
+            return false;
+        // Dead peer: nothing will ever drain the remainder, so drop it
+        // (the verifier side sees a truncated stream) rather than make
+        // the prover retry forever.
+        break;
     }
     pending_.clear();
     pendingOff_ = 0;
@@ -194,20 +198,21 @@ SocketTransport::send(const u8 *data, std::size_t n)
     return n;       // the frame is owned now: accepted in full
 }
 
-void
+bool
 SocketTransport::closeSend()
 {
-    if (sendClosed_ || wfd_ < 0)
-        return;
+    if (wfd_ < 0 || shut_)
+        return true;
     sendClosed_ = true;
-    // Drain the pending frame with a bounded wait. The only way this
-    // fails is a verifier that stopped reading (it already rendered a
-    // verdict); dropping the tail then reads as honest truncation.
-    for (int tries = 0; !flushPending() && tries < 200; ++tries) {
-        struct pollfd pfd = {wfd_, POLLOUT, 0};
-        poll(&pfd, 1, 10);
-    }
+    // Half-close only once the last frame is whole inside the kernel:
+    // an early SHUT_WR would cut it. The kernel takes the remainder as
+    // the verifier side drains, so the caller retries after scheduling
+    // a read (the service's close loop does exactly that).
+    if (!flushPending())
+        return false;
     shutdown(wfd_, SHUT_WR);
+    shut_ = true;
+    return true;
 }
 
 std::size_t
@@ -238,9 +243,7 @@ SocketTransport::recv(u8 *out, std::size_t max)
             while (occ > seen && !peak_.compare_exchange_weak(
                                      seen, occ, std::memory_order_relaxed)) {
             }
-            if (rx_.corrupt())
-                continue; // keep draining the socket dry this pass
-            continue;
+            continue; // keep draining the socket dry this pass
         }
         if (r == 0) {
             eof_ = true;
@@ -276,7 +279,7 @@ SocketTransport::SocketTransport(std::size_t) {}
 SocketTransport::~SocketTransport() = default;
 bool SocketTransport::flushPending() { return true; }
 std::size_t SocketTransport::send(const u8 *, std::size_t) { return 0; }
-void SocketTransport::closeSend() {}
+bool SocketTransport::closeSend() { return true; }
 std::size_t SocketTransport::recv(u8 *, std::size_t) { return 0; }
 bool SocketTransport::finished() const { return true; }
 std::size_t SocketTransport::peakBytes() const { return 0; }

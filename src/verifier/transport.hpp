@@ -3,21 +3,22 @@
  * Transport: how a prover's measurement bytes reach the verifier
  * service.
  *
- * PR 6 hard-wired one transport — the in-process SPSC ByteRing. This
- * header lifts that choice behind an interface so a session can run
- * over real IPC without the service or the StreamVerifier noticing:
+ * The service and the StreamVerifier see one interface; a session runs
+ * over either implementation without noticing which:
  *
- *  - RingTransport: the existing in-memory ByteRing, unchanged
- *    semantics (lock-free SPSC, back-pressure by accepting fewer
- *    bytes). watchFd() is -1: the service schedules these sessions
- *    through its doorbell ready-queue.
+ *  - RingTransport: the in-memory ByteRing (lock-free SPSC,
+ *    back-pressure by accepting fewer bytes).
  *  - SocketTransport: a nonblocking Unix-domain socketpair carrying
  *    *length-framed* RVMS chunks. The prover side frames each send()
  *    into [u32 LE length][payload] records (one pending frame is
  *    buffered locally, so back-pressure is bounded, not unbounded
  *    queueing); the verifier side reassembles partial reads with a
- *    FrameDecoder and hands the service a plain byte stream. watchFd()
- *    exposes the verifier-side fd for the service's epoll loop.
+ *    FrameDecoder and hands the service a plain byte stream.
+ *
+ * Neither transport wakes the service by itself: the prover reaches the
+ * service through offer()/closeSession(), which schedule the session on
+ * the service's ready queue (see service.hpp for the two scheduling
+ * invariants this relies on).
  *
  * Framing rules (the FrameDecoder contract):
  *  - A frame is 4 bytes little-endian payload length, then exactly
@@ -70,16 +71,22 @@ class Transport
      *  delivered in order unless the transport is torn down. */
     virtual std::size_t send(const u8 *data, std::size_t n) = 0;
 
-    /** No further bytes will be sent (idempotent). */
-    virtual void closeSend() = 0;
+    /**
+     * No further bytes will be sent (idempotent). Sealing may need the
+     * reader: a socket first pushes the tail of its last frame into the
+     * kernel, which has room only after the verifier side drains it.
+     * @return true once the stream is sealed; false means "call again
+     *         after the reader has run" (never blocks).
+     */
+    virtual bool closeSend() = 0;
 
     // --- verifier side --------------------------------------------------
     /** Drain up to @p max decoded stream bytes into @p out; 0 = nothing
      *  available right now. */
     virtual std::size_t recv(u8 *out, std::size_t max) = 0;
 
-    /** Decoded bytes known to be waiting (0 is allowed for transports
-     *  whose readiness the event loop tracks through watchFd()). */
+    /** Decoded bytes known to be waiting (a socket counts only bytes
+     *  already read out of the kernel; may under-report). */
     virtual std::size_t readable() const = 0;
 
     /** Close-of-stream seen and every decoded byte delivered. */
@@ -92,13 +99,9 @@ class Transport
     /** Peak bytes this session buffered in transit (memory accounting;
      *  feeds SessionReport.peakBytes). */
     virtual std::size_t peakBytes() const = 0;
-
-    /** Readiness fd for the service's epoll loop, or -1 when the
-     *  transport signals through the service doorbell instead. */
-    virtual int watchFd() const { return -1; }
 };
 
-/** The PR 6 in-memory transport: a thin adapter over ByteRing. */
+/** The in-memory transport: a thin adapter over ByteRing. */
 class RingTransport final : public Transport
 {
   public:
@@ -108,7 +111,12 @@ class RingTransport final : public Transport
     {
         return ring_.write(data, n);
     }
-    void closeSend() override { ring_.closeWrite(); }
+    bool
+    closeSend() override
+    {
+        ring_.closeWrite();
+        return true;
+    }
 
     std::size_t recv(u8 *out, std::size_t max) override
     {
@@ -175,8 +183,8 @@ class FrameDecoder
  * Unix-domain socketpair transport with length-framed RVMS chunks.
  * Nonblocking on both ends: a full kernel buffer back-pressures the
  * prover (send() accepts 0), partial reads reassemble through the
- * FrameDecoder. Only available on POSIX hosts; the service falls back
- * to RingTransport elsewhere.
+ * FrameDecoder. Only available on POSIX hosts: elsewhere valid() is
+ * false and the service refuses to open socket sessions.
  */
 class SocketTransport final : public Transport
 {
@@ -190,30 +198,31 @@ class SocketTransport final : public Transport
     SocketTransport &operator=(const SocketTransport &) = delete;
 
     std::size_t send(const u8 *data, std::size_t n) override;
-    void closeSend() override;
+    bool closeSend() override;
 
     std::size_t recv(u8 *out, std::size_t max) override;
     std::size_t readable() const override { return rx_.pending(); }
     bool finished() const override;
     bool corrupt() const override { return rx_.corrupt(); }
     std::size_t peakBytes() const override;
-    int watchFd() const override { return rfd_; }
 
     /** True when socketpair() could be created (health check). */
     bool valid() const { return rfd_ >= 0 && wfd_ >= 0; }
 
   private:
-    /** Try to push the buffered frame remainder into the socket.
+    /** Try to push the buffered frame remainder into the socket (a
+     *  dead peer drops it: the stream reads as truncated).
      *  @return true once nothing is pending. */
     bool flushPending();
 
     int wfd_ = -1; ///< prover end
-    int rfd_ = -1; ///< verifier end (epoll-registered)
+    int rfd_ = -1; ///< verifier end
 
     // Prover-side: at most one partially-written frame.
     std::vector<u8> pending_;
     std::size_t pendingOff_ = 0;
-    bool sendClosed_ = false;
+    bool sendClosed_ = false; ///< closeSend() called: no more frames
+    bool shut_ = false;       ///< tail flushed and SHUT_WR sent
 
     // Verifier-side reassembly.
     FrameDecoder rx_;

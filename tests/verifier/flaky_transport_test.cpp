@@ -7,7 +7,6 @@
  * jobs run this battery under their respective sanitizers.
  */
 
-#include <cstdlib>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -64,17 +63,6 @@ pump(VerifierService &svc, u64 id, const std::vector<u8> &stream,
             std::this_thread::yield();
     }
     svc.closeSession(id);
-}
-
-bool
-epollAvailable()
-{
-#if defined(__linux__)
-    const char *noEpoll = std::getenv("REV_VERIFIER_NO_EPOLL");
-    return noEpoll == nullptr || *noEpoll == '\0' || *noEpoll == '0';
-#else
-    return false;
-#endif
 }
 
 TEST(FlakyTransport, TornReadsAndShortWritesOverRingsAreLossless)
@@ -153,13 +141,10 @@ TEST(FlakyTransport, MidRecordDisconnectIsHonestTruncationNotAHang)
     }
 }
 
-#if defined(__linux__)
+#if defined(__unix__) || defined(__APPLE__)
 
 TEST(FlakyTransport, FaultsOverSocketsPreserveVerdicts)
 {
-    if (!epollAvailable())
-        GTEST_SKIP() << "REV_VERIFIER_NO_EPOLL set: no socket sessions";
-
     const test::Corpus &c = test::corpus();
     VerifierService svc(ServiceOptions{2, 1u << 16});
 
@@ -194,9 +179,6 @@ TEST(FlakyTransport, FaultsOverSocketsPreserveVerdicts)
 
 TEST(FlakyTransport, SocketDisconnectMidFrameAdjudicates)
 {
-    if (!epollAvailable())
-        GTEST_SKIP() << "REV_VERIFIER_NO_EPOLL set: no socket sessions";
-
     const test::Corpus &c = test::corpus();
     VerifierService svc(ServiceOptions{1, 1u << 16});
 
@@ -219,7 +201,7 @@ TEST(FlakyTransport, SocketDisconnectMidFrameAdjudicates)
     EXPECT_LE(v.bbValidated, cleanVerdict(c.lofat).bbValidated);
 }
 
-#endif // __linux__
+#endif // __unix__ || __APPLE__
 
 } // namespace
 } // namespace rev::verifier

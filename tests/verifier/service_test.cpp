@@ -1,23 +1,19 @@
 /**
  * @file
- * VerifierService scheduling / equivalence tests: memory vs socket vs
- * condvar-fallback sessions must render bit-identical verdicts, dedup
- * on/off must not change a verdict, latched sessions must swallow (not
- * livelock) further offers, and the event loop must survive sessions
- * opened mid-flight plus notify storms from many prover threads.
+ * VerifierService scheduling / equivalence tests: memory and socket
+ * sessions must render bit-identical verdicts, frames larger than the
+ * socket buffer must arrive whole, dedup on/off must not change a
+ * verdict, latched sessions must swallow (not livelock) further offers,
+ * and the ready queue must survive sessions opened mid-flight plus
+ * notify storms from many prover threads.
  */
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
-
-#if defined(__linux__)
-#include <unistd.h>
-#endif
 
 #include "common/random.hpp"
 #include "validate/stream_verifier.hpp"
@@ -94,14 +90,10 @@ TEST(VerifierService, VerdictsMatchInlineGoldensOverMemory)
     EXPECT_EQ(got[1].bbValidated, c.lofat.bbValidated);
 }
 
-#if defined(__linux__)
+#if defined(__unix__) || defined(__APPLE__)
 
 TEST(VerifierService, SocketAndMemorySessionsRenderIdenticalVerdicts)
 {
-    const char *noEpoll = std::getenv("REV_VERIFIER_NO_EPOLL");
-    if (noEpoll != nullptr && *noEpoll != '\0' && *noEpoll != '0')
-        GTEST_SKIP() << "REV_VERIFIER_NO_EPOLL set: no socket sessions";
-
     const std::vector<validate::StreamVerdict> mem =
         runBoth(ServiceOptions{2, 1u << 16}, TransportKind::Memory,
                 1u << 14);
@@ -112,100 +104,61 @@ TEST(VerifierService, SocketAndMemorySessionsRenderIdenticalVerdicts)
     expectSameVerdict(mem[1], sock[1]);
 }
 
-TEST(VerifierService, CondvarFallbackRendersIdenticalVerdicts)
+TEST(VerifierService, FramesLargerThanTheSocketBufferArriveWhole)
 {
-    // The REV_VERIFIER_NO_EPOLL escape hatch swaps the whole scheduling
-    // core; verdicts must not notice.
-    const std::vector<validate::StreamVerdict> epoll =
-        runBoth(ServiceOptions{2, 1u << 16}, TransportKind::Memory,
-                1u << 14);
-
-    setenv("REV_VERIFIER_NO_EPOLL", "1", 1);
-    const std::vector<validate::StreamVerdict> fallback =
-        runBoth(ServiceOptions{2, 1u << 16}, TransportKind::Memory,
-                1u << 14);
-    unsetenv("REV_VERIFIER_NO_EPOLL");
-
-    expectSameVerdict(epoll[0], fallback[0]);
-    expectSameVerdict(epoll[1], fallback[1]);
-}
-
-/** Ring transport that claims an un-epollable fd (a pipe read end we
- *  replace with a regular-file style failure): watchFd() returns an fd
- *  that EPOLL_CTL_ADD rejects, modelling registration failure under
- *  fd/memory pressure. The session must fall back to doorbell
- *  scheduling instead of going dark. */
-class UnepollableTransport final : public Transport
-{
-  public:
-    explicit UnepollableTransport(std::size_t capacity) : inner_(capacity)
-    {
-        // epoll rejects regular files with EPERM — a deterministic
-        // stand-in for ENOMEM/ENOSPC at soak scale.
-        char path[] = "/tmp/rev_unepollable_XXXXXX";
-        fd_ = mkstemp(path);
-        if (fd_ >= 0)
-            unlink(path);
-    }
-    ~UnepollableTransport() override
-    {
-        if (fd_ >= 0)
-            close(fd_);
-    }
-
-    std::size_t send(const u8 *d, std::size_t n) override
-    {
-        return inner_.send(d, n);
-    }
-    void closeSend() override { inner_.closeSend(); }
-    std::size_t recv(u8 *o, std::size_t m) override
-    {
-        return inner_.recv(o, m);
-    }
-    std::size_t readable() const override { return inner_.readable(); }
-    bool finished() const override { return inner_.finished(); }
-    std::size_t peakBytes() const override { return inner_.peakBytes(); }
-    int watchFd() const override { return fd_; }
-
-    bool valid() const { return fd_ >= 0; }
-
-  private:
-    RingTransport inner_;
-    int fd_ = -1;
-};
-
-TEST(VerifierService, EpollRegistrationFailureFallsBackToDoorbell)
-{
-    const char *noEpoll = std::getenv("REV_VERIFIER_NO_EPOLL");
-    if (noEpoll != nullptr && *noEpoll != '\0' && *noEpoll != '0')
-        GTEST_SKIP() << "REV_VERIFIER_NO_EPOLL set: no fd sessions";
-
+    // Full streams offered 64 KiB at a time into 4 KiB sockets: the
+    // frames outgrow the kernel buffer, so each one's tail stays with
+    // the prover. Offers that accept nothing must still schedule a pass
+    // (they may have flushed part of that tail), and closeSession()
+    // must push the last tail through before sealing — otherwise the
+    // prover spins forever or the verdict reads as a truncation. The
+    // odd-sized piece goes first so the last frame is a full 64 KiB.
     const test::Corpus &c = test::corpus();
+    const test::CapturedStream streams[2] = {
+        test::captureOne(c.program, c.store.get(), validate::Backend::Rev,
+                         120000),
+        test::captureOne(c.program, c.store.get(),
+                         validate::Backend::LoFat, 120000)};
+    for (const test::CapturedStream &cap : streams)
+        ASSERT_GT(cap.stream.size(), 2 * kMaxFramePayload);
+
     VerifierService svc(ServiceOptions{2, 1u << 16});
-
     std::vector<u64> ids;
-    for (int i = 0; i < 4; ++i) {
-        auto t = std::make_unique<UnepollableTransport>(4096);
-        ASSERT_TRUE(t->valid());
-        ids.push_back(svc.openSessionWith(*c.refs, std::move(t)));
-    }
-
+    for (int i = 0; i < 4; ++i)
+        ids.push_back(
+            svc.openSession(*c.refs, TransportKind::Socket, 1u << 12));
     std::vector<std::thread> provers;
     for (std::size_t i = 0; i < ids.size(); ++i)
         provers.emplace_back([&, i] {
-            const test::CapturedStream &cap = (i % 2) ? c.lofat : c.rev;
-            pump(svc, ids[i], cap.stream, 513);
+            const std::vector<u8> &stream = streams[i % 2].stream;
+            std::size_t off = 0;
+            std::size_t want = stream.size() % kMaxFramePayload;
+            while (off < stream.size()) {
+                if (want == 0)
+                    want = kMaxFramePayload;
+                const std::size_t took =
+                    svc.offer(ids[i], stream.data() + off, want);
+                off += took;
+                want -= took;
+                if (took == 0)
+                    std::this_thread::yield();
+            }
+            svc.closeSession(ids[i]);
         });
     for (std::thread &t : provers)
         t.join();
-    svc.drain(); // the regression: unwatched sessions must not hang this
+    svc.drain();
 
     const std::vector<SessionReport> reports = svc.reports();
     for (std::size_t i = 0; i < ids.size(); ++i) {
-        const test::CapturedStream &cap = (i % 2) ? c.lofat : c.rev;
-        EXPECT_TRUE(reports[ids[i]].verdict.complete);
-        EXPECT_EQ(reports[ids[i]].verdict.detected, cap.detected);
-        EXPECT_EQ(reports[ids[i]].verdict.bbValidated, cap.bbValidated);
+        const test::CapturedStream &cap = streams[i % 2];
+        const SessionReport &r = reports[ids[i]];
+        EXPECT_TRUE(r.verdict.complete);
+        EXPECT_FALSE(r.verdict.detected) << r.verdict.reason;
+        EXPECT_EQ(r.verdict.detected, cap.detected);
+        EXPECT_EQ(r.verdict.reason, cap.reason);
+        EXPECT_EQ(r.verdict.bbValidated, cap.bbValidated);
+        EXPECT_EQ(r.bytes, cap.stream.size());
     }
 }
 
@@ -215,9 +168,6 @@ TEST(VerifierService, RapidSocketCloseNeverRacesTeardown)
     // observation land while the prover is still inside closeSession().
     // The transport may only be retired after the prover publishes its
     // close, so under TSan this pins the teardown ordering.
-    const char *noEpoll = std::getenv("REV_VERIFIER_NO_EPOLL");
-    if (noEpoll != nullptr && *noEpoll != '\0' && *noEpoll != '0')
-        GTEST_SKIP() << "REV_VERIFIER_NO_EPOLL set: no socket sessions";
 
     const test::Corpus &c = test::corpus();
     VerifierService svc(ServiceOptions{4, 1u << 16});
@@ -255,7 +205,7 @@ TEST(VerifierService, RapidSocketCloseNeverRacesTeardown)
         EXPECT_TRUE(r.verdict.complete);
 }
 
-#endif // __linux__
+#endif // __unix__ || __APPLE__
 
 TEST(VerifierService, DedupOnOffVerdictsBitIdentical)
 {

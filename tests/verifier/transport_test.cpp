@@ -153,7 +153,6 @@ TEST(RingTransport, FinishedOnlyAfterCloseAndFullDrain)
     EXPECT_TRUE(t.finished());
     EXPECT_FALSE(t.corrupt());
     EXPECT_EQ(t.peakBytes(), 10u);
-    EXPECT_EQ(t.watchFd(), -1);
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -176,7 +175,6 @@ TEST(SocketTransport, RoundTripsChunkedStream)
 {
     SocketTransport t(1 << 16);
     ASSERT_TRUE(t.valid());
-    EXPECT_GE(t.watchFd(), 0);
 
     const std::vector<u8> stream = pattern(5000, 4);
     std::vector<u8> got;
@@ -189,7 +187,7 @@ TEST(SocketTransport, RoundTripsChunkedStream)
         const std::vector<u8> piece = socketDrain(t);
         got.insert(got.end(), piece.begin(), piece.end());
     }
-    t.closeSend();
+    EXPECT_TRUE(t.closeSend());
     const std::vector<u8> rest = socketDrain(t);
     got.insert(got.end(), rest.begin(), rest.end());
 
@@ -225,13 +223,41 @@ TEST(SocketTransport, BackpressuresWhenUnread)
     EXPECT_GT(t.send(chunk.data(), chunk.size()), 0u);
 }
 
+TEST(SocketTransport, CloseSendWaitsForTheReaderToTakeTheLastFrame)
+{
+    // A frame larger than the kernel buffer leaves its tail with the
+    // prover. closeSend() may not seal (SHUT_WR) before that tail is in
+    // the kernel, and never blocks: it reports false until a read makes
+    // room.
+    SocketTransport t(4096);
+    ASSERT_TRUE(t.valid());
+    const std::vector<u8> stream = pattern(kMaxFramePayload, 2);
+    ASSERT_EQ(t.send(stream.data(), stream.size()), stream.size());
+    EXPECT_FALSE(t.closeSend());
+    EXPECT_EQ(t.send(stream.data(), 1), 0u); // closed: no more frames
+
+    std::vector<u8> got;
+    bool sealed = false;
+    for (int i = 0; i < 100000 && !sealed; ++i) {
+        const std::vector<u8> piece = socketDrain(t);
+        got.insert(got.end(), piece.begin(), piece.end());
+        sealed = t.closeSend();
+    }
+    ASSERT_TRUE(sealed);
+    const std::vector<u8> rest = socketDrain(t);
+    got.insert(got.end(), rest.begin(), rest.end());
+    EXPECT_EQ(got, stream);
+    EXPECT_TRUE(t.finished());
+    EXPECT_TRUE(t.closeSend()); // idempotent once sealed
+}
+
 TEST(SocketTransport, EofMidStreamFinishesWithDecodedPrefix)
 {
     SocketTransport t(1 << 16);
     ASSERT_TRUE(t.valid());
     const std::vector<u8> stream = pattern(1000, 8);
     ASSERT_EQ(t.send(stream.data(), stream.size()), stream.size());
-    t.closeSend();
+    EXPECT_TRUE(t.closeSend());
 
     const std::vector<u8> got = socketDrain(t);
     EXPECT_EQ(got, stream);
