@@ -1,11 +1,13 @@
 #include "bench/suite.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <sstream>
 
 #include "bench/sweep_runner.hpp"
+#include "common/logging.hpp"
 #include "validate/backend_cli.hpp"
 #include "workloads/generator.hpp"
 
@@ -67,7 +69,6 @@ SweepOptions::quick()
     for (std::size_t i = 0; i < profiles.size() && i < 3; ++i)
         opts.benchmarks.push_back(profiles[i].name);
     opts.instrBudget = kQuickInstrBudget;
-    opts.useCache = false;
     return opts;
 }
 
@@ -77,15 +78,32 @@ runSweep(const SweepOptions &opts)
     return SweepRunner(opts).run();
 }
 
+namespace
+{
+
+/** The whole of @p text as an unsigned number, or FatalError. */
+u64
+parseCount(const char *flag, const std::string &text)
+{
+    u64 value = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+    if (text.empty() || ec != std::errc() || ptr != end)
+        fatal(flag, " wants a number, got '", text, "'");
+    return value;
+}
+
+} // namespace
+
 SweepOptions
 sweepOptionsFromArgs(int argc, char **argv)
 {
     auto usage = [&](int code) {
         std::printf(
-            "usage: %s [--quick] [--no-cache] [--threads N] [--instrs N]\n"
-            "          [--bench a,b,c] [--cache PATH] [--backend NAME]\n"
+            "usage: %s [--quick] [--threads N] [--instrs N] [--bench a,b,c]\n"
+            "          [--write-golden PATH] [--backend NAME]\n"
             "          [--list-backends]\n",
-            argc > 0 ? argv[0] : "bench");
+            argc > 0 ? argv[0] : "figures");
         std::exit(code);
     };
     // --quick is a base preset: apply it first so the other flags
@@ -103,12 +121,15 @@ sweepOptionsFromArgs(int argc, char **argv)
         };
         if (arg == "--quick") {
             // applied above
-        } else if (arg == "--no-cache") {
-            opts.useCache = false;
         } else if (arg == "--threads") {
-            opts.threads = static_cast<unsigned>(std::atoi(next()));
+            const u64 threads = parseCount("--threads", next());
+            if (threads > std::numeric_limits<unsigned>::max())
+                fatal("--threads ", threads, " is out of range");
+            opts.threads = static_cast<unsigned>(threads);
         } else if (arg == "--instrs") {
-            opts.instrBudget = std::strtoull(next(), nullptr, 10);
+            opts.instrBudget = parseCount("--instrs", next());
+            if (opts.instrBudget == 0)
+                fatal("--instrs wants a budget above 0");
         } else if (arg == "--bench") {
             opts.benchmarks.clear();
             std::istringstream names(next());
@@ -116,7 +137,8 @@ sweepOptionsFromArgs(int argc, char **argv)
             while (std::getline(names, name, ','))
                 if (!name.empty())
                     opts.benchmarks.push_back(name);
-        } else if (arg == "--cache") {
+        } else if (arg == "--write-golden") {
+            opts.useCache = true;
             opts.cachePath = next();
         } else if (validate::backendCliOptions(argc, argv, &i,
                                                &opts.backend)) {
@@ -136,20 +158,6 @@ overheadPct(const Sweep &s, const std::string &bench, Config cfg)
     const double base = s.at(bench, Config::Base).ipc;
     const double with = s.at(bench, cfg).ipc;
     return base > 0 ? 100.0 * (base - with) / base : 0.0;
-}
-
-void
-printHeader(const std::string &title, const std::string &paper_ref)
-{
-    std::printf("=============================================================="
-                "==================\n");
-    std::printf("%s\n", title.c_str());
-    std::printf("Paper reference: %s\n", paper_ref.c_str());
-    std::printf("Workloads: synthetic SPEC CPU 2006 stand-ins (see "
-                "DESIGN.md); %llu instrs/run\n",
-                static_cast<unsigned long long>(kInstrBudget));
-    std::printf("=============================================================="
-                "==================\n");
 }
 
 } // namespace rev::bench

@@ -2,19 +2,18 @@
  * @file
  * Shared benchmark sweep for the paper-reproduction harnesses.
  *
- * Every figure/table binary consumes the same underlying experiment: the
- * 15 SPEC stand-ins, each simulated under the base core and under REV in
- * several configurations (Full with 32/64 KB SC, Aggressive with 32/64 KB,
- * CFI-only with 32 KB). The 90 (benchmark, config) jobs are mutually
- * independent, so the sweep engine (SweepRunner) fans them out across a
- * worker pool and collects results deterministically — parallel output is
- * identical to a serial run.
+ * Every table of bench/figures.cpp renders the same underlying experiment:
+ * the 15 SPEC stand-ins, each simulated under the base core and under REV
+ * in several configurations (Full with 32/64 KB SC, Aggressive with
+ * 32/64 KB, CFI-only with 32 KB). The 90 (benchmark, config) jobs are
+ * mutually independent, so the sweep engine (SweepRunner) fans them out
+ * across a worker pool and collects results deterministically — parallel
+ * output is identical to a serial run.
  *
  * Entry point: runSweep(SweepOptions). Options select the benchmark
- * subset, instruction budget, thread count, and the on-disk cache.
- * Completed jobs are cached in rev_bench_cache.txt keyed by a hash of the
- * full simulation configuration and workload profile, so editing any knob
- * invalidates exactly the affected jobs and untouched ones are reused.
+ * subset, instruction budget, thread count and validation backend, and
+ * may name a file to write the sweep's golden snapshot to (golden.hpp).
+ * Every run simulates every job; nothing is read back from disk.
  */
 
 #ifndef REV_BENCH_SUITE_HPP
@@ -93,6 +92,7 @@ struct StaticNumbers
 struct Sweep
 {
     std::vector<std::string> benchmarks; ///< paper order
+    u64 instrBudget = 0;                 ///< per-run instruction budget
     std::map<std::string, StaticNumbers> statics;
     std::map<std::pair<std::string, Config>, RunNumbers> runs;
 
@@ -114,7 +114,7 @@ inline constexpr u64 kQuickInstrBudget = 100'000;
 /**
  * How to run a sweep. The default-constructed options reproduce the
  * paper sweep: all 15 stand-ins, 2 M instructions per run, as many
- * worker threads as the hardware offers, results cached on disk.
+ * worker threads as the hardware offers.
  */
 struct SweepOptions
 {
@@ -131,23 +131,26 @@ struct SweepOptions
      */
     unsigned threads = 0;
 
-    /** Load/refresh the on-disk job cache. */
-    bool useCache = true;
+    /**
+     * Write the sweep's golden snapshot to cachePath after the run
+     * (writeGolden in golden.hpp). Nothing is ever read back. The names
+     * predate the snapshot writer: they belonged to an on-disk job cache.
+     */
+    bool useCache = false;
 
-    /** Cache location. */
-    std::string cachePath = "rev_bench_cache.txt";
+    /** Where useCache writes the golden snapshot. */
+    std::string cachePath;
 
     /** Per-job progress lines on stderr. */
     bool progress = true;
 
     /**
      * Validation backend applied to every with-validation config of the
-     * sweep (the Base config always runs without one). Part of the
-     * cache key, so switching backends never mixes cached numbers.
+     * sweep (the Base config always runs without one).
      */
     validate::Backend backend = validate::Backend::Rev;
 
-    /** Three benchmarks at a small budget, no cache (tests / CI smoke). */
+    /** Three benchmarks at a small budget (tests / CI smoke). */
     static SweepOptions quick();
 };
 
@@ -159,26 +162,23 @@ struct SweepOptions
 Sweep runSweep(const SweepOptions &opts = {});
 
 /**
- * Parse the standard bench-binary command line into SweepOptions:
+ * Parse the sweep command line into SweepOptions:
  *
- *   --quick            3 benchmarks, small budget, cache off
- *   --no-cache         ignore and do not write rev_bench_cache.txt
- *   --threads N        worker threads (default: REV_BENCH_THREADS or all)
- *   --instrs N         per-run committed-instruction budget
- *   --bench a,b,c      benchmark subset
- *   --cache PATH       cache file location
- *   --backend NAME     validation backend (rev, lofat, null)
- *   --list-backends    print the registered backends and exit
+ *   --quick              3 benchmarks, small budget
+ *   --threads N          worker threads (default: REV_BENCH_THREADS or all)
+ *   --instrs N           per-run committed-instruction budget (N > 0)
+ *   --bench a,b,c        benchmark subset
+ *   --write-golden PATH  write the sweep's golden snapshot to PATH
+ *   --backend NAME       validation backend (rev, lofat, null)
+ *   --list-backends      print the registered backends and exit
  *
- * Prints usage and exits on --help or an unknown flag.
+ * Prints usage and exits on --help or an unknown flag; throws FatalError
+ * on a non-numeric --threads or a non-numeric or zero --instrs.
  */
 SweepOptions sweepOptionsFromArgs(int argc, char **argv);
 
 /** Percentage IPC overhead of @p cfg relative to the base run. */
 double overheadPct(const Sweep &s, const std::string &bench, Config cfg);
-
-/** Print a standard table header for bench binaries. */
-void printHeader(const std::string &title, const std::string &paper_ref);
 
 } // namespace rev::bench
 

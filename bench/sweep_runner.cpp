@@ -12,7 +12,7 @@
 
 #include <unistd.h>
 
-#include "bench/sweep_cache.hpp"
+#include "bench/golden.hpp"
 #include "common/parallel.hpp"
 #include "program/trace.hpp"
 #include "sig/sigstore.hpp"
@@ -41,9 +41,6 @@ struct ProtoParams
 struct BenchPlan
 {
     workloads::WorkloadProfile profile;
-    u64 staticKey = 0;
-    bool staticsFromCache = false;
-    bool needProgram = false;
     std::optional<prog::Program> program;
     StaticNumbers statics;
 
@@ -89,10 +86,9 @@ struct Job
     std::size_t benchIdx = 0;
     Config config = Config::Base;
     core::SimConfig cfg;
-    u64 key = 0;
-    bool cached = false;
     bool replayed = false;
-    CachedRun result;
+    RunNumbers result;
+    u64 sigTableBytes = 0;
     double wallSeconds = 0;
 };
 
@@ -138,20 +134,18 @@ selectProfiles(const std::vector<std::string> &wanted)
     return out;
 }
 
-CachedRun
-simulateJob(const prog::Program &program, const Job &job,
-            const std::string &bench, bool *replayed = nullptr)
+/** Simulate @p job, filling its result and table footprint. */
+void
+simulateJob(const prog::Program &program, Job &job, const std::string &bench)
 {
     core::Simulator sim(program, job.cfg);
     const core::SimResult res = sim.run();
-    if (replayed)
-        *replayed = sim.replayActive();
+    job.replayed = sim.replayActive();
     if (res.run.violation)
         fatal("bench sweep: unexpected violation in ", bench, " (",
               configName(job.config), "): ", res.run.violation->reason);
 
-    CachedRun out;
-    RunNumbers &r = out.numbers;
+    RunNumbers &r = job.result;
     r.ipc = res.run.ipc();
     r.cycles = res.run.cycles;
     r.instrs = res.run.instrs;
@@ -165,8 +159,7 @@ simulateJob(const prog::Program &program, const Job &job,
     r.scFillL1Misses = res.scFillL1Misses;
     r.scFillL2Misses = res.scFillL2Misses;
     r.violations = res.validation.violations;
-    out.sigTableBytes = res.sigTableBytes;
-    return out;
+    job.sigTableBytes = res.sigTableBytes;
 }
 
 StaticNumbers
@@ -213,27 +206,14 @@ SweepRunner::run()
     threadsUsed_ = resolveThreadCount(opts_.threads);
     timings_.clear();
     phases_ = SweepPhaseTimings{};
-    cacheHits_ = 0;
 
-    SweepCache cache(opts_.cachePath);
-    if (opts_.useCache)
-        cache.load();
-
-    // Build the job matrix and satisfy what we can from the cache.
-    // Plans carry a mutex, so they live behind stable pointers.
+    // Build the job matrix. Plans carry a mutex, so they live behind
+    // stable pointers.
     std::vector<std::unique_ptr<BenchPlan>> plans;
     std::vector<Job> jobs;
     for (auto &prof : selectProfiles(opts_.benchmarks)) {
         auto plan = std::make_unique<BenchPlan>();
         plan->profile = std::move(prof);
-        plan->staticKey = staticCacheKey(plan->profile);
-        if (const StaticNumbers *st =
-                cache.findStatic(plan->profile.name, plan->staticKey)) {
-            plan->statics = *st;
-            plan->staticsFromCache = true;
-        } else {
-            plan->needProgram = true;
-        }
 
         const std::size_t benchIdx = plans.size();
         for (Config c : kAllConfigs) {
@@ -243,39 +223,25 @@ SweepRunner::run()
             job.cfg = sweepSimConfig(c, opts_.instrBudget);
             if (job.cfg.withRev)
                 job.cfg.backend = opts_.backend;
-            job.key = runCacheKey(plan->profile, job.cfg);
-            if (const CachedRun *hit =
-                    cache.findRun(plan->profile.name, c, job.key)) {
-                job.cached = true;
-                job.result = *hit;
-                ++cacheHits_;
-            } else {
-                plan->needProgram = true;
-            }
             jobs.push_back(std::move(job));
         }
         plans.push_back(std::move(plan));
     }
 
-    // Phase 1: generate the programs still needed, in parallel across
-    // benchmarks. Programs are immutable afterwards; concurrent
-    // simulators only read them.
-    std::vector<std::size_t> genIdx;
-    for (std::size_t i = 0; i < plans.size(); ++i)
-        if (plans[i]->needProgram)
-            genIdx.push_back(i);
-
+    // Phase 1: generate the programs, in parallel across benchmarks.
+    // Programs are immutable afterwards; concurrent simulators only read
+    // them.
     std::mutex logMu;
     std::atomic<std::size_t> genDone{0};
     const auto genStart = std::chrono::steady_clock::now();
-    parallelFor(genIdx.size(), threadsUsed_, [&](std::size_t k) {
-        BenchPlan &plan = *plans[genIdx[k]];
+    parallelFor(plans.size(), threadsUsed_, [&](std::size_t k) {
+        BenchPlan &plan = *plans[k];
         plan.program = workloads::generateWorkload(plan.profile);
         if (opts_.progress) {
             const std::size_t done = genDone.fetch_add(1) + 1;
             std::lock_guard<std::mutex> lock(logMu);
             std::fprintf(stderr, "[sweep] generated %-12s (%zu/%zu)\n",
-                         plan.profile.name.c_str(), done, genIdx.size());
+                         plan.profile.name.c_str(), done, plans.size());
         }
     });
     phases_.generateSeconds = secondsSince(genStart);
@@ -287,16 +253,11 @@ SweepRunner::run()
     // ride along here: with default split limits and a single-module
     // program, the prototype's main-module CFG is exactly the CFG the
     // statics are derived from, so it is not derived twice.
-    std::vector<std::size_t> protoIdx;
-    for (std::size_t i = 0; i < plans.size(); ++i)
-        if (plans[i]->program)
-            protoIdx.push_back(i);
     const auto protoStart = std::chrono::steady_clock::now();
-    parallelFor(protoIdx.size(), threadsUsed_, [&](std::size_t k) {
-        BenchPlan &plan = *plans[protoIdx[k]];
+    parallelFor(plans.size(), threadsUsed_, [&](std::size_t k) {
+        BenchPlan &plan = *plans[k];
         for (Job &job : jobs) {
-            if (job.benchIdx != protoIdx[k] || job.cached ||
-                !job.cfg.withRev)
+            if (job.benchIdx != k || !job.cfg.withRev)
                 continue;
             const ProtoParams params = protoParamsOf(job.cfg);
             if (!plan.protoParams) {
@@ -314,15 +275,12 @@ SweepRunner::run()
                                     params.toolchainSeed, params.limits,
                                     params.hashRounds, donor);
         }
-        if (!plan.staticsFromCache) {
-            const prog::Cfg *main_cfg = nullptr;
-            if (!plan.protos.empty() &&
-                plan.program->modules().size() == 1 &&
-                plan.protoParams->limits == prog::SplitLimits{})
-                main_cfg =
-                    plan.protos.begin()->second.moduleSigs().front().cfg.get();
-            plan.statics = computeStatics(*plan.program, main_cfg);
-        }
+        const prog::Cfg *main_cfg = nullptr;
+        if (!plan.protos.empty() && plan.program->modules().size() == 1 &&
+            plan.protoParams->limits == prog::SplitLimits{})
+            main_cfg =
+                plan.protos.begin()->second.moduleSigs().front().cfg.get();
+        plan.statics = computeStatics(*plan.program, main_cfg);
     });
     phases_.protoSeconds = secondsSince(protoStart);
 
@@ -331,8 +289,8 @@ SweepRunner::run()
     // Every job COW-forks its image (SimConfig::memoryImage) instead of
     // re-depositing the same bytes page by page.
     const auto imageStart = std::chrono::steady_clock::now();
-    parallelFor(protoIdx.size(), threadsUsed_, [&](std::size_t k) {
-        BenchPlan &plan = *plans[protoIdx[k]];
+    parallelFor(plans.size(), threadsUsed_, [&](std::size_t k) {
+        BenchPlan &plan = *plans[k];
         plan.program->loadInto(plan.baseImage);
         for (const auto &[mode, proto] : plan.protos) {
             SparseMemory img = plan.baseImage.fork();
@@ -362,36 +320,23 @@ SweepRunner::run()
         }
     };
 
-    // Phase 2a: record one architectural trace per benchmark that still
-    // has at least two uncached jobs. The recorder must be a REV config:
-    // its store-drain watermark is the lowest of any config, so the
-    // recorded forwarding distances dominate every replay (trace.hpp).
+    // Phase 2a: record one architectural trace per benchmark, on its
+    // first REV job. The recorder must be a REV config: its store-drain
+    // watermark is the lowest of any config, so the recorded forwarding
+    // distances dominate every replay (trace.hpp).
     std::vector<std::size_t> recordIdx;
     if (prog::replayEnabledFromEnv()) {
-        for (std::size_t i = 0; i < plans.size(); ++i) {
-            std::size_t uncached = 0, rec = kNoJob;
-            for (std::size_t j = 0; j < jobs.size(); ++j) {
-                if (jobs[j].benchIdx != i || jobs[j].cached)
-                    continue;
-                ++uncached;
-                if (rec == kNoJob && jobs[j].cfg.withRev)
-                    rec = j;
-            }
-            if (uncached >= 2 && rec != kNoJob) {
-                plans[i]->recordJobIdx = rec;
-                recordIdx.push_back(rec);
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            BenchPlan &plan = *plans[jobs[j].benchIdx];
+            if (plan.recordJobIdx == kNoJob && jobs[j].cfg.withRev) {
+                plan.recordJobIdx = j;
+                recordIdx.push_back(j);
             }
         }
     }
 
     const std::size_t spill_limit = spillThresholdBytes();
     std::atomic<std::size_t> simDone{0};
-    const std::size_t simTotal = [&] {
-        std::size_t n = 0;
-        for (const Job &job : jobs)
-            n += !job.cached;
-        return n;
-    }();
     auto logJob = [&](const Job &job, const BenchPlan &plan,
                       const char *tag) {
         if (!opts_.progress)
@@ -400,7 +345,7 @@ SweepRunner::run()
         std::lock_guard<std::mutex> lock(logMu);
         std::fprintf(stderr, "[sweep] %-12s %-7s %6.2fs%s (%zu/%zu)\n",
                      plan.profile.name.c_str(), configName(job.config),
-                     job.wallSeconds, tag, done, simTotal);
+                     job.wallSeconds, tag, done, jobs.size());
     };
 
     const auto recordStart = std::chrono::steady_clock::now();
@@ -411,7 +356,7 @@ SweepRunner::run()
         prog::TraceRecorder recorder;
         job.cfg.traceRecorder = &recorder;
         const auto t0 = std::chrono::steady_clock::now();
-        job.result = simulateJob(*plan.program, job, plan.profile.name);
+        simulateJob(*plan.program, job, plan.profile.name);
         job.wallSeconds = secondsSince(t0);
         job.cfg.traceRecorder = nullptr;
 
@@ -431,12 +376,12 @@ SweepRunner::run()
     });
     phases_.recordSeconds = secondsSince(recordStart);
 
-    // Phase 2b: fan the remaining uncached simulations out across the
-    // pool, replaying the benchmark's trace where one attached. Each job
-    // writes only its own slot; assembly below is order-independent.
+    // Phase 2b: fan the remaining simulations out across the pool,
+    // replaying the benchmark's trace where one attached. Each job writes
+    // only its own slot; assembly below is order-independent.
     std::vector<std::size_t> simIdx;
     for (std::size_t j = 0; j < jobs.size(); ++j)
-        if (!jobs[j].cached && plans[jobs[j].benchIdx]->recordJobIdx != j)
+        if (plans[jobs[j].benchIdx]->recordJobIdx != j)
             simIdx.push_back(j);
     for (std::size_t j : simIdx)
         ++plans[jobs[j].benchIdx]->traceUsers;
@@ -462,8 +407,7 @@ SweepRunner::run()
         job.cfg.replayTrace = trace.get();
 
         const auto t0 = std::chrono::steady_clock::now();
-        job.result = simulateJob(*plan.program, job, plan.profile.name,
-                                 &job.replayed);
+        simulateJob(*plan.program, job, plan.profile.name);
         job.wallSeconds = secondsSince(t0);
         job.cfg.replayTrace = nullptr;
         trace.reset();
@@ -485,44 +429,36 @@ SweepRunner::run()
     // Assemble deterministically: benchmarks in plan order, configs in
     // kAllConfigs order, every value pulled from its job slot.
     Sweep sweep;
+    sweep.instrBudget = opts_.instrBudget;
     for (const auto &plan : plans)
         sweep.benchmarks.push_back(plan->profile.name);
     for (const Job &job : jobs) {
         const std::string &bench = plans[job.benchIdx]->profile.name;
-        sweep.runs[{bench, job.config}] = job.result.numbers;
+        sweep.runs[{bench, job.config}] = job.result;
         StaticNumbers &st =
             sweep.statics.try_emplace(bench, plans[job.benchIdx]->statics)
                 .first->second;
         if (job.config == Config::Full32)
-            st.tableBytesFull = job.result.sigTableBytes;
+            st.tableBytesFull = job.sigTableBytes;
         else if (job.config == Config::Agg32)
-            st.tableBytesAggressive = job.result.sigTableBytes;
+            st.tableBytesAggressive = job.sigTableBytes;
         else if (job.config == Config::Cfi32)
-            st.tableBytesCfi = job.result.sigTableBytes;
-        timings_.push_back({bench, job.config, job.wallSeconds, job.cached,
-                            job.replayed});
+            st.tableBytesCfi = job.sigTableBytes;
+        timings_.push_back(
+            {bench, job.config, job.wallSeconds, job.replayed});
     }
 
-    if (opts_.useCache) {
-        for (const Job &job : jobs)
-            if (!job.cached)
-                cache.putRun(plans[job.benchIdx]->profile.name, job.config,
-                             job.key, job.result);
-        for (const auto &plan : plans)
-            cache.putStatic(plan->profile.name, plan->staticKey,
-                            sweep.statics.at(plan->profile.name));
-        if (!cache.save())
-            warn("sweep: could not write cache file ", opts_.cachePath);
-    }
+    if (opts_.useCache && !writeGolden(sweep, opts_.cachePath))
+        warn("sweep: could not write golden snapshot ", opts_.cachePath);
 
     if (opts_.progress) {
         std::size_t replayed = 0;
         for (const Job &job : jobs)
             replayed += job.replayed;
         std::fprintf(stderr,
-                     "[sweep] %zu jobs (%zu cached, %zu replayed) on %u "
-                     "thread%s in %.2fs\n",
-                     jobs.size(), cacheHits_, replayed, threadsUsed_,
+                     "[sweep] %zu jobs (%zu replayed) on %u thread%s in "
+                     "%.2fs\n",
+                     jobs.size(), replayed, threadsUsed_,
                      threadsUsed_ == 1 ? "" : "s",
                      secondsSince(sweepStart));
     }

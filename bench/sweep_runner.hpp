@@ -4,16 +4,16 @@
  *
  * A sweep is a fixed job matrix: |benchmarks| x |kAllConfigs| mutually
  * independent simulations. SweepRunner materializes the matrix up front,
- * satisfies what it can from the SweepCache, fans the remaining jobs out
- * over a worker pool (common/parallel.hpp), and assembles the Sweep from
- * per-job result slots — keyed by job index, never by completion order,
- * so any thread count produces the identical Sweep.
+ * fans the jobs out over a worker pool (common/parallel.hpp), and
+ * assembles the Sweep from per-job result slots — keyed by job index,
+ * never by completion order, so any thread count produces the identical
+ * Sweep.
  *
  * Execute once, time many: the committed instruction stream of a
  * benchmark is identical for every timing config (the core is
- * execute-functional, timing-directed), so per benchmark the first
- * uncached REV job records an architectural trace (program/trace.hpp)
- * and the remaining configs replay it instead of re-executing semantics.
+ * execute-functional, timing-directed), so per benchmark the first REV
+ * job records an architectural trace (program/trace.hpp) and the
+ * remaining configs replay it instead of re-executing semantics.
  * Non-replayable recordings (self-modifying code, violations) and jobs
  * whose trace fails attachment validation silently run direct; setting
  * REV_TRACE_REPLAY=0 disables the whole mechanism. Traces larger than
@@ -42,8 +42,7 @@ struct JobTiming
 {
     std::string bench;
     Config config = Config::Base;
-    double wallSeconds = 0; ///< 0 for cache hits
-    bool fromCache = false;
+    double wallSeconds = 0;
     bool replayed = false; ///< timed against a recorded trace
 };
 
@@ -74,15 +73,11 @@ class SweepRunner
     /** Worker threads the fan-out actually used. */
     unsigned threadsUsed() const { return threadsUsed_; }
 
-    /** Jobs served from the cache in the last run(). */
-    std::size_t cacheHits() const { return cacheHits_; }
-
   private:
     SweepOptions opts_;
     std::vector<JobTiming> timings_;
     SweepPhaseTimings phases_;
     unsigned threadsUsed_ = 1;
-    std::size_t cacheHits_ = 0;
 };
 
 } // namespace rev::bench

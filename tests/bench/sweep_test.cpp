@@ -125,11 +125,8 @@ TEST(SweepRunner, TimingsCoverEveryJob)
     const Sweep s = runner.run();
     EXPECT_EQ(runner.timings().size(),
               s.benchmarks.size() * std::size(kAllConfigs));
-    for (const JobTiming &t : runner.timings()) {
-        EXPECT_FALSE(t.fromCache);
+    for (const JobTiming &t : runner.timings())
         EXPECT_GT(t.wallSeconds, 0.0) << t.bench;
-    }
-    EXPECT_EQ(runner.cacheHits(), 0u);
 }
 
 } // namespace

@@ -187,8 +187,9 @@ TEST(DedupEquivalence, VerdictsBitIdenticalWithAndWithoutCache)
             EXPECT_EQ(a.spillBytes, b.spillBytes);
             EXPECT_EQ(a.unattestedBlocks, b.unattestedBlocks);
             EXPECT_EQ(a.edgeViolations, b.edgeViolations);
-            if (pass == 1)
+            if (pass == 1) {
                 EXPECT_GT(cached.dedupHits(), 0u);
+            }
         }
     }
 }
