@@ -1,16 +1,13 @@
 #include "bench/sweep_runner.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <map>
-#include <memory>
+#include <deque>
 #include <mutex>
 #include <optional>
-
-#include <unistd.h>
+#include <tuple>
 
 #include "bench/golden.hpp"
 #include "common/parallel.hpp"
@@ -24,73 +21,92 @@ namespace rev::bench
 namespace
 {
 
-constexpr std::size_t kNoJob = ~std::size_t{0};
+constexpr std::size_t kNone = ~std::size_t{0};
 
-/** Build inputs a signature-store prototype was derived from. */
-struct ProtoParams
+/** Build inputs of a signature-table prototype, beside the program. */
+struct TableKey
 {
     u64 cpuSeed = 0;
     u64 toolchainSeed = 0;
     prog::SplitLimits limits;
     unsigned hashRounds = 0;
+    sig::ValidationMode mode = sig::ValidationMode::Full;
 
-    bool operator==(const ProtoParams &) const = default;
+    bool operator==(const TableKey &) const = default;
 };
 
-/** Everything per-benchmark the job matrix needs. */
-struct BenchPlan
+TableKey
+tableKeyOf(const core::SimConfig &cfg)
 {
-    workloads::WorkloadProfile profile;
-    std::optional<prog::Program> program;
-    StaticNumbers statics;
-
-    // Signature tables are deterministic in (program, mode, seeds,
-    // limits, hash rounds), so configs differing only in timing
-    // parameters share one build: prototypes are built once per mode
-    // here, and each job's Simulator shares the matching one's build.
-    std::optional<ProtoParams> protoParams;
-    std::optional<crypto::KeyVault> protoVault;
-    std::map<sig::ValidationMode, sig::SigStore> protos;
-
-    // Warmed memory images, loaded once and COW-forked by every job
-    // (SimConfig::memoryImage): the program image alone for non-REV
-    // jobs, program + loaded tables per validation mode. Page versions
-    // come out identical to a per-job load, so forked runs are
-    // bit-identical to cold-loaded ones.
-    bool hasImages = false;
-    SparseMemory baseImage;
-    std::map<sig::ValidationMode, SparseMemory> modeImages;
-
-    // Execute-once state: the record job's trace, shared read-only by
-    // every replay job of this benchmark. Spilled traces are reloaded
-    // lazily by the first replay worker and released once the last one
-    // finishes (traceUsers counts the outstanding phase-2b jobs).
-    std::size_t recordJobIdx = kNoJob;
-    std::shared_ptr<prog::Trace> trace;
-    std::string spillPath;
-    bool spilled = false;
-    std::mutex traceMu;
-    std::size_t traceUsers = 0;
-};
-
-ProtoParams
-protoParamsOf(const core::SimConfig &cfg)
-{
-    return ProtoParams{cfg.cpuSeed, cfg.toolchainSeed, cfg.core.splitLimits,
-                       cfg.rev.chg.hashRounds};
+    return TableKey{cfg.cpuSeed, cfg.toolchainSeed, cfg.core.splitLimits,
+                    cfg.rev.chg.hashRounds, cfg.mode};
 }
 
-/** One cell of the job matrix. */
-struct Job
+/**
+ * One shared signature-table prototype and its warmed memory image
+ * (program + loaded tables). Tables are deterministic in their build
+ * inputs, so every job with the same key shares one build; page versions
+ * of a forked image come out identical to a per-job load, so forked runs
+ * are bit-identical to cold-loaded ones.
+ */
+struct Table
 {
-    std::size_t benchIdx = 0;
-    Config config = Config::Base;
-    core::SimConfig cfg;
-    bool replayed = false;
-    RunNumbers result;
-    u64 sigTableBytes = 0;
-    double wallSeconds = 0;
+    TableKey key;
+    std::optional<sig::SigStore> store;
+    SparseMemory image;
+    double buildSeconds = 0;
 };
+
+/** Everything the jobs of one program share. */
+struct ProgramPlan
+{
+    workloads::WorkloadProfile key; ///< what the program is generated from
+    std::optional<prog::Program> program;
+    StaticNumbers statics;
+    std::deque<Table> tables; ///< complete before the builds start
+    SparseMemory baseImage;   ///< program image alone (no-validation jobs)
+};
+
+/** Program index, instruction budget, split limits. */
+using GroupKey = std::tuple<std::size_t, u64, prog::SplitLimits>;
+
+/**
+ * The one-shot jobs of one program that commit the same instruction
+ * stream: same budget, same split limits. The recorder is the group's
+ * first with-validation job: validation drains stores only at block
+ * boundaries (cpu/core.cpp), the lowest drain watermark of any config,
+ * so its recorded forwarding distances dominate every replay
+ * (trace.hpp) whatever its other parameters.
+ */
+struct ReplayGroup
+{
+    GroupKey key;
+    std::size_t members = 0;
+    std::size_t recordJob = kNone;
+    std::optional<prog::Trace> trace; ///< kept until the run ends
+};
+
+/** Runtime state of one job. */
+struct Slot
+{
+    std::size_t plan = 0;
+    std::size_t table = kNone;
+    std::size_t group = kNone;
+    core::SimConfig cfg; ///< the job's, plus the runner's harness pointers
+    JobResult result;
+};
+
+/** Index of the element of @p items keyed @p key, appended if none is. */
+template <typename T, typename K>
+std::size_t
+indexOf(std::deque<T> &items, const K &key)
+{
+    for (std::size_t i = 0; i < items.size(); ++i)
+        if (items[i].key == key)
+            return i;
+    items.emplace_back().key = key;
+    return items.size() - 1;
+}
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
@@ -100,58 +116,35 @@ secondsSince(std::chrono::steady_clock::time_point t0)
         .count();
 }
 
-std::size_t
-spillThresholdBytes()
-{
-    const char *env = std::getenv("REV_TRACE_SPILL_MB");
-    if (!env)
-        return std::size_t{64} << 20;
-    return static_cast<std::size_t>(std::strtoull(env, nullptr, 10)) << 20;
-}
-
 std::vector<workloads::WorkloadProfile>
 selectProfiles(const std::vector<std::string> &wanted)
 {
-    auto all = workloads::spec2006Profiles();
-    if (wanted.empty())
-        return all;
-    for (const auto &name : wanted) {
-        bool known = false;
-        for (const auto &p : all)
-            known = known || p.name == name;
-        if (!known)
-            fatal("sweep: unknown benchmark '", name, "'");
-    }
     std::vector<workloads::WorkloadProfile> out;
-    for (auto &p : all) {
-        for (const auto &name : wanted) {
-            if (p.name == name) {
-                out.push_back(std::move(p));
-                break;
-            }
-        }
-    }
+    for (auto &p : workloads::spec2006Profiles())
+        if (wanted.empty() || std::count(wanted.begin(), wanted.end(), p.name))
+            out.push_back(std::move(p));
+    for (const auto &name : wanted)
+        if (std::none_of(out.begin(), out.end(),
+                         [&](const auto &p) { return p.name == name; }))
+            fatal("sweep: unknown benchmark '", name, "'");
     return out;
 }
 
-/** Simulate @p job, filling its result and table footprint. */
+/**
+ * Fold one run() quantum into @p out. Core counters are per run(), so
+ * they add up; validator and memory-system counters are cumulative since
+ * resetStats(), so the latest quantum's values stand.
+ */
 void
-simulateJob(const prog::Program &program, Job &job, const std::string &bench)
+addQuantum(JobResult &out, const core::SimResult &res)
 {
-    core::Simulator sim(program, job.cfg);
-    const core::SimResult res = sim.run();
-    job.replayed = sim.replayActive();
-    if (res.run.violation)
-        fatal("bench sweep: unexpected violation in ", bench, " (",
-              configName(job.config), "): ", res.run.violation->reason);
-
-    RunNumbers &r = job.result;
-    r.ipc = res.run.ipc();
-    r.cycles = res.run.cycles;
-    r.instrs = res.run.instrs;
-    r.committedBranches = res.run.committedBranches;
-    r.uniqueBranches = res.run.uniqueBranches;
-    r.mispredicts = res.run.mispredicts;
+    RunNumbers &r = out.run;
+    r.cycles += res.run.cycles;
+    r.instrs += res.run.instrs;
+    r.committedBranches += res.run.committedBranches;
+    r.uniqueBranches += res.run.uniqueBranches;
+    r.mispredicts += res.run.mispredicts;
+    r.ipc = r.cycles ? static_cast<double>(r.instrs) / r.cycles : 0.0;
     r.scCompleteMisses = res.rev.scCompleteMisses;
     r.scPartialMisses = res.rev.scPartialMisses;
     r.commitStallCycles = res.validation.commitStallCycles;
@@ -159,7 +152,30 @@ simulateJob(const prog::Program &program, Job &job, const std::string &bench)
     r.scFillL1Misses = res.scFillL1Misses;
     r.scFillL2Misses = res.scFillL2Misses;
     r.violations = res.validation.violations;
-    job.sigTableBytes = res.sigTableBytes;
+    out.shadowSpills = res.rev.shadowSpills;
+    out.shadowRefills = res.rev.shadowRefills;
+    out.sigTableBytes = res.sigTableBytes;
+}
+
+/** Simulate @p job on @p program under @p slot's config. */
+void
+simulate(const prog::Program &program, const Job &job, Slot &slot)
+{
+    core::Simulator sim(program, slot.cfg);
+    if (job.measureInstrs) {
+        sim.run(); // warm-up quantum
+        sim.resetStats();
+    }
+    do {
+        const core::SimResult res = sim.run();
+        if (res.run.violation)
+            fatal("bench sweep: unexpected violation in ", job.program.name,
+                  " (", job.tag, "): ", res.run.violation->reason);
+        addQuantum(slot.result, res);
+        if (res.run.halted)
+            break;
+    } while (slot.result.run.instrs < job.measureInstrs);
+    slot.result.replayed = sim.replayActive();
 }
 
 StaticNumbers
@@ -182,286 +198,258 @@ computeStatics(const prog::Program &program, const prog::Cfg *prebuilt)
     return st;
 }
 
-std::string
-spillPathFor(const std::string &bench)
+/** The paper sweep's job list: the selected benchmarks x kAllConfigs,
+ *  benchmark-major. */
+std::vector<Job>
+sweepJobs(const SweepOptions &opts)
 {
-    namespace fs = std::filesystem;
-    std::error_code ec;
-    fs::path dir = fs::temp_directory_path(ec);
-    if (ec)
-        dir = ".";
-    return (dir / ("rev-trace-" + bench + "-" +
-                   std::to_string(::getpid()) + ".bin"))
-        .string();
+    std::vector<Job> jobs;
+    for (const auto &prof : selectProfiles(opts.benchmarks)) {
+        for (Config c : kAllConfigs) {
+            Job job;
+            job.program = prof;
+            job.cfg = sweepSimConfig(c, opts.instrBudget);
+            if (job.cfg.withRev)
+                job.cfg.backend = opts.backend;
+            job.tag = configName(c);
+            jobs.push_back(std::move(job));
+        }
+    }
+    return jobs;
 }
 
 } // namespace
 
 SweepRunner::SweepRunner(SweepOptions opts) : opts_(std::move(opts)) {}
 
-Sweep
-SweepRunner::run()
+std::vector<JobResult>
+SweepRunner::runJobs(const std::vector<Job> &jobs)
 {
-    const auto sweepStart = std::chrono::steady_clock::now();
+    const auto runStart = std::chrono::steady_clock::now();
     threadsUsed_ = resolveThreadCount(opts_.threads);
-    timings_.clear();
     phases_ = SweepPhaseTimings{};
 
-    // Build the job matrix. Plans carry a mutex, so they live behind
-    // stable pointers.
-    std::vector<std::unique_ptr<BenchPlan>> plans;
-    std::vector<Job> jobs;
-    for (auto &prof : selectProfiles(opts_.benchmarks)) {
-        auto plan = std::make_unique<BenchPlan>();
-        plan->profile = std::move(prof);
-
-        const std::size_t benchIdx = plans.size();
-        for (Config c : kAllConfigs) {
-            Job job;
-            job.benchIdx = benchIdx;
-            job.config = c;
-            job.cfg = sweepSimConfig(c, opts_.instrBudget);
-            if (job.cfg.withRev)
-                job.cfg.backend = opts_.backend;
-            jobs.push_back(std::move(job));
-        }
-        plans.push_back(std::move(plan));
+    // Key every job to its program, table and replay group. Deques keep
+    // the images jobs point into where they are.
+    std::deque<ProgramPlan> plans;
+    std::deque<ReplayGroup> groups;
+    std::vector<Slot> slots(jobs.size());
+    const bool replay = prog::replayEnabledFromEnv();
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const Job &job = jobs[j];
+        Slot &slot = slots[j];
+        slot.cfg = job.cfg;
+        slot.plan = indexOf(plans, job.program);
+        if (job.cfg.withRev)
+            slot.table = indexOf(plans[slot.plan].tables, tableKeyOf(job.cfg));
+        if (!replay || job.measureInstrs)
+            continue; // steady-state jobs run direct
+        slot.group = indexOf(groups, GroupKey{slot.plan, job.cfg.core.maxInstrs,
+                                              job.cfg.core.splitLimits});
+        ReplayGroup &group = groups[slot.group];
+        ++group.members;
+        if (group.recordJob == kNone && job.cfg.withRev)
+            group.recordJob = j;
     }
 
-    // Phase 1: generate the programs, in parallel across benchmarks.
-    // Programs are immutable afterwards; concurrent simulators only read
-    // them.
+    // Phase 1: generate the programs, in parallel. Programs are
+    // immutable afterwards; concurrent simulators only read them.
     std::mutex logMu;
     std::atomic<std::size_t> genDone{0};
     const auto genStart = std::chrono::steady_clock::now();
     parallelFor(plans.size(), threadsUsed_, [&](std::size_t k) {
-        BenchPlan &plan = *plans[k];
-        plan.program = workloads::generateWorkload(plan.profile);
+        ProgramPlan &plan = plans[k];
+        plan.program = workloads::generateWorkload(plan.key);
         if (opts_.progress) {
             const std::size_t done = genDone.fetch_add(1) + 1;
             std::lock_guard<std::mutex> lock(logMu);
             std::fprintf(stderr, "[sweep] generated %-12s (%zu/%zu)\n",
-                         plan.profile.name.c_str(), done, plans.size());
+                         plan.key.name.c_str(), done, plans.size());
         }
     });
     phases_.generateSeconds = secondsSince(genStart);
 
-    // Phase 1.5: one signature-table build per (benchmark, mode). The
-    // first mode of a benchmark pays the CFG derivation and the per-block
-    // hashing; later modes reuse both through the donor. Plans build
-    // independently, so fan out across benchmarks. The statics of a plan
-    // ride along here: with default split limits and a single-module
-    // program, the prototype's main-module CFG is exactly the CFG the
-    // statics are derived from, so it is not derived twice.
+    // Phase 1.5: build every prototype, serially within a program so a
+    // table reuses the CFGs (and block hashes at equal rounds) of the
+    // program's first table with the same split limits, its donor. The
+    // statics ride along: with default split limits and a single-module
+    // program, a prototype's main-module CFG is exactly the CFG the
+    // statics are derived from.
     const auto protoStart = std::chrono::steady_clock::now();
     parallelFor(plans.size(), threadsUsed_, [&](std::size_t k) {
-        BenchPlan &plan = *plans[k];
-        for (Job &job : jobs) {
-            if (job.benchIdx != k || !job.cfg.withRev)
-                continue;
-            const ProtoParams params = protoParamsOf(job.cfg);
-            if (!plan.protoParams) {
-                plan.protoParams = params;
-                plan.protoVault.emplace(params.cpuSeed);
-            } else if (*plan.protoParams != params) {
-                continue; // heterogeneous seeds/limits: job builds its own
-            }
-            if (plan.protos.count(job.cfg.mode))
-                continue;
-            const sig::SigStore *donor =
-                plan.protos.empty() ? nullptr : &plan.protos.begin()->second;
-            plan.protos.try_emplace(job.cfg.mode, *plan.program,
-                                    job.cfg.mode, *plan.protoVault,
-                                    params.toolchainSeed, params.limits,
-                                    params.hashRounds, donor);
+        ProgramPlan &plan = plans[k];
+        auto firstWith = [&](const prog::SplitLimits &limits) {
+            return std::find_if(
+                plan.tables.begin(), plan.tables.end(),
+                [&](const Table &t) { return t.key.limits == limits; });
+        };
+        for (Table &t : plan.tables) {
+            const Table &donor = *firstWith(t.key.limits);
+            const auto t0 = std::chrono::steady_clock::now();
+            t.store.emplace(*plan.program, t.key.mode,
+                            crypto::KeyVault(t.key.cpuSeed),
+                            t.key.toolchainSeed, t.key.limits,
+                            t.key.hashRounds,
+                            &donor == &t ? nullptr : &*donor.store);
+            t.buildSeconds = secondsSince(t0);
         }
-        const prog::Cfg *main_cfg = nullptr;
-        if (!plan.protos.empty() && plan.program->modules().size() == 1 &&
-            plan.protoParams->limits == prog::SplitLimits{})
-            main_cfg =
-                plan.protos.begin()->second.moduleSigs().front().cfg.get();
-        plan.statics = computeStatics(*plan.program, main_cfg);
+        const auto dflt = firstWith(prog::SplitLimits{});
+        const bool reuse = dflt != plan.tables.end() &&
+                           plan.program->modules().size() == 1;
+        plan.statics = computeStatics(
+            *plan.program,
+            reuse ? dflt->store->moduleSigs().front().cfg.get() : nullptr);
     });
     phases_.protoSeconds = secondsSince(protoStart);
 
-    // Phase 1.6: load each benchmark's shared memory images once — the
-    // program image alone, plus a table-loaded fork per built mode.
-    // Every job COW-forks its image (SimConfig::memoryImage) instead of
+    // Phase 1.6: load each program's image once, plus a table-loaded
+    // fork per prototype. Every job COW-forks its image instead of
     // re-depositing the same bytes page by page.
     const auto imageStart = std::chrono::steady_clock::now();
     parallelFor(plans.size(), threadsUsed_, [&](std::size_t k) {
-        BenchPlan &plan = *plans[k];
+        ProgramPlan &plan = plans[k];
         plan.program->loadInto(plan.baseImage);
-        for (const auto &[mode, proto] : plan.protos) {
-            SparseMemory img = plan.baseImage.fork();
-            proto.loadInto(img);
-            plan.modeImages.emplace(mode, std::move(img));
+        for (Table &t : plan.tables) {
+            t.image = plan.baseImage.fork();
+            t.store->loadInto(t.image);
         }
-        plan.hasImages = true;
     });
     phases_.imageSeconds = secondsSince(imageStart);
 
-    // Attach the benchmark's shared signature-table prototype and the
-    // matching warmed memory image, if any. Images are immutable from
-    // here on; concurrent jobs only fork() them.
-    auto attachProto = [&](Job &job) {
-        const BenchPlan &plan = *plans[job.benchIdx];
-        if (job.cfg.withRev && plan.protoParams &&
-            *plan.protoParams == protoParamsOf(job.cfg)) {
-            auto it = plan.protos.find(job.cfg.mode);
-            if (it != plan.protos.end()) {
-                job.cfg.sigStorePrototype = &it->second;
-                const auto im = plan.modeImages.find(job.cfg.mode);
-                if (plan.hasImages && im != plan.modeImages.end())
-                    job.cfg.memoryImage = &im->second;
-            }
-        } else if (!job.cfg.withRev && plan.hasImages) {
-            job.cfg.memoryImage = &plan.baseImage;
+    // Attach the job's shared prototype and warmed image. Both are
+    // immutable from here on; concurrent jobs only share or fork them.
+    auto attach = [&](Slot &slot) {
+        ProgramPlan &plan = plans[slot.plan];
+        if (slot.table != kNone) {
+            const Table &t = plan.tables[slot.table];
+            slot.cfg.sigStorePrototype = &*t.store;
+            slot.cfg.memoryImage = &t.image;
+        } else {
+            slot.cfg.memoryImage = &plan.baseImage;
         }
     };
 
-    // Phase 2a: record one architectural trace per benchmark, on its
-    // first REV job. The recorder must be a REV config: its store-drain
-    // watermark is the lowest of any config, so the recorded forwarding
-    // distances dominate every replay (trace.hpp).
-    std::vector<std::size_t> recordIdx;
-    if (prog::replayEnabledFromEnv()) {
-        for (std::size_t j = 0; j < jobs.size(); ++j) {
-            BenchPlan &plan = *plans[jobs[j].benchIdx];
-            if (plan.recordJobIdx == kNoJob && jobs[j].cfg.withRev) {
-                plan.recordJobIdx = j;
-                recordIdx.push_back(j);
-            }
-        }
-    }
-
-    const std::size_t spill_limit = spillThresholdBytes();
     std::atomic<std::size_t> simDone{0};
-    auto logJob = [&](const Job &job, const BenchPlan &plan,
-                      const char *tag) {
+    auto runSlot = [&](std::size_t j, const char *note) {
+        Slot &slot = slots[j];
+        const ProgramPlan &plan = plans[slot.plan];
+        attach(slot);
+        const auto t0 = std::chrono::steady_clock::now();
+        simulate(*plan.program, jobs[j], slot);
+        slot.result.wallSeconds = secondsSince(t0);
         if (!opts_.progress)
             return;
         const std::size_t done = simDone.fetch_add(1) + 1;
         std::lock_guard<std::mutex> lock(logMu);
         std::fprintf(stderr, "[sweep] %-12s %-7s %6.2fs%s (%zu/%zu)\n",
-                     plan.profile.name.c_str(), configName(job.config),
-                     job.wallSeconds, tag, done, jobs.size());
+                     plan.key.name.c_str(), jobs[j].tag.c_str(),
+                     slot.result.wallSeconds,
+                     note ? note : (slot.result.replayed ? " (replay)" : ""),
+                     done, jobs.size());
     };
 
-    const auto recordStart = std::chrono::steady_clock::now();
-    parallelFor(recordIdx.size(), threadsUsed_, [&](std::size_t k) {
-        Job &job = jobs[recordIdx[k]];
-        BenchPlan &plan = *plans[job.benchIdx];
-        attachProto(job);
-        prog::TraceRecorder recorder;
-        job.cfg.traceRecorder = &recorder;
-        const auto t0 = std::chrono::steady_clock::now();
-        simulateJob(*plan.program, job, plan.profile.name);
-        job.wallSeconds = secondsSince(t0);
-        job.cfg.traceRecorder = nullptr;
+    // Phase 2a: the jobs nothing waits for and no trace serves: the
+    // steady-state jobs (longest first) and one trace recording per
+    // replay group that has jobs to replay it.
+    std::vector<std::size_t> first, rest;
+    for (std::size_t j = 0; j < jobs.size(); ++j)
+        if (jobs[j].measureInstrs)
+            first.push_back(j);
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const std::size_t g = slots[j].group;
+        if (g != kNone && groups[g].recordJob == j && groups[g].members > 1)
+            first.push_back(j);
+        else if (!jobs[j].measureInstrs)
+            rest.push_back(j);
+    }
 
-        auto trace = std::make_shared<prog::Trace>(recorder.take());
-        if (trace->replayable()) {
-            if (trace->byteSize() > spill_limit) {
-                plan.spillPath = spillPathFor(plan.profile.name);
-                if (trace->save(plan.spillPath))
-                    plan.spilled = true; // reloaded lazily in phase 2b
-                else
-                    plan.trace = std::move(trace);
-            } else {
-                plan.trace = std::move(trace);
-            }
+    const auto recordStart = std::chrono::steady_clock::now();
+    parallelFor(first.size(), threadsUsed_, [&](std::size_t k) {
+        const std::size_t j = first[k];
+        Slot &slot = slots[j];
+        if (jobs[j].measureInstrs) {
+            runSlot(j, " (steady)");
+            return;
         }
-        logJob(job, plan, " (record)");
+        prog::TraceRecorder recorder;
+        slot.cfg.traceRecorder = &recorder;
+        runSlot(j, " (record)");
+        slot.cfg.traceRecorder = nullptr;
+        prog::Trace trace = recorder.take();
+        if (trace.replayable())
+            groups[slot.group].trace = std::move(trace);
     });
     phases_.recordSeconds = secondsSince(recordStart);
 
-    // Phase 2b: fan the remaining simulations out across the pool,
-    // replaying the benchmark's trace where one attached. Each job writes
-    // only its own slot; assembly below is order-independent.
-    std::vector<std::size_t> simIdx;
-    for (std::size_t j = 0; j < jobs.size(); ++j)
-        if (plans[jobs[j].benchIdx]->recordJobIdx != j)
-            simIdx.push_back(j);
-    for (std::size_t j : simIdx)
-        ++plans[jobs[j].benchIdx]->traceUsers;
-
+    // Phase 2b: the remaining one-shot jobs, replaying their group's
+    // trace where one was recorded. Each job writes only its own slot.
     const auto replayStart = std::chrono::steady_clock::now();
-    parallelFor(simIdx.size(), threadsUsed_, [&](std::size_t k) {
-        Job &job = jobs[simIdx[k]];
-        BenchPlan &plan = *plans[job.benchIdx];
-        attachProto(job);
-
-        std::shared_ptr<prog::Trace> trace;
-        {
-            std::lock_guard<std::mutex> lock(plan.traceMu);
-            if (plan.spilled && !plan.trace) {
-                auto t = std::make_shared<prog::Trace>();
-                if (t->load(plan.spillPath))
-                    plan.trace = std::move(t);
-                else
-                    plan.spilled = false; // unreadable spill: run direct
-            }
-            trace = plan.trace;
-        }
-        job.cfg.replayTrace = trace.get();
-
-        const auto t0 = std::chrono::steady_clock::now();
-        simulateJob(*plan.program, job, plan.profile.name);
-        job.wallSeconds = secondsSince(t0);
-        job.cfg.replayTrace = nullptr;
-        trace.reset();
-
-        {
-            std::lock_guard<std::mutex> lock(plan.traceMu);
-            if (--plan.traceUsers == 0) {
-                plan.trace.reset();
-                if (plan.spilled) {
-                    std::error_code ec;
-                    std::filesystem::remove(plan.spillPath, ec);
-                }
-            }
-        }
-        logJob(job, plan, job.replayed ? " (replay)" : "");
+    parallelFor(rest.size(), threadsUsed_, [&](std::size_t k) {
+        Slot &slot = slots[rest[k]];
+        if (slot.group != kNone && groups[slot.group].trace)
+            slot.cfg.replayTrace = &*groups[slot.group].trace;
+        runSlot(rest[k], nullptr);
+        slot.cfg.replayTrace = nullptr;
     });
     phases_.replaySeconds = secondsSince(replayStart);
 
-    // Assemble deterministically: benchmarks in plan order, configs in
-    // kAllConfigs order, every value pulled from its job slot.
-    Sweep sweep;
-    sweep.instrBudget = opts_.instrBudget;
-    for (const auto &plan : plans)
-        sweep.benchmarks.push_back(plan->profile.name);
-    for (const Job &job : jobs) {
-        const std::string &bench = plans[job.benchIdx]->profile.name;
-        sweep.runs[{bench, job.config}] = job.result;
-        StaticNumbers &st =
-            sweep.statics.try_emplace(bench, plans[job.benchIdx]->statics)
-                .first->second;
-        if (job.config == Config::Full32)
-            st.tableBytesFull = job.sigTableBytes;
-        else if (job.config == Config::Agg32)
-            st.tableBytesAggressive = job.sigTableBytes;
-        else if (job.config == Config::Cfi32)
-            st.tableBytesCfi = job.sigTableBytes;
-        timings_.push_back(
-            {bench, job.config, job.wallSeconds, job.replayed});
+    std::vector<JobResult> results;
+    results.reserve(slots.size());
+    std::size_t replayed = 0;
+    for (Slot &slot : slots) {
+        const ProgramPlan &plan = plans[slot.plan];
+        slot.result.statics = plan.statics;
+        if (slot.table != kNone)
+            slot.result.tableBuildSeconds =
+                plan.tables[slot.table].buildSeconds;
+        replayed += slot.result.replayed;
+        results.push_back(slot.result);
     }
-
-    if (opts_.useCache && !writeGolden(sweep, opts_.cachePath))
-        warn("sweep: could not write golden snapshot ", opts_.cachePath);
-
-    if (opts_.progress) {
-        std::size_t replayed = 0;
-        for (const Job &job : jobs)
-            replayed += job.replayed;
+    if (opts_.progress)
         std::fprintf(stderr,
                      "[sweep] %zu jobs (%zu replayed) on %u thread%s in "
                      "%.2fs\n",
                      jobs.size(), replayed, threadsUsed_,
-                     threadsUsed_ == 1 ? "" : "s",
-                     secondsSince(sweepStart));
+                     threadsUsed_ == 1 ? "" : "s", secondsSince(runStart));
+    return results;
+}
+
+Sweep
+SweepRunner::run(const std::vector<Job> &extra,
+                 std::vector<JobResult> *extraResults)
+{
+    std::vector<Job> jobs = sweepJobs(opts_);
+    const std::size_t sweepCount = jobs.size();
+    jobs.insert(jobs.end(), extra.begin(), extra.end());
+    const std::vector<JobResult> results = runJobs(jobs);
+
+    // Assemble deterministically: sweepJobs() lays the jobs out
+    // benchmark-major in kAllConfigs order.
+    Sweep sweep;
+    sweep.instrBudget = opts_.instrBudget;
+    timings_.clear();
+    for (std::size_t j = 0; j < sweepCount; ++j) {
+        const std::string &bench = jobs[j].program.name;
+        const Config config = kAllConfigs[j % std::size(kAllConfigs)];
+        const JobResult &res = results[j];
+        if (config == kAllConfigs[0])
+            sweep.benchmarks.push_back(bench);
+        sweep.runs[{bench, config}] = res.run;
+        StaticNumbers &st =
+            sweep.statics.try_emplace(bench, res.statics).first->second;
+        if (config == Config::Full32)
+            st.tableBytesFull = res.sigTableBytes;
+        else if (config == Config::Agg32)
+            st.tableBytesAggressive = res.sigTableBytes;
+        else if (config == Config::Cfi32)
+            st.tableBytesCfi = res.sigTableBytes;
+        timings_.push_back({bench, config, res.wallSeconds, res.replayed});
     }
+    if (extraResults)
+        extraResults->assign(results.begin() + sweepCount, results.end());
+
+    if (opts_.useCache && !writeGolden(sweep, opts_.cachePath))
+        warn("sweep: could not write golden snapshot ", opts_.cachePath);
     return sweep;
 }
 

@@ -101,14 +101,8 @@ struct Trace
                formatVersion == kTraceFormatVersion;
     }
 
-    /** Encoded payload size (spill-threshold input). */
-    std::size_t
-    byteSize() const
-    {
-        return bytes.size() + bits.size() + codePages.size() * 16;
-    }
-
-    /** Write to / read back from a file (also the sweep spill format). */
+    /** Write to / read back from a file (revsim --record-trace /
+     *  --replay-trace). */
     bool save(const std::string &path) const;
     bool load(const std::string &path);
 };

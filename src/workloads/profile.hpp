@@ -76,6 +76,8 @@ struct WorkloadProfile
 
     /** Outer iterations of main (runs usually stop on an instr budget). */
     u32 mainIterations = 1u << 20;
+
+    bool operator==(const WorkloadProfile &) const = default;
 };
 
 /** The 15 calibrated SPEC CPU 2006 stand-ins used in the paper's plots. */

@@ -1,16 +1,20 @@
 /**
  * @file
  * Tier-1 guarantees of the parallel sweep engine: any thread count
- * produces results identical to the serial run, and the options-driven
- * API behaves (subset selection, env thread override). The serial and
- * parallel reference sweeps are computed once and shared across tests —
- * each sweep costs real simulation time.
+ * produces results identical to the serial run, the options-driven API
+ * behaves (subset selection, env thread override), and a job list's
+ * results equal those of direct Simulator runs, whatever the runner
+ * shares, replays or warms up. The serial and parallel reference sweeps
+ * are computed once and shared across tests — each sweep costs real
+ * simulation time.
  */
 
 #include "bench/suite.hpp"
 #include "bench/sweep_runner.hpp"
 
 #include <cstdlib>
+
+#include "workloads/generator.hpp"
 
 #include <gtest/gtest.h>
 
@@ -127,6 +131,153 @@ TEST(SweepRunner, TimingsCoverEveryJob)
               s.benchmarks.size() * std::size(kAllConfigs));
     for (const JobTiming &t : runner.timings())
         EXPECT_GT(t.wallSeconds, 0.0) << t.bench;
+}
+
+/** Every RunNumbers field of a direct run, read off its SimResult. */
+RunNumbers
+numbersOf(const core::SimResult &res)
+{
+    RunNumbers r;
+    r.ipc = res.run.ipc();
+    r.cycles = res.run.cycles;
+    r.instrs = res.run.instrs;
+    r.committedBranches = res.run.committedBranches;
+    r.uniqueBranches = res.run.uniqueBranches;
+    r.mispredicts = res.run.mispredicts;
+    r.scCompleteMisses = res.rev.scCompleteMisses;
+    r.scPartialMisses = res.rev.scPartialMisses;
+    r.commitStallCycles = res.validation.commitStallCycles;
+    r.scFillAccesses = res.scFillAccesses;
+    r.scFillL1Misses = res.scFillL1Misses;
+    r.scFillL2Misses = res.scFillL2Misses;
+    r.violations = res.validation.violations;
+    return r;
+}
+
+/**
+ * The steady-state measurement as the former serial Fig. 7 harness ran
+ * it: one warm-up quantum, resetStats(), then quanta until @p measure
+ * instructions. Returns the measured (cycles, instrs).
+ */
+std::pair<u64, u64>
+steadyOracle(const prog::Program &program, core::SimConfig cfg, u64 warm,
+             u64 measure)
+{
+    cfg.core.maxInstrs = warm;
+    core::Simulator sim(program, cfg);
+    sim.run(); // warm
+    sim.resetStats();
+    u64 cycles = 0, instrs = 0;
+    while (instrs < measure) {
+        const core::SimResult r = sim.run();
+        EXPECT_FALSE(r.run.violation);
+        cycles += r.run.cycles;
+        instrs += r.run.instrs;
+        if (r.run.halted)
+            break;
+    }
+    return {cycles, instrs};
+}
+
+TEST(SweepRunner, SteadyStateJobMatchesWarmUpLoop)
+{
+    constexpr u64 kWarm = 10'000, kMeasure = 20'000;
+    const auto prof =
+        workloads::specProfile(SweepOptions::quick().benchmarks.front());
+    const prog::Program program = workloads::generateWorkload(prof);
+
+    std::vector<Job> jobs;
+    for (Config c : {Config::Base, Config::Full32, Config::Cfi32})
+        jobs.push_back({prof, sweepSimConfig(c, kWarm), kMeasure, "steady"});
+    // A one-shot job of the same program and budget rides along: it must
+    // not disturb the steady-state jobs it shares tables and images with.
+    jobs.push_back({prof, sweepSimConfig(Config::Full32, kWarm), 0, "once"});
+
+    SweepOptions opts = tinyOptions(2);
+    opts.benchmarks = {prof.name};
+    std::vector<JobResult> res;
+    SweepRunner(opts).run(jobs, &res);
+    ASSERT_EQ(res.size(), jobs.size());
+    for (std::size_t j = 0; j + 1 < jobs.size(); ++j) {
+        const auto [cycles, instrs] =
+            steadyOracle(program, jobs[j].cfg, kWarm, kMeasure);
+        EXPECT_EQ(res[j].run.cycles, cycles) << "job " << j;
+        EXPECT_EQ(res[j].run.instrs, instrs) << "job " << j;
+        EXPECT_GE(res[j].run.instrs, kMeasure) << "job " << j;
+        EXPECT_FALSE(res[j].replayed) << "job " << j;
+    }
+    EXPECT_TRUE(res.back().run ==
+                numbersOf(core::Simulator(program, jobs.back().cfg).run()));
+}
+
+TEST(SweepRunner, AblationJobsMatchDirectRuns)
+{
+    constexpr u64 kBudget = 20'000;
+    const auto prof =
+        workloads::specProfile(SweepOptions::quick().benchmarks.front());
+    const prog::Program program = workloads::generateWorkload(prof);
+    SweepOptions opts = tinyOptions(3);
+    opts.benchmarks = {prof.name};
+
+    auto rev = [] {
+        core::SimConfig cfg;
+        cfg.core.maxInstrs = kBudget;
+        return cfg;
+    };
+    std::vector<core::SimConfig> cfgs;
+    cfgs.push_back(rev());
+    cfgs.back().withRev = false;
+    cfgs.push_back(rev());
+    cfgs.push_back(rev());
+    cfgs.back().rev.chg.hashRounds = 2;
+    cfgs.push_back(rev());
+    cfgs.back().core.splitLimits.maxInstrs = 8;
+    cfgs.push_back(cfgs.front());
+    cfgs.back().core.splitLimits.maxInstrs = 8;
+    cfgs.push_back(rev());
+    cfgs.back().rev.sc.sizeBytes = 8 * 1024;
+    cfgs.push_back(rev());
+    cfgs.back().rev.chg.latency = 48;
+    cfgs.push_back(rev());
+    cfgs.back().rev.returnValidation =
+        validate::ReturnValidation::ShadowStack;
+    cfgs.push_back(cfgs.back());
+    cfgs.back().rev.shadowStackEntries = 2; // force spills and refills
+    cfgs.push_back(rev());
+    cfgs.back().mem.dmaIntervalCycles = 4;
+
+    std::vector<Job> jobs;
+    for (const core::SimConfig &cfg : cfgs)
+        jobs.push_back({prof, cfg, 0, "ablation"});
+
+    std::vector<core::SimResult> direct;
+    for (const core::SimConfig &cfg : cfgs)
+        direct.push_back(core::Simulator(program, cfg).run());
+    EXPECT_GT(direct[8].rev.shadowSpills, 0u);
+
+    for (const char *replay : {"1", "0"}) {
+        SCOPED_TRACE(std::string("REV_TRACE_REPLAY=") + replay);
+        ::setenv("REV_TRACE_REPLAY", replay, 1);
+        std::vector<JobResult> res;
+        SweepRunner(opts).run(jobs, &res);
+        ::unsetenv("REV_TRACE_REPLAY");
+        ASSERT_EQ(res.size(), jobs.size());
+        std::size_t replayed = 0;
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            EXPECT_TRUE(res[j].run == numbersOf(direct[j])) << "job " << j;
+            EXPECT_EQ(res[j].shadowSpills, direct[j].rev.shadowSpills)
+                << "job " << j;
+            EXPECT_EQ(res[j].shadowRefills, direct[j].rev.shadowRefills)
+                << "job " << j;
+            EXPECT_EQ(res[j].sigTableBytes, direct[j].sigTableBytes)
+                << "job " << j;
+            replayed += res[j].replayed;
+        }
+        // The sweep's first REV job records the default-limits group's
+        // trace (same program, same budget); the 8-instruction group
+        // records on its own REV job. Every other job replays.
+        EXPECT_EQ(replayed, replay[0] == '1' ? jobs.size() - 1 : 0u);
+    }
 }
 
 } // namespace
