@@ -33,12 +33,19 @@
  * reloadProgram() — is picked up automatically. Forked memories copy the
  * version values, so a fork's counters evolve exactly as a cold run's
  * would from the same point — memoized digests stay bit-identical.
+ *
+ * A page may also carry one PageAnnex: data that is a pure function of
+ * the page's bytes (the interpreter's decoded instructions). The annex
+ * belongs to the page object, so every memory sharing the page shares
+ * it; a write that clones the page starts the clone without one, and an
+ * in-place write by the page's only owner drops it.
  */
 
 #ifndef REV_COMMON_SPARSE_MEMORY_HPP
 #define REV_COMMON_SPARSE_MEMORY_HPP
 
 #include <array>
+#include <atomic>
 #include <bit>
 #include <cstring>
 #include <memory>
@@ -49,6 +56,21 @@
 
 namespace rev
 {
+
+/**
+ * Data derived from one page's bytes and owned by that page object (see
+ * SparseMemory::annexOf()). Since a page object's bytes never change
+ * while more than one memory shares it, the annex is valid for as long
+ * as a holder's page version is unchanged.
+ */
+class PageAnnex
+{
+  public:
+    PageAnnex() = default;
+    PageAnnex(const PageAnnex &) = delete;
+    PageAnnex &operator=(const PageAnnex &) = delete;
+    virtual ~PageAnnex() = default;
+};
 
 /**
  * Page-granular sparse memory. Reads of unwritten locations return zero.
@@ -215,14 +237,38 @@ class SparseMemory
     {
         const u8 *bytes = nullptr;
         const u64 *version = nullptr;
+        std::atomic<PageAnnex *> *annex = nullptr; ///< see annexOf()
     };
 
     PageView
     pageView(u64 page_no) const
     {
         const Slot *slot = findSlot(page_no);
-        return slot ? PageView{slot->page->bytes.data(), &slot->version}
+        return slot ? PageView{slot->page->bytes.data(), &slot->version,
+                               &slot->page->annex}
                     : PageView{};
+    }
+
+    /**
+     * The annex of @p view's (populated) page, created as a T on first
+     * use; a page carries at most one annex type. Any number of threads
+     * may call this for memories sharing the page: the first publisher
+     * wins and the others adopt its annex. The reference is good for as
+     * long as the page version @p view was taken at is current.
+     */
+    template <typename T>
+    static T &
+    annexOf(const PageView &view)
+    {
+        PageAnnex *a = view.annex->load(std::memory_order_acquire);
+        if (!a) {
+            auto fresh = std::make_unique<T>();
+            if (view.annex->compare_exchange_strong(
+                    a, fresh.get(), std::memory_order_acq_rel,
+                    std::memory_order_acquire))
+                a = fresh.release();
+        }
+        return static_cast<T &>(*a);
     }
 
     /**
@@ -275,7 +321,14 @@ class SparseMemory
   private:
     struct Page
     {
+        Page() = default;
+        /** A clone copies the bytes and starts without an annex. */
+        Page(const Page &other) : bytes(other.bytes) {}
+        Page &operator=(const Page &) = delete;
+        ~Page() { delete annex.load(std::memory_order_acquire); }
+
         std::array<u8, kPageSize> bytes;
+        mutable std::atomic<PageAnnex *> annex{nullptr};
     };
 
     /**
@@ -330,9 +383,11 @@ class SparseMemory
     /**
      * Slot for a write span: allocated on demand, version bumped (exactly
      * once per span — every write path funnels through here), and the
-     * page un-shared if a fork still references it. The shared-ness check
-     * runs on the cached-slot fast path too: a fork() between two writes
-     * re-shares the page, and the slot pointer alone cannot see that.
+     * page un-shared if a fork still references it (the clone has no
+     * annex); an only owner writing in place drops the page's annex. The
+     * shared-ness check runs on the cached-slot fast path too: a fork()
+     * between two writes re-shares the page, and the slot pointer alone
+     * cannot see that.
      */
     Page &
     writablePage(u64 page_no)
@@ -352,6 +407,9 @@ class SparseMemory
         ++slot->version;
         if (slot->page.use_count() > 1)
             slot->page = std::make_shared<Page>(*slot->page);
+        else if (slot->page->annex.load(std::memory_order_relaxed))
+            delete slot->page->annex.exchange(nullptr,
+                                              std::memory_order_acq_rel);
         return *slot->page;
     }
 

@@ -106,8 +106,60 @@ Simulator::Simulator(const prog::Program &program, const SimConfig &cfg)
     }
 }
 
+Snapshot::Snapshot(const Simulator &sim)
+    : program(&sim.program_), cfg(sim.cfg_),
+      instrIndex(sim.slot0().core->committedInstrs()),
+      mem(sim.slot0().mem.fork()), memsys(sim.memsys_),
+      core(sim.slot0().core->saveState()),
+      validatorState(sim.slot0().validator->saveSnapshot()),
+      store(sim.store_)
+{
+    for (const auto &s : sim.slots_)
+        REV_ASSERT(!s->core->machine().replaying(),
+                   "snapshots require direct execution");
+    // Harness attachments describe the source's run, not a fork's:
+    // forks record/replay/measure only what their own harness attaches.
+    cfg.traceRecorder = nullptr;
+    cfg.replayTrace = nullptr;
+    cfg.measurementSink = nullptr;
+    cfg.sigStorePrototype = nullptr;
+    cfg.memoryImage = nullptr; // mem is the fork's image
+    for (std::size_t c = 1; c < sim.slots_.size(); ++c) {
+        const Simulator::CoreSlot &s = *sim.slots_[c];
+        extra.emplace_back(s.mem.fork(), s.core->saveState(),
+                           s.validator->saveSnapshot(), s.finished);
+    }
+}
+
+Snapshot::ExtraSlot::ExtraSlot(
+    SparseMemory image, cpu::Core::Snapshot core_state,
+    std::unique_ptr<validate::ValidatorSnapshot> validator_state,
+    std::optional<cpu::RunResult> run_end)
+    : mem(std::move(image)), core(std::move(core_state)),
+      validatorState(std::move(validator_state)), finished(run_end)
+{
+}
+
+Snapshot::Snapshot(const Snapshot &other)
+    : program(other.program), cfg(other.cfg), instrIndex(other.instrIndex),
+      mem(other.mem.fork()), memsys(other.memsys), core(other.core),
+      validatorState(other.validatorState ? other.validatorState->clone()
+                                          : nullptr),
+      store(other.store), extra(other.extra)
+{
+}
+
+Snapshot::ExtraSlot::ExtraSlot(const ExtraSlot &other)
+    : mem(other.mem.fork()), core(other.core),
+      validatorState(other.validatorState ? other.validatorState->clone()
+                                          : nullptr),
+      finished(other.finished)
+{
+}
+
 void
-Simulator::createValidator(CoreSlot &slot, unsigned core_id)
+Simulator::createValidator(CoreSlot &slot, unsigned core_id,
+                           validate::ValidatorSnapshot *state)
 {
     validate::BackendContext ctx;
     ctx.store = store_ ? &*store_ : nullptr;
@@ -117,6 +169,7 @@ Simulator::createValidator(CoreSlot &slot, unsigned core_id)
     ctx.rev = cfg_.rev;
     ctx.lofat = cfg_.lofat;
     ctx.coreId = core_id;
+    ctx.state = state;
     slot.validator = validate::ValidatorRegistry::instance().create(
         cfg_.effectiveBackend(), ctx);
     if (slot.validator->kind() == Backend::Rev)
@@ -127,74 +180,41 @@ Simulator::createValidator(CoreSlot &slot, unsigned core_id)
             static_cast<validate::LoFatValidator *>(slot.validator.get());
 }
 
-Simulator::Simulator(const Snapshot &snap)
-    : program_(*snap.program), cfg_(snap.cfg), memsys_(snap.memsys),
-      vault_(snap.cfg.cpuSeed), store_(snap.store)
+Simulator::Simulator(Snapshot &&snap)
+    : program_(*snap.program), cfg_(std::move(snap.cfg)),
+      memsys_(std::move(snap.memsys)), vault_(cfg_.cpuSeed),
+      store_(std::move(snap.store))
 {
-    // No loadInto(): the forked memories already hold the program image
-    // and signature tables exactly as the source left them, and the
-    // store handle shares the snapshot's (immutable) table build.
-    slots_.push_back(std::make_unique<CoreSlot>());
-    CoreSlot &s0 = slot0();
-    s0.mem = snap.mem.fork();
-    createValidator(s0, 0);
-    s0.core = std::make_unique<cpu::Core>(program_, s0.mem, memsys_,
-                                          cfg_.core, s0.validator.get(), 0);
-    s0.core->restoreState(snap.core);
-    if (snap.validatorState)
-        s0.validator->restoreSnapshot(*snap.validatorState);
-    if (cfg_.pageShadowing)
-        s0.pristine = s0.mem.clone();
-
-    for (const Snapshot::ExtraSlot &e : snap.extra) {
+    // No loadInto(): the snapshot's memories already hold the program
+    // image and signature tables exactly as the source left them, and
+    // the store handle shares the snapshot's (immutable) table build.
+    // Every component is built from the snapshot's state, not built
+    // fresh and then overwritten.
+    const auto adopt = [&](SparseMemory &&mem, cpu::Core::Snapshot &&core,
+                           validate::ValidatorSnapshot *state) {
         const unsigned c = static_cast<unsigned>(slots_.size());
         slots_.push_back(std::make_unique<CoreSlot>());
         CoreSlot &s = *slots_.back();
-        s.mem = e.mem.fork();
-        createValidator(s, c);
+        s.mem = std::move(mem);
+        createValidator(s, c, state);
         s.core = std::make_unique<cpu::Core>(program_, s.mem, memsys_,
-                                             cfg_.core, s.validator.get(), c);
-        s.core->restoreState(e.core);
-        if (e.validatorState)
-            s.validator->restoreSnapshot(*e.validatorState);
-        s.finished = e.finished;
+                                             cfg_.core, s.validator.get(), c,
+                                             std::move(core));
         if (cfg_.pageShadowing)
             s.pristine = s.mem.clone();
-    }
+        return &s;
+    };
+    adopt(std::move(snap.mem), std::move(snap.core),
+          snap.validatorState.get());
+    for (Snapshot::ExtraSlot &e : snap.extra)
+        adopt(std::move(e.mem), std::move(e.core), e.validatorState.get())
+            ->finished = e.finished;
 }
 
 Snapshot
 Simulator::capture() const
 {
-    for (const auto &s : slots_)
-        REV_ASSERT(!s->core->machine().replaying(),
-                   "snapshots require direct execution");
-    Snapshot snap;
-    snap.program = &program_;
-    snap.cfg = cfg_;
-    // Harness attachments describe THIS simulator's run, not a fork's:
-    // forks record/replay/measure only what their own harness attaches.
-    snap.cfg.traceRecorder = nullptr;
-    snap.cfg.replayTrace = nullptr;
-    snap.cfg.measurementSink = nullptr;
-    snap.cfg.sigStorePrototype = nullptr;
-    snap.cfg.memoryImage = nullptr; // snap.mem is the fork's image
-    snap.instrIndex = slot0().core->committedInstrs();
-    snap.mem = slot0().mem.fork();
-    snap.memsys = memsys_;
-    snap.core = slot0().core->saveState();
-    snap.validatorState = slot0().validator->saveSnapshot();
-    snap.store = store_;
-    for (std::size_t c = 1; c < slots_.size(); ++c) {
-        const CoreSlot &s = *slots_[c];
-        Snapshot::ExtraSlot e;
-        e.mem = s.mem.fork();
-        e.core = s.core->saveState();
-        e.validatorState = s.validator->saveSnapshot();
-        e.finished = s.finished;
-        snap.extra.push_back(std::move(e));
-    }
-    return snap;
+    return Snapshot(*this);
 }
 
 bool

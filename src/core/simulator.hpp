@@ -190,6 +190,8 @@ struct SimResult
     bool memoryRolledBack = false;
 };
 
+class Simulator;
+
 /**
  * A complete machine state captured mid-run at a committed-instruction
  * boundary: the COW-forked memory image, the warmed memory hierarchy,
@@ -208,6 +210,15 @@ struct SimResult
  */
 struct Snapshot
 {
+    /** Capture @p sim's current state (same as sim.capture()). */
+    explicit Snapshot(const Simulator &sim);
+    Snapshot(Snapshot &&) = default;
+    Snapshot &operator=(Snapshot &&) = default;
+    /** An independent snapshot of the same state: the memory images are
+     *  COW forks, everything else is copied. Forking a copy leaves the
+     *  original usable for further forks. */
+    Snapshot(const Snapshot &other);
+
     const prog::Program *program = nullptr;
     SimConfig cfg; ///< harness pointers (recorder/replay/sink) cleared
     u64 instrIndex = 0; ///< core 0's committed instructions at capture
@@ -220,6 +231,14 @@ struct Snapshot
     /** State of one additional core (multicore capture). */
     struct ExtraSlot
     {
+        ExtraSlot(SparseMemory image, cpu::Core::Snapshot core_state,
+                  std::unique_ptr<validate::ValidatorSnapshot>
+                      validator_state,
+                  std::optional<cpu::RunResult> run_end);
+        ExtraSlot(ExtraSlot &&) = default;
+        ExtraSlot &operator=(ExtraSlot &&) = default;
+        ExtraSlot(const ExtraSlot &other); ///< as Snapshot's copy
+
         SparseMemory mem; ///< COW fork of that core's private image
         cpu::Core::Snapshot core;
         std::unique_ptr<validate::ValidatorSnapshot> validatorState;
@@ -281,15 +300,18 @@ class Simulator
     }
 
     /**
-     * Construct a Simulator continuing @p snap's run: O(dirty pages)
-     * memory fork, value-copied hierarchy state, restored core and
-     * validator. A subsequent run() commits exactly the instruction
-     * stream a cold run would from the snapshot index on.
+     * Construct a Simulator continuing @p snap's run, built directly
+     * from the snapshot's state. A subsequent run() commits exactly the
+     * instruction stream a cold run would from the snapshot index on.
+     * The snapshot is a sink: pass an lvalue to fork a copy of it (an
+     * O(dirty pages) memory fork plus value copies of the rest) and keep
+     * it for more forks, or std::move() it in for its last fork, which
+     * then copies nothing.
      */
     static std::unique_ptr<Simulator>
-    forkFrom(const Snapshot &snap)
+    forkFrom(Snapshot snap)
     {
-        return std::unique_ptr<Simulator>(new Simulator(snap));
+        return std::unique_ptr<Simulator>(new Simulator(std::move(snap)));
     }
 
     /**
@@ -374,6 +396,8 @@ class Simulator
     }
 
   private:
+    friend struct Snapshot; // captures the private per-core state
+
     /**
      * One core's private column of the machine: its COW memory image,
      * its validator instance, its OoO core, its replay cursor, and —
@@ -394,14 +418,13 @@ class Simulator
     };
 
     /** Fork constructor — see forkFrom(). */
-    explicit Simulator(const Snapshot &snap);
+    explicit Simulator(Snapshot &&snap);
 
-    /** Create the configured backend over @p slot's components and wire
-     *  the typed engine views (shared by both constructors). */
-    void createValidator(CoreSlot &slot, unsigned core_id);
-
-    /** Build slot @p core_id's core model and, when the harness config
-     *  asks for it, attach a replay cursor. */
+    /** Create the configured backend over @p slot's components, starting
+     *  from @p state when forking (moved from), and wire the typed engine
+     *  views (shared by both constructors). */
+    void createValidator(CoreSlot &slot, unsigned core_id,
+                         validate::ValidatorSnapshot *state = nullptr);
 
     /** The slot the deterministic scheduler runs next: the unfinished
      *  slot with the smallest (completed quanta, core id). Null when

@@ -15,8 +15,10 @@
  *     its timing loop (cpu::Core::Snapshot: resource frontiers,
  *     scoreboard, store buffer, predictor, basic-block tracker);
  *   - the validation backend's complete mid-run state
- *     (validate::ValidatorSnapshot: inflight ring, hash chain, CHG lane
- *     queue and digest memo, SC/SAG contents, counters).
+ *     (validate::ValidatorSnapshot — REV: inflight ring, CHG digest
+ *     memo, SC/SAG contents, return latch and shadow stack, table-reader
+ *     headers, counters; LO-FAT: hash chain, measurement buffer, CHG
+ *     digest memo, counters).
  *
  * Capture once per (workload, config) with Simulator::snapshotAt(), then
  * fork per divergent suffix with Simulator::forkFrom(); each fork
@@ -24,6 +26,15 @@
  * statistics — a cold run would from the snapshot index on. The
  * red-team campaign engine forks each injection from the warmed golden
  * snapshot at its trigger point instead of re-executing the prefix.
+ *
+ * forkFrom() takes the snapshot by value and builds the fork's
+ * components from its state. Copying a Snapshot is a fork of it (COW
+ * memory, value copies of the rest), so pass an lvalue to keep the
+ * snapshot for more forks and std::move() it into its last fork, which
+ * then copies nothing. Decoded instructions live with the COW code
+ * pages (prog::DecodedPage), so forks of one snapshot also share the
+ * decodes of every page none of them has written
+ * (docs/INTERNALS.md §12).
  */
 
 #ifndef REV_CORE_SNAPSHOT_HPP

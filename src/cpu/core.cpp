@@ -104,29 +104,25 @@ Core::runUntil(u64 index, RunResult *out)
 Core::Snapshot
 Core::saveState() const
 {
-    Snapshot snap;
-    snap.regs = machine_.regs();
-    snap.pc = machine_.pc();
-    snap.halted = machine_.halted();
-    snap.storeBuffer = sb_;
-    snap.predictor = predictor_;
-    snap.pendingStores = pendingStores_;
-    snap.clockBase = clockBase_;
-    snap.lastCommit = lastCommit_;
-    snap.runState = state_;
-    return snap;
+    // Built in place: a default Snapshot would first allocate and fill
+    // predictor tables only to overwrite them.
+    return Snapshot{machine_.regs(), machine_.pc(), machine_.halted(),
+                    sb_, predictor_, pendingStores_, clockBase_,
+                    lastCommit_, state_};
 }
 
-void
-Core::restoreState(const Snapshot &snap)
+Core::Core(const prog::Program &program, SparseMemory &mem,
+           mem::MemorySystem &memsys, const CoreConfig &cfg,
+           validate::Validator *hooks, unsigned core_id, Snapshot &&from)
+    : program_(program), mem_(mem), memsys_(memsys), coreId_(core_id),
+      cfg_(cfg), hooks_(hooks ? *hooks : nullHooks_), machine_(program, mem),
+      sb_(std::move(from.storeBuffer)),
+      predictor_(std::move(from.predictor)),
+      pendingStores_(std::move(from.pendingStores)),
+      state_(std::move(from.runState)), clockBase_(from.clockBase),
+      lastCommit_(from.lastCommit)
 {
-    machine_.restoreArch(snap.regs, snap.pc, snap.halted);
-    sb_ = snap.storeBuffer;
-    predictor_ = snap.predictor;
-    pendingStores_ = snap.pendingStores;
-    clockBase_ = snap.clockBase;
-    lastCommit_ = snap.lastCommit;
-    state_ = snap.runState;
+    machine_.restoreArch(from.regs, from.pc, from.halted);
 }
 
 bool
@@ -145,7 +141,7 @@ Core::loop(RunState &st, u64 pause_before)
     FuPool &ld_port = st.ldPort;
     FuPool &st_port = st.stPort;
     std::array<Cycle, isa::kNumArchRegs> &reg_ready = st.regReady;
-    std::unordered_set<Addr> &unique_branches = st.uniqueBranches;
+    FlatSet<Addr> &unique_branches = st.uniqueBranches;
     Cycle &fetch_resume = st.fetchResume;
     Cycle &fetch_frontier = st.fetchFrontier;
     Addr &last_line = st.lastLine;

@@ -21,8 +21,8 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_set>
 
+#include "common/flat_map.hpp"
 #include "cpu/config.hpp"
 #include "cpu/predictor.hpp"
 #include "cpu/resources.hpp"
@@ -176,7 +176,7 @@ class Core
         OccupancyRing rob, iq, lsq, fq;
         FuPool alu, fpu, ldPort, stPort;
         std::array<Cycle, isa::kNumArchRegs> regReady{};
-        std::unordered_set<Addr> uniqueBranches;
+        FlatSet<Addr> uniqueBranches; ///< committed control-flow PCs (Fig. 9)
         Cycle fetchResume;   ///< redirect lower bound
         Cycle fetchFrontier; ///< last fetch cycle
         Addr lastLine = kNoAddr;
@@ -215,11 +215,14 @@ class Core
     Snapshot saveState() const;
 
     /**
-     * Adopt state captured by saveState() on a core over the same
-     * program/config whose memory image this core's Machine references a
-     * fork of. A following run() resumes exactly where the source paused.
+     * A core continuing from @p from, captured by saveState() on a core
+     * over the same program/config whose memory image @p mem is a fork
+     * of (its contents are moved out). A following run() resumes exactly
+     * where the source paused. Other parameters as above.
      */
-    void restoreState(const Snapshot &snap);
+    Core(const prog::Program &program, SparseMemory &mem,
+         mem::MemorySystem &memsys, const CoreConfig &cfg,
+         validate::Validator *hooks, unsigned core_id, Snapshot &&from);
 
   private:
     /**

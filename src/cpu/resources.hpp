@@ -79,7 +79,10 @@ class OccupancyRing
     push(Cycle freed_at)
     {
         freeAt_[head_] = freed_at;
-        head_ = (head_ + 1) % freeAt_.size();
+        // Wrap with a compare: the ring sizes are not powers of two, and
+        // a modulo here is a 64-bit divide on every instruction.
+        if (++head_ == freeAt_.size())
+            head_ = 0;
     }
 
     void

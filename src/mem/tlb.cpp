@@ -6,39 +6,68 @@ namespace rev::mem
 Tlb::Tlb(std::string name, unsigned entries, unsigned page_shift)
     : name_(std::move(name)), pageShift_(page_shift), capacity_(entries)
 {
-    index_.reserve(entries * 2);
+    nodes_.reserve(entries);
+}
+
+void
+Tlb::unlink(u32 n)
+{
+    Node &node = nodes_[n];
+    (node.prev == kNil ? mru_ : nodes_[node.prev].next) = node.next;
+    (node.next == kNil ? lru_ : nodes_[node.next].prev) = node.prev;
+}
+
+void
+Tlb::pushFront(u32 n)
+{
+    Node &node = nodes_[n];
+    node.prev = kNil;
+    node.next = mru_;
+    (mru_ == kNil ? lru_ : nodes_[mru_].prev) = n;
+    mru_ = n;
 }
 
 bool
 Tlb::access(Addr addr)
 {
     const u64 page = addr >> pageShift_;
-    auto it = index_.find(page);
-    if (it != index_.end()) {
-        lru_.splice(lru_.begin(), lru_, it->second); // refresh to MRU
+    if (const u32 *n = index_.find(page)) {
+        if (*n != mru_) { // refresh to MRU
+            unlink(*n);
+            pushFront(*n);
+        }
         ++hits_;
         return true;
     }
     ++misses_;
-    lru_.push_front(page);
-    index_[page] = lru_.begin();
-    if (lru_.size() > capacity_) {
-        index_.erase(lru_.back());
-        lru_.pop_back();
+    if (capacity_ == 0)
+        return false;
+    u32 n;
+    if (nodes_.size() < capacity_) {
+        n = static_cast<u32>(nodes_.size());
+        nodes_.push_back(Node{page, kNil, kNil});
+    } else {
+        n = lru_; // evict the least recently used entry
+        index_.erase(nodes_[n].page);
+        unlink(n);
+        nodes_[n].page = page;
     }
+    pushFront(n);
+    index_[page] = n;
     return false;
 }
 
 bool
 Tlb::probe(Addr addr) const
 {
-    return index_.count(addr >> pageShift_) != 0;
+    return index_.contains(addr >> pageShift_);
 }
 
 void
 Tlb::reset()
 {
-    lru_.clear();
+    nodes_.clear();
+    mru_ = lru_ = kNil;
     index_.clear();
     hits_.reset();
     misses_.reset();

@@ -9,11 +9,10 @@
 #ifndef REV_MEM_TLB_HPP
 #define REV_MEM_TLB_HPP
 
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
@@ -27,32 +26,6 @@ class Tlb
 {
   public:
     Tlb(std::string name, unsigned entries, unsigned page_shift = 12);
-
-    // The page index holds iterators into lru_; a default copy would
-    // leave them pointing into the source's list. Rebuild the index from
-    // the copied list instead (snapshot capture/fork copies TLB state).
-    Tlb(const Tlb &other)
-        : name_(other.name_), pageShift_(other.pageShift_),
-          capacity_(other.capacity_), lru_(other.lru_),
-          hits_(other.hits_), misses_(other.misses_)
-    {
-        reindex();
-    }
-
-    Tlb &
-    operator=(const Tlb &other)
-    {
-        if (this != &other) {
-            name_ = other.name_;
-            pageShift_ = other.pageShift_;
-            capacity_ = other.capacity_;
-            lru_ = other.lru_;
-            hits_ = other.hits_;
-            misses_ = other.misses_;
-            reindex();
-        }
-        return *this;
-    }
 
     /** Look up (and allocate on miss). Returns true on hit. */
     bool access(Addr addr);
@@ -75,22 +48,31 @@ class Tlb
     void addStats(stats::StatGroup &group) const;
 
   private:
-    void
-    reindex()
-    {
-        index_.clear();
-        for (auto it = lru_.begin(); it != lru_.end(); ++it)
-            index_[*it] = it;
-    }
+    static constexpr u32 kNil = ~u32{0};
 
-    // True-LRU with O(1) lookup: an MRU-ordered list plus a page index.
-    // (A linear tag scan is what the hardware does in parallel; the map
-    // only speeds the simulation, semantics are identical.)
+    /** One entry, linked into the recency list by index. */
+    struct Node
+    {
+        u64 page;
+        u32 prev; ///< towards the MRU end
+        u32 next; ///< towards the LRU end
+    };
+
+    void unlink(u32 n);
+    void pushFront(u32 n);
+
+    // True LRU with O(1) lookup: a recency list threaded through a fixed
+    // node array plus a page index. (A linear tag scan is what the
+    // hardware does in parallel; the index only speeds the simulation,
+    // semantics are identical.) Everything is flat, so snapshot capture
+    // and fork copy the TLB with a few memcpys.
     std::string name_;
     unsigned pageShift_;
     std::size_t capacity_;
-    std::list<u64> lru_; ///< front = most recently used page
-    std::unordered_map<u64, std::list<u64>::iterator> index_;
+    std::vector<Node> nodes_; ///< grows to capacity_, then recycles the LRU
+    u32 mru_ = kNil;
+    u32 lru_ = kNil;
+    FlatMap<u64, u32> index_; ///< page -> node
     stats::Counter hits_, misses_;
 };
 

@@ -169,12 +169,6 @@ DecodeCache::pageFor(const SparseMemory &mem, u64 page_no)
     if (page_no == lastPageNo_)
         return *lastPage_;
     CodePage &cp = pages_[page_no];
-    if (cp.slots.empty()) {
-        cp.slots.resize(SparseMemory::kPageSize);
-        cp.state.assign(SparseMemory::kPageSize, kUnknown);
-        cp.view = mem.pageView(page_no);
-        cp.version = cp.view.version ? *cp.view.version : 0;
-    }
     lastPageNo_ = page_no;
     lastPage_ = &cp;
     return cp;
@@ -187,28 +181,28 @@ DecodeCache::lookup(const SparseMemory &mem, Addr pc)
     const u64 off = pc & (SparseMemory::kPageSize - 1);
     CodePage &cp = pageFor(mem, page_no);
 
-    // Revalidate against the live page version; any write to the page
-    // since the slots were filled drops them all.
-    if (!cp.view.version) {
-        // Page was unpopulated when first seen; a write may have created
-        // it since (writes to other pages cannot affect this one).
+    // Revalidate against the live page version: any write to the page
+    // since the last visit may have replaced the page object (a COW
+    // clone) or dropped its decodes, so re-fetch both. An unpopulated
+    // page is re-fetched on every visit (a write may have created it).
+    if (!cp.view.version || *cp.view.version != cp.version) {
         cp.view = mem.pageView(page_no);
-        if (cp.view.version) {
-            cp.state.assign(SparseMemory::kPageSize, kUnknown);
-            cp.version = *cp.view.version;
-        }
-    } else if (*cp.view.version != cp.version) {
-        cp.state.assign(SparseMemory::kPageSize, kUnknown);
-        cp.version = *cp.view.version;
+        cp.version = cp.view.version ? *cp.view.version : 0;
+        cp.decoded = cp.view.version
+                         ? &SparseMemory::annexOf<DecodedPage>(cp.view)
+                         : nullptr;
     }
 
-    switch (cp.state[off]) {
-      case kValid:
-        return &cp.slots[off];
-      case kInvalid:
-        return nullptr;
-      default:
-        break;
+    DecodedPage *dp = cp.decoded;
+    if (dp) {
+        switch (dp->state[off].load(std::memory_order_acquire)) {
+          case DecodedPage::kValid:
+            return &dp->slots[off].pd;
+          case DecodedPage::kInvalid:
+            return nullptr;
+          default:
+            break;
+        }
     }
 
     u8 raw[8];
@@ -224,15 +218,16 @@ DecodeCache::lookup(const SparseMemory &mem, Addr pc)
                 : (isa::opcodeValid(raw[0])
                        ? opcodeLength(static_cast<Opcode>(raw[0]))
                        : 1);
-    const bool cacheable = off + declen <= SparseMemory::kPageSize;
-    if (!cacheable &&
+    const bool cacheable = dp && off + declen <= SparseMemory::kPageSize;
+    if (off + declen > SparseMemory::kPageSize &&
         std::find(spanPages_.begin(), spanPages_.end(), page_no + 1) ==
             spanPages_.end())
         spanPages_.push_back(page_no + 1);
 
     if (!decoded) {
         if (cacheable)
-            cp.state[off] = kInvalid;
+            dp->state[off].store(DecodedPage::kInvalid,
+                                 std::memory_order_relaxed);
         return nullptr;
     }
 
@@ -240,13 +235,19 @@ DecodeCache::lookup(const SparseMemory &mem, Addr pc)
     pd.ins = *decoded;
     pd.len = static_cast<u8>(decoded->length());
     pd.use = isa::regUse(*decoded);
-    if (cacheable) {
-        cp.slots[off] = pd;
-        cp.state[off] = kValid;
-        return &cp.slots[off];
+    // Claim the slot; a thread that loses the race to another filler
+    // returns its own (identical) decode uncached.
+    u8 expected = DecodedPage::kUnknown;
+    if (cacheable && dp->state[off].compare_exchange_strong(
+                         expected, DecodedPage::kBusy,
+                         std::memory_order_acquire,
+                         std::memory_order_relaxed)) {
+        dp->slots[off].pd = pd;
+        dp->state[off].store(DecodedPage::kValid, std::memory_order_release);
+        return &dp->slots[off].pd;
     }
-    spanning_ = pd;
-    return &spanning_;
+    scratch_ = pd;
+    return &scratch_;
 }
 
 // ---------------------------------------------------------------------------
@@ -286,10 +287,12 @@ Machine::stepDirect(StoreBuffer *sb, SeqNum seq)
             recorder_->markInvalid();
         return rec;
     }
-    const Instr &ins = pd->ins;
-    const Addr fall = pc_ + pd->len;
-    rec.ins = ins;
+    // Work from the record's copy: a store below may write this page and
+    // drop (or unshare) the decoded slot pd points into.
+    rec.ins = pd->ins;
     rec.use = pd->use;
+    const Instr &ins = rec.ins;
+    const Addr fall = pc_ + pd->len;
     rec.nextPc = fall;
 
     auto wr = [&](u64 v) { setReg(ins.rd, v); };

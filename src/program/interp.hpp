@@ -17,17 +17,21 @@
  * decoded instructions plus precomputed register usage, validated against
  * the page's write-version counter so that any store landing on a cached
  * code page (the machine's own stores, attack injectors, reloadProgram())
- * transparently forces a re-decode of the fresh bytes. The cache is purely
- * a functional-layer speedup — decode results are byte-exact and timing
- * statistics are computed identically with or without it. Every step()
- * fetches one instruction through the cache and executes it
- * (docs/INTERNALS.md §11 has the measurements behind a single path).
+ * transparently forces a re-decode of the fresh bytes. The decoded arrays
+ * belong to the copy-on-write page itself (a PageAnnex), so every machine
+ * over a memory sharing the page — snapshot forks, sweep jobs forked from
+ * one image — shares its decodes. The cache is purely a functional-layer
+ * speedup — decode results are byte-exact and timing statistics are
+ * computed identically with or without it. Every step() fetches one
+ * instruction through the cache and executes it (docs/INTERNALS.md §11
+ * has the measurements behind a single path).
  */
 
 #ifndef REV_PROGRAM_INTERP_HPP
 #define REV_PROGRAM_INTERP_HPP
 
 #include <array>
+#include <atomic>
 #include <deque>
 #include <unordered_map>
 #include <vector>
@@ -119,18 +123,52 @@ struct Predecoded
 };
 
 /**
- * Per-code-page cache of decoded instructions keyed by PC, validated
- * against SparseMemory page versions (plus the memory epoch for wholesale
- * page-set replacement, e.g. the page-shadowing rollback). Entries whose
- * bytes spill into the next page are decoded on demand and never cached,
- * so a write to *any* byte of an instruction always invalidates it.
+ * Decoded instructions of one code page, owned by the copy-on-write page
+ * object (SparseMemory::annexOf()) and so shared by every memory sharing
+ * it. A decode is a pure function of the page's bytes, which cannot
+ * change while the page is shared; a write clones the page (the clone
+ * starts empty) or, by the only owner, drops this annex. Slots fill
+ * lazily from any number of threads: a filler claims a slot (kBusy),
+ * writes it, then publishes it with a release store of kValid.
+ */
+struct DecodedPage final : PageAnnex
+{
+    enum : u8
+    {
+        kUnknown = 0,
+        kBusy = 1,    ///< being filled by some thread
+        kValid = 2,
+        kInvalid = 3, ///< bytes at this offset do not decode
+    };
+
+    /** Storage for one slot; meaningful only once its state is kValid. */
+    union Slot
+    {
+        Slot() {}
+        Predecoded pd;
+    };
+
+    std::array<std::atomic<u8>, SparseMemory::kPageSize> state{};
+    std::array<Slot, SparseMemory::kPageSize> slots;
+};
+
+/**
+ * One machine's view of the decoded code pages it fetches from, keyed by
+ * PC and validated against SparseMemory page versions (plus the memory
+ * epoch for wholesale page-set replacement, e.g. the page-shadowing
+ * rollback). The decoded slots live in each page's DecodedPage; this
+ * cache only remembers which page object (and version) it last saw.
+ * Entries whose bytes spill into the next page are decoded on demand and
+ * never cached, so a write to *any* byte of an instruction always
+ * invalidates it.
  */
 class DecodeCache
 {
   public:
     /**
      * Decoded instruction at @p pc, or nullptr when the bytes do not
-     * decode. The pointer is valid until the next lookup() or clear().
+     * decode. The pointer is valid until the next lookup(), clear(), or
+     * write to @p mem.
      */
     const Predecoded *lookup(const SparseMemory &mem, Addr pc);
 
@@ -143,19 +181,11 @@ class DecodeCache
     std::vector<u64> touchedPages() const;
 
   private:
-    enum : u8
-    {
-        kUnknown = 0,
-        kValid = 1,
-        kInvalid = 2, ///< bytes at this offset do not decode
-    };
-
     struct CodePage
     {
-        u64 version = 0;             ///< page version the slots were filled at
+        u64 version = 0;             ///< page version decoded is good for
         SparseMemory::PageView view; ///< live version pointer for revalidation
-        std::vector<Predecoded> slots;
-        std::vector<u8> state;
+        DecodedPage *decoded = nullptr; ///< null while the page is unpopulated
     };
 
     CodePage &pageFor(const SparseMemory &mem, u64 page_no);
@@ -164,7 +194,9 @@ class DecodeCache
     u64 lastPageNo_ = kNoAddr;
     CodePage *lastPage_ = nullptr;
     u64 memEpoch_ = ~u64{0};
-    Predecoded spanning_; ///< scratch slot for page-crossing instructions
+    /** Uncached result: page-crossing, unpopulated page, or a slot
+     *  another thread was filling. */
+    Predecoded scratch_;
     std::vector<u64> spanPages_; ///< spill pages of page-crossing instrs
 };
 

@@ -444,8 +444,8 @@ Campaign::run(bool use_snapshots) const
             // run. Remaining plans (fire index beyond the golden end)
             // fall back to cold execution.
             bool exhausted = false;
-            for (std::size_t i : g.planIdx) {
-                const InjectionPlan &plan = plans[i];
+            for (std::size_t k = 0; k < g.planIdx.size(); ++k) {
+                const InjectionPlan &plan = plans[g.planIdx[k]];
                 // A hook the golden stream proves never fires, or a
                 // tamper confined to bytes the stream never touches
                 // again after the fire point, cannot change the run at
@@ -465,12 +465,22 @@ Campaign::run(bool use_snapshots) const
                         exhausted = true;
                 }
                 if (exhausted || !snap ||
-                    snap->instrIndex != plan.fireIndex)
+                    snap->instrIndex != plan.fireIndex) {
                     record(plan,
                            runInjection(*g.ctx, spec_, plan, *g.timing));
-                else
-                    record(plan, runInjectionFromSnapshot(
-                                     *g.ctx, spec_, plan, *g.timing, *snap));
+                    continue;
+                }
+                // The last plan firing at this index consumes the
+                // snapshot; earlier ones fork a copy of it.
+                const bool last_user =
+                    k + 1 == g.planIdx.size() ||
+                    plans[g.planIdx[k + 1]].fireIndex != plan.fireIndex;
+                record(plan, runInjectionFromSnapshot(
+                                 *g.ctx, spec_, plan, *g.timing,
+                                 last_user ? std::move(*snap)
+                                           : core::Snapshot(*snap)));
+                if (last_user)
+                    snap.reset();
             }
         });
     }

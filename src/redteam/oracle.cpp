@@ -630,14 +630,14 @@ InjectionResult
 runInjectionFromSnapshot(const WorkloadContext &ctx,
                          const CampaignSpec &spec, const InjectionPlan &plan,
                          const TimingVariant &timing,
-                         const core::Snapshot &snap)
+                         core::Snapshot snap)
 {
     REV_ASSERT(timing.name == plan.timing, "plan/timing variant mismatch");
     REV_ASSERT(snap.instrIndex == plan.fireIndex,
                "snapshot captured at a different index than the plan fires");
 
     const std::unique_ptr<core::Simulator> sim =
-        core::Simulator::forkFrom(snap);
+        core::Simulator::forkFrom(std::move(snap));
     return runArmed(ctx, spec, plan, timing, *sim);
 }
 

@@ -200,13 +200,14 @@ InjectionResult runInjection(const WorkloadContext &ctx,
  * index >= fireIndex, and a fork's instruction/cycle/statistics stream
  * from the snapshot index on is bit-identical to a cold run's
  * (tests/bench/snapshot_test.cpp), so the verdict, the violation cycle,
- * and therefore the detection matrix are unchanged.
+ * and therefore the detection matrix are unchanged. @p snap is a sink
+ * (Simulator::forkFrom()): move the snapshot in for its last use.
  */
 InjectionResult runInjectionFromSnapshot(const WorkloadContext &ctx,
                                          const CampaignSpec &spec,
                                          const InjectionPlan &plan,
                                          const TimingVariant &timing,
-                                         const core::Snapshot &snap);
+                                         core::Snapshot snap);
 
 /**
  * Is @p plan's outcome provably Benign without executing anything? If

@@ -15,9 +15,9 @@ Chg::digest(Addr start, Addr term, Addr end)
 {
     const Key key{start, term};
     const u64 ver = mem_.spanVersionSum(start, end);
-    auto it = cache_.find(key);
-    if (it != cache_.end() && it->second.verSum == ver)
-        return it->second.hash;
+    const Memo *memo = cache_.find(key);
+    if (memo && memo->verSum == ver)
+        return memo->hash;
 
     ++blocksHashed_;
     scratch_.resize(end - start);

@@ -22,9 +22,9 @@
 #ifndef REV_VALIDATE_CHG_HPP
 #define REV_VALIDATE_CHG_HPP
 
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/sparse_memory.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
@@ -53,10 +53,10 @@ class Chg
     };
     struct KeyHash
     {
-        std::size_t
+        u64
         operator()(const Key &k) const
         {
-            return std::hash<u64>{}(k.start * 0x9e3779b97f4a7c15ULL ^ k.term);
+            return FlatHash{}(k.start * 0x9e3779b97f4a7c15ULL ^ k.term);
         }
     };
 
@@ -94,13 +94,13 @@ class Chg
     /**
      * Copyable mid-run state — digest memo and counters —
      * for snapshot capture. The memory binding is not part of the state:
-     * a fork restores into a Chg constructed over its own (forked)
+     * a fork constructs its Chg from this state over its own (forked)
      * memory, whose page versions match the source's, so memoized
      * digests revalidate identically.
      */
     struct State
     {
-        std::unordered_map<Key, Memo, KeyHash> cache;
+        FlatMap<Key, Memo, KeyHash> cache;
         stats::Counter blocksHashed, flushes;
     };
 
@@ -110,18 +110,17 @@ class Chg
         return State{cache_, blocksHashed_, flushes_};
     }
 
-    void
-    restoreState(const State &state)
+    /** A Chg over @p mem continuing from @p state (snapshot fork). */
+    Chg(const SparseMemory &mem, const ChgConfig &cfg, State &&state)
+        : mem_(mem), cfg_(cfg), cache_(std::move(state.cache)),
+          blocksHashed_(state.blocksHashed), flushes_(state.flushes)
     {
-        cache_ = state.cache;
-        blocksHashed_ = state.blocksHashed;
-        flushes_ = state.flushes;
     }
 
   private:
     const SparseMemory &mem_;
     ChgConfig cfg_;
-    std::unordered_map<Key, Memo, KeyHash> cache_;
+    FlatMap<Key, Memo, KeyHash> cache_;
     std::vector<u8> scratch_; ///< reused block-byte buffer
     stats::Counter blocksHashed_, flushes_;
 };

@@ -13,13 +13,50 @@ namespace rev::validate
 using isa::InstrClass;
 using prog::TermKind;
 
+/** Everything LoFatValidator mutates between construction and a pause:
+ *  the running hash chain, measurement-buffer occupancy and spill cursor,
+ *  the in-flight block, the CHG state, and the counters. */
+struct LoFatValidator::Snapshot final : ValidatorSnapshot
+{
+    Chg::State chg;
+    bool enabled = true;
+    PendingBB cur;
+    crypto::Digest chain{};
+    unsigned bufferUsed = 0;
+    Addr spillCursor = kMeasurementRegion;
+    Cycle drainReadyAt = 0;
+    std::string lastViolation;
+    LoFatStats stats;
+
+    std::unique_ptr<ValidatorSnapshot>
+    clone() const override
+    {
+        return std::make_unique<Snapshot>(*this);
+    }
+};
+
 LoFatValidator::LoFatValidator(const sig::SigStore &store,
                                const SparseMemory &mem,
                                mem::MemorySystem &memsys,
-                               const LoFatConfig &cfg, unsigned core_id)
+                               const LoFatConfig &cfg, unsigned core_id,
+                               ValidatorSnapshot *from)
     : store_(store), memsys_(memsys), coreId_(core_id), cfg_(cfg),
-      chg_(mem, cfg.chg), enabled_(cfg.startEnabled)
+      chg_(from ? Chg(mem, cfg.chg,
+                      std::move(snapshotAs<Snapshot>(from)->chg))
+                : Chg(mem, cfg.chg)),
+      enabled_(cfg.startEnabled)
 {
+    Snapshot *s = snapshotAs<Snapshot>(from);
+    if (!s)
+        return;
+    enabled_ = s->enabled;
+    cur_ = s->cur;
+    chain_ = s->chain;
+    bufferUsed_ = s->bufferUsed;
+    spillCursor_ = s->spillCursor;
+    drainReadyAt_ = s->drainReadyAt;
+    lastViolation_ = std::move(s->lastViolation);
+    stats_ = s->stats;
 }
 
 void
@@ -240,22 +277,6 @@ LoFatValidator::snapshotStats(stats::StatSet &set,
     set.add(prefix + ".lofat.edge_violations", stats_.edgeViolations);
 }
 
-/** Everything LoFatValidator mutates between construction and a pause:
- *  the running hash chain, measurement-buffer occupancy and spill cursor,
- *  the in-flight block, the CHG state, and the counters. */
-struct LoFatValidator::Snapshot final : ValidatorSnapshot
-{
-    Chg::State chg;
-    bool enabled = true;
-    PendingBB cur;
-    crypto::Digest chain{};
-    unsigned bufferUsed = 0;
-    Addr spillCursor = kMeasurementRegion;
-    Cycle drainReadyAt = 0;
-    std::string lastViolation;
-    LoFatStats stats;
-};
-
 std::unique_ptr<ValidatorSnapshot>
 LoFatValidator::saveSnapshot() const
 {
@@ -270,22 +291,6 @@ LoFatValidator::saveSnapshot() const
     snap->lastViolation = lastViolation_;
     snap->stats = stats_;
     return snap;
-}
-
-void
-LoFatValidator::restoreSnapshot(const ValidatorSnapshot &snap)
-{
-    const auto *s = dynamic_cast<const Snapshot *>(&snap);
-    REV_ASSERT(s, "snapshot restored into a different backend");
-    chg_.restoreState(s->chg);
-    enabled_ = s->enabled;
-    cur_ = s->cur;
-    chain_ = s->chain;
-    bufferUsed_ = s->bufferUsed;
-    spillCursor_ = s->spillCursor;
-    drainReadyAt_ = s->drainReadyAt;
-    lastViolation_ = s->lastViolation;
-    stats_ = s->stats;
 }
 
 } // namespace rev::validate

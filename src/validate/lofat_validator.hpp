@@ -70,10 +70,14 @@ class LoFatValidator final : public Validator
      * @param mem    Functional memory (the CHG hashes fetched bytes).
      * @param memsys  Timing hierarchy for measurement spill traffic.
      * @param core_id Memory-system port the spills issue through.
+     * @param from   When non-null, a saveSnapshot() capture of a LO-FAT
+     *               validator of the same configuration over a memory
+     *               @p mem is a fork of: this validator continues from
+     *               it (moving its contents out).
      */
     LoFatValidator(const sig::SigStore &store, const SparseMemory &mem,
                    mem::MemorySystem &memsys, const LoFatConfig &cfg = {},
-                   unsigned core_id = 0);
+                   unsigned core_id = 0, ValidatorSnapshot *from = nullptr);
 
     // --- Validator --------------------------------------------------------
     Backend kind() const override { return Backend::LoFat; }
@@ -89,7 +93,6 @@ class LoFatValidator final : public Validator
     void attachMeasurementSink(MeasurementSink *sink) override;
     void sealMeasurement() override { source_.seal(chain_); }
     std::unique_ptr<ValidatorSnapshot> saveSnapshot() const override;
-    void restoreSnapshot(const ValidatorSnapshot &snap) override;
     void invalidateCodeCache() override { chg_.invalidate(); }
     void refreshTables() override { chg_.invalidate(); }
     ValidationStats commonStats() const override { return stats_; }

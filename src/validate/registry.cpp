@@ -47,9 +47,9 @@ ValidatorRegistry::ValidatorRegistry()
          [](const BackendContext &ctx) -> std::unique_ptr<Validator> {
              REV_ASSERT(ctx.store && ctx.vault && ctx.mem && ctx.memsys,
                         "rev backend needs store/vault/mem/memsys");
-             return std::make_unique<RevValidator>(*ctx.store, *ctx.vault,
-                                                   *ctx.mem, *ctx.memsys,
-                                                   ctx.rev, ctx.coreId);
+             return std::make_unique<RevValidator>(
+                 *ctx.store, *ctx.vault, *ctx.mem, *ctx.memsys, ctx.rev,
+                 ctx.coreId, ctx.state);
          }});
     infos_.push_back(
         {Backend::LoFat, "lofat",
@@ -58,9 +58,9 @@ ValidatorRegistry::ValidatorRegistry()
          [](const BackendContext &ctx) -> std::unique_ptr<Validator> {
              REV_ASSERT(ctx.store && ctx.mem && ctx.memsys,
                         "lofat backend needs store/mem/memsys");
-             return std::make_unique<LoFatValidator>(*ctx.store, *ctx.mem,
-                                                     *ctx.memsys, ctx.lofat,
-                                                     ctx.coreId);
+             return std::make_unique<LoFatValidator>(
+                 *ctx.store, *ctx.mem, *ctx.memsys, ctx.lofat, ctx.coreId,
+                 ctx.state);
          }});
     infos_.push_back(
         {Backend::Null, "null", "no validation (the paper's base case)",

@@ -35,6 +35,9 @@ struct BackendContext
     RevConfig rev;
     LoFatConfig lofat;
     unsigned coreId = 0; ///< memory-system port for SC-fill/spill traffic
+    /** When set, the validator starts in this captured state (moved
+     *  from) instead of fresh: a snapshot fork. */
+    ValidatorSnapshot *state = nullptr;
 };
 
 /** One registered backend. */

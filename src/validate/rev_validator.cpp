@@ -23,18 +23,93 @@ contains(const std::vector<Addr> &v, Addr a)
 
 } // namespace
 
+/**
+ * Everything RevValidator mutates between construction and a pause point.
+ * Table readers are carried as inert clones of their construction-time
+ * header caches (not re-parsed by a fork: a tamper landing before the
+ * pause may have corrupted the header bytes in memory, and a cold run's
+ * reader — created at first use — would still hold the pre-tamper parse).
+ * They are immutable, so copies of the snapshot share them.
+ */
+struct RevValidator::Snapshot final : ValidatorSnapshot
+{
+    SignatureCache sc;
+    Sag sag;
+    Chg::State chg;
+    bool enabled;
+    std::array<PendingBB, kInflightSlots> ring;
+    std::optional<Addr> pendingReturn;
+    std::vector<Addr> shadowStack;
+    u64 shadowSpilled;
+    Cycle shadowPenaltyAt;
+    std::string lastViolation;
+    RevStats stats;
+    std::vector<OffenderRecord> offenders;
+    /** (table base, inert header-cache clone) — re-bound by the fork. */
+    std::vector<std::pair<Addr, std::shared_ptr<const sig::TableReader>>>
+        readers;
+
+    explicit Snapshot(const RevValidator &v)
+        : sc(v.sc_), sag(v.sag_), chg(v.chg_.saveState()),
+          enabled(v.enabled_), ring(v.ring_), pendingReturn(v.pendingReturn_),
+          shadowStack(v.shadowStack_), shadowSpilled(v.shadowSpilled_),
+          shadowPenaltyAt(v.shadowPenaltyAt_),
+          lastViolation(v.lastViolation_), stats(v.stats_),
+          offenders(v.offenders_)
+    {
+        for (const auto &[base, reader] : v.readers_)
+            readers.emplace_back(base, std::make_shared<const sig::TableReader>(
+                                           *reader, v.mem_));
+    }
+
+    std::unique_ptr<ValidatorSnapshot>
+    clone() const override
+    {
+        return std::make_unique<Snapshot>(*this);
+    }
+};
+
 RevValidator::RevValidator(const sig::SigStore &store,
                            const crypto::KeyVault &vault,
                            const SparseMemory &mem,
                            mem::MemorySystem &memsys, const RevConfig &cfg,
-                           unsigned core_id)
-    : store_(store), vault_(vault), mem_(mem), memsys_(memsys),
-      coreId_(core_id), cfg_(cfg), sc_(cfg.sc), sag_(cfg.sagEntries),
-      chg_(mem, cfg.chg), enabled_(cfg.startEnabled)
+                           unsigned core_id, ValidatorSnapshot *from)
+    : RevValidator(store, vault, mem, memsys, cfg, core_id,
+                   snapshotAs<Snapshot>(from))
 {
-    // The trusted linker pre-loads the SAG for statically linked modules
-    // (Sec. IV.B); modules beyond the SAG capacity fault in at run time.
-    preloadSag();
+}
+
+RevValidator::RevValidator(const sig::SigStore &store,
+                           const crypto::KeyVault &vault,
+                           const SparseMemory &mem,
+                           mem::MemorySystem &memsys, const RevConfig &cfg,
+                           unsigned core_id, Snapshot *from)
+    : store_(store), vault_(vault), mem_(mem), memsys_(memsys),
+      coreId_(core_id), cfg_(cfg),
+      sc_(from ? std::move(from->sc) : SignatureCache(cfg.sc)),
+      sag_(from ? std::move(from->sag) : Sag(cfg.sagEntries)),
+      chg_(from ? Chg(mem, cfg.chg, std::move(from->chg))
+                : Chg(mem, cfg.chg)),
+      enabled_(from ? from->enabled : cfg.startEnabled)
+{
+    if (!from) {
+        // The trusted linker pre-loads the SAG for statically linked
+        // modules (Sec. IV.B); modules beyond the SAG capacity fault in
+        // at run time.
+        preloadSag();
+        return;
+    }
+    ring_ = std::move(from->ring);
+    pendingReturn_ = from->pendingReturn;
+    shadowStack_ = std::move(from->shadowStack);
+    shadowSpilled_ = from->shadowSpilled;
+    shadowPenaltyAt_ = from->shadowPenaltyAt;
+    lastViolation_ = std::move(from->lastViolation);
+    stats_ = from->stats;
+    offenders_ = std::move(from->offenders);
+    for (const auto &[base, reader] : from->readers)
+        readers_.emplace_back(
+            base, std::make_unique<sig::TableReader>(*reader, mem_));
 }
 
 void
@@ -171,21 +246,22 @@ RevValidator::onBBFetched(const BBFetchInfo &info)
     if (entry) {
         const bool target_ok =
             !need_target ||
-            (entry->succ && *entry->succ == info.nextStart) ||
-            (two_slots && entry->succ2 && *entry->succ2 == info.nextStart);
+            entry->get(ScEntry::kSucc) == info.nextStart ||
+            (two_slots && entry->get(ScEntry::kSucc2) == info.nextStart);
         const bool pred_ok =
-            !need_pred || (entry->pred && *entry->pred == *pendingReturn_);
+            !need_pred || entry->get(ScEntry::kPred) == *pendingReturn_;
         if (target_ok && pred_ok) {
             // Full hit: validate from the cached entry.
             cur.scHit = true;
             cur.refFound = true;
             cur.refHash = entry->hash;
-            if (entry->succ)
-                cur.refTargets.push_back(*entry->succ);
-            if (two_slots && entry->succ2)
-                cur.refTargets.push_back(*entry->succ2);
-            if (entry->pred)
-                cur.refPreds.push_back(*entry->pred);
+            if (const auto succ = entry->get(ScEntry::kSucc))
+                cur.refTargets.push_back(*succ);
+            const auto succ2 = entry->get(ScEntry::kSucc2);
+            if (two_slots && succ2)
+                cur.refTargets.push_back(*succ2);
+            if (const auto pred = entry->get(ScEntry::kPred))
+                cur.refPreds.push_back(*pred);
             cur.scReadyAt = t;
             return;
         }
@@ -211,11 +287,11 @@ RevValidator::onBBFetched(const BBFetchInfo &info)
         if (ref.found) {
             if (need_target && contains(ref.targets, info.nextStart)) {
                 if (two_slots)
-                    entry->succ2 = entry->succ;
-                entry->succ = info.nextStart;
+                    entry->set(ScEntry::kSucc2, entry->get(ScEntry::kSucc));
+                entry->set(ScEntry::kSucc, info.nextStart);
             }
             if (need_pred && contains(ref.retPreds, *pendingReturn_))
-                entry->pred = *pendingReturn_;
+                entry->set(ScEntry::kPred, *pendingReturn_);
         }
         return;
     }
@@ -243,21 +319,21 @@ RevValidator::onBBFetched(const BBFetchInfo &info)
         fresh.hash = ref.hash;
         fresh.kind = ref.termKind;
         if (contains(ref.targets, info.nextStart))
-            fresh.succ = info.nextStart;
+            fresh.set(ScEntry::kSucc, info.nextStart);
         else if (!ref.targets.empty())
-            fresh.succ = ref.targets.front();
+            fresh.set(ScEntry::kSucc, ref.targets.front());
         if (two_slots) {
             for (Addr cand : ref.targets) {
-                if (!fresh.succ || cand != *fresh.succ) {
-                    fresh.succ2 = cand;
+                if (fresh.get(ScEntry::kSucc) != cand) {
+                    fresh.set(ScEntry::kSucc2, cand);
                     break;
                 }
             }
         }
         if (pendingReturn_ && contains(ref.retPreds, *pendingReturn_))
-            fresh.pred = *pendingReturn_;
+            fresh.set(ScEntry::kPred, *pendingReturn_);
         else if (!ref.retPreds.empty())
-            fresh.pred = ref.retPreds.front();
+            fresh.set(ScEntry::kPred, ref.retPreds.front());
     }
 }
 
@@ -498,74 +574,10 @@ RevValidator::snapshotStats(stats::StatSet &set,
     set.add(prefix + ".rev.shadow_refills", stats_.shadowRefills);
 }
 
-/**
- * Everything RevValidator mutates between construction and a pause point.
- * Table readers are carried as clones of their construction-time header
- * caches (not re-parsed at restore: a tamper landing before the pause may
- * have corrupted the header bytes in memory, and a cold run's reader —
- * created at first use — would still hold the pre-tamper parse).
- */
-struct RevValidator::Snapshot final : ValidatorSnapshot
-{
-    SignatureCache sc;
-    Sag sag;
-    Chg::State chg;
-    bool enabled = true;
-    std::array<PendingBB, kInflightSlots> ring;
-    std::optional<Addr> pendingReturn;
-    std::vector<Addr> shadowStack;
-    u64 shadowSpilled = 0;
-    Cycle shadowPenaltyAt = 0;
-    std::string lastViolation;
-    RevStats stats;
-    std::vector<OffenderRecord> offenders;
-    /** (table base, inert header-cache clone) — re-bound at restore. */
-    std::vector<std::pair<Addr, std::unique_ptr<sig::TableReader>>> readers;
-};
-
 std::unique_ptr<ValidatorSnapshot>
 RevValidator::saveSnapshot() const
 {
-    auto snap = std::make_unique<Snapshot>();
-    snap->sc = sc_;
-    snap->sag = sag_;
-    snap->chg = chg_.saveState();
-    snap->enabled = enabled_;
-    snap->ring = ring_;
-    snap->pendingReturn = pendingReturn_;
-    snap->shadowStack = shadowStack_;
-    snap->shadowSpilled = shadowSpilled_;
-    snap->shadowPenaltyAt = shadowPenaltyAt_;
-    snap->lastViolation = lastViolation_;
-    snap->stats = stats_;
-    snap->offenders = offenders_;
-    for (const auto &[base, reader] : readers_)
-        snap->readers.emplace_back(
-            base, std::make_unique<sig::TableReader>(*reader, mem_));
-    return snap;
-}
-
-void
-RevValidator::restoreSnapshot(const ValidatorSnapshot &snap)
-{
-    const auto *s = dynamic_cast<const Snapshot *>(&snap);
-    REV_ASSERT(s, "snapshot restored into a different backend");
-    sc_ = s->sc;
-    sag_ = s->sag;
-    chg_.restoreState(s->chg);
-    enabled_ = s->enabled;
-    ring_ = s->ring;
-    pendingReturn_ = s->pendingReturn;
-    shadowStack_ = s->shadowStack;
-    shadowSpilled_ = s->shadowSpilled;
-    shadowPenaltyAt_ = s->shadowPenaltyAt;
-    lastViolation_ = s->lastViolation;
-    stats_ = s->stats;
-    offenders_ = s->offenders;
-    readers_.clear();
-    for (const auto &[base, reader] : s->readers)
-        readers_.emplace_back(
-            base, std::make_unique<sig::TableReader>(*reader, mem_));
+    return std::make_unique<Snapshot>(*this);
 }
 
 } // namespace rev::validate

@@ -113,10 +113,15 @@ class RevValidator final : public Validator
      * @param mem    Functional memory (holds code and the tables).
      * @param memsys  Timing hierarchy for SC fill traffic.
      * @param core_id Memory-system port the SC fills issue through.
+     * @param from   When non-null, a saveSnapshot() capture of a REV
+     *               validator of the same configuration over a memory
+     *               @p mem is a fork of: this validator continues from
+     *               it (moving its contents out).
      */
     RevValidator(const sig::SigStore &store, const crypto::KeyVault &vault,
                  const SparseMemory &mem, mem::MemorySystem &memsys,
-                 const RevConfig &cfg = {}, unsigned core_id = 0);
+                 const RevConfig &cfg = {}, unsigned core_id = 0,
+                 ValidatorSnapshot *from = nullptr);
 
     // --- Validator --------------------------------------------------------
     Backend kind() const override { return Backend::Rev; }
@@ -132,7 +137,6 @@ class RevValidator final : public Validator
     void attachMeasurementSink(MeasurementSink *sink) override;
     void sealMeasurement() override { source_.seal(); }
     std::unique_ptr<ValidatorSnapshot> saveSnapshot() const override;
-    void restoreSnapshot(const ValidatorSnapshot &snap) override;
 
     /** Attacks that modify code space must invalidate memoized digests. */
     void invalidateCodeCache() override { chg_.invalidate(); }
@@ -219,6 +223,11 @@ class RevValidator final : public Validator
   private:
     /** Full mid-run state capture (defined in rev_validator.cpp). */
     struct Snapshot;
+
+    /** The public constructor, with @p from already cast. */
+    RevValidator(const sig::SigStore &store, const crypto::KeyVault &vault,
+                 const SparseMemory &mem, mem::MemorySystem &memsys,
+                 const RevConfig &cfg, unsigned core_id, Snapshot *from);
 
     /**
      * In-flight state of a basic block between fetch and commit — one

@@ -19,6 +19,7 @@
 #define REV_VALIDATE_SC_HPP
 
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -35,20 +36,54 @@ struct ScConfig
     unsigned entryBytes = 16; ///< modeled entry footprint (Fig. 2)
 };
 
-/** One SC entry. */
+/**
+ * One SC entry. The MRU address slots are stored flat with a presence
+ * mask rather than as three std::optionals, which keeps the entry at 56
+ * bytes and the whole SC array trivially copyable: snapshot capture and
+ * fork copy it with one memcpy.
+ */
 struct ScEntry
 {
-    bool valid = false;
+    /** The MRU address slots. */
+    enum Slot : u8
+    {
+        kSucc = 0,  ///< MRU explicitly-validated successor
+        kSucc2 = 1, ///< second successor slot (aggressive mode entries
+                    ///< verify up to two, Sec. VIII)
+        kPred = 2,  ///< MRU return-predecessor address
+    };
+
     Addr term = 0;
     Addr start = 0;
+    u64 lastUse = 0;
     u32 hash = 0;
     prog::TermKind kind = prog::TermKind::Halt;
-    std::optional<Addr> succ;  ///< MRU explicitly-validated successor
-    std::optional<Addr> succ2; ///< second successor slot (aggressive mode
-                               ///< entries verify up to two, Sec. VIII)
-    std::optional<Addr> pred;  ///< MRU return-predecessor address
-    u64 lastUse = 0;
+    bool valid = false;
+
+    /** Slot @p s's address, or nothing when the slot is empty. */
+    std::optional<Addr>
+    get(Slot s) const
+    {
+        return present_ & (1u << s) ? std::optional<Addr>(mru_[s])
+                                    : std::nullopt;
+    }
+
+    void
+    set(Slot s, std::optional<Addr> a)
+    {
+        if (a) {
+            mru_[s] = *a;
+            present_ |= static_cast<u8>(1u << s);
+        } else {
+            present_ &= static_cast<u8>(~(1u << s));
+        }
+    }
+
+  private:
+    u8 present_ = 0; ///< bit s set: mru_[s] holds an address
+    Addr mru_[3] = {0, 0, 0};
 };
+static_assert(std::is_trivially_copyable_v<ScEntry>);
 
 /**
  * The signature cache.

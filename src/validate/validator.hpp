@@ -23,6 +23,7 @@
 #include <memory>
 #include <string>
 
+#include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "isa/instr.hpp"
@@ -43,15 +44,44 @@ enum class Backend : u8
 /**
  * Opaque capture of a backend's complete mid-run state — inflight ring,
  * hash chain, CHG memo, caches, latches, counters.
- * Produced by Validator::saveSnapshot() and consumed by
- * restoreSnapshot() on a validator of the same backend and configuration
- * bound to a fork of the source's memory image (snapshot forking,
- * core/snapshot.hpp). The base type is the null backend's (empty) state.
+ * Produced by Validator::saveSnapshot() and consumed by constructing a
+ * validator of the same backend and configuration from it
+ * (BackendContext::state), bound to a fork of the source's memory image
+ * (snapshot forking, core/snapshot.hpp). The base type is the null
+ * backend's (empty) state.
  */
 struct ValidatorSnapshot
 {
+    ValidatorSnapshot() = default;
+    ValidatorSnapshot(const ValidatorSnapshot &) = default;
+    ValidatorSnapshot(ValidatorSnapshot &&) = default;
+    ValidatorSnapshot &operator=(const ValidatorSnapshot &) = default;
+    ValidatorSnapshot &operator=(ValidatorSnapshot &&) = default;
     virtual ~ValidatorSnapshot() = default;
+
+    /** An independent copy (a snapshot copied to fork it twice). */
+    virtual std::unique_ptr<ValidatorSnapshot>
+    clone() const
+    {
+        return std::make_unique<ValidatorSnapshot>();
+    }
 };
+
+/**
+ * @p from as the backend's own snapshot type @p S, or nullptr when
+ * @p from is null (a validator constructed fresh). Panics when @p from
+ * was captured from a different backend.
+ */
+template <typename S>
+S *
+snapshotAs(ValidatorSnapshot *from)
+{
+    if (!from)
+        return nullptr;
+    S *s = dynamic_cast<S *>(from);
+    REV_ASSERT(s, "snapshot restored into a different backend");
+    return s;
+}
 
 /** Stable CLI name, e.g. "rev". */
 const char *backendName(Backend b);
@@ -180,31 +210,22 @@ class Validator
      */
     virtual void sealMeasurement() {}
 
-    // --- snapshot fork / restore ----------------------------------------
+    // --- snapshot fork ----------------------------------------------------
 
     /**
      * Capture the backend's complete mid-run state for a snapshot fork.
      * Deliberately excluded: the measurement sink and trace callback (a
-     * restored validator reports to whatever its own harness attached —
+     * forked validator reports to whatever its own harness attached —
      * campaign forks attach none) and the construction-time bindings
-     * (store, vault, memory, memory system), which the restoring
-     * validator already owns fork-side.
+     * (store, vault, memory, memory system), which the forked validator
+     * is constructed over fork-side. A validator constructed from the
+     * capture (BackendContext::state) answers every hook exactly as the
+     * source would have from the pause point.
      */
     virtual std::unique_ptr<ValidatorSnapshot>
     saveSnapshot() const
     {
         return std::make_unique<ValidatorSnapshot>();
-    }
-
-    /**
-     * Adopt state captured by saveSnapshot() on a validator of the same
-     * backend and configuration whose memory image this validator's is a
-     * fork of. After the restore, this validator answers every hook
-     * exactly as the source would have from the pause point.
-     */
-    virtual void restoreSnapshot(const ValidatorSnapshot &snap)
-    {
-        (void)snap;
     }
 
     // --- harness-facing maintenance -------------------------------------

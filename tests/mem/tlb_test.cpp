@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+
+#include "common/random.hpp"
 #include "mem/tlb.hpp"
 
 namespace rev::mem
@@ -29,6 +33,43 @@ TEST(Tlb, LruReplacement)
     tlb.access(0x3000);  // evicts 0x2000
     EXPECT_TRUE(tlb.probe(0x1000));
     EXPECT_FALSE(tlb.probe(0x2000));
+}
+
+TEST(Tlb, MatchesReferenceLruAndCopiesIndependently)
+{
+    // The flat node-array LRU against a plain MRU-ordered list.
+    Tlb tlb("t", 16);
+    std::list<u64> ref; // front = most recently used page
+    Rng rng(3);
+    auto refAccess = [&](u64 page) {
+        const auto it = std::find(ref.begin(), ref.end(), page);
+        const bool hit = it != ref.end();
+        if (hit)
+            ref.erase(it);
+        ref.push_front(page);
+        if (ref.size() > 16)
+            ref.pop_back();
+        return hit;
+    };
+    for (int i = 0; i < 20000; ++i) {
+        const u64 page = rng.below(40);
+        ASSERT_EQ(tlb.access(page << 12), refAccess(page)) << i;
+    }
+
+    Tlb copy = tlb;
+    std::list<u64> copy_ref = ref;
+    for (int i = 0; i < 2000; ++i) {
+        const u64 page = rng.below(40);
+        ASSERT_EQ(copy.access(page << 12), refAccess(page)) << i;
+    }
+    std::swap(ref, copy_ref);
+    for (int i = 0; i < 2000; ++i) {
+        const u64 page = rng.below(40);
+        ASSERT_EQ(tlb.access(page << 12), refAccess(page)) << i;
+    }
+    for (u64 page = 0; page < 40; ++page)
+        EXPECT_EQ(tlb.probe(page << 12),
+                  std::find(ref.begin(), ref.end(), page) != ref.end());
 }
 
 TEST(TlbHierarchy, L1HitIsFree)

@@ -9,10 +9,10 @@
  * the sweep's per-phase host wall-clock breakdown (generate / proto-hash
  * / image-load / record / replay), and host microbenchmarks of the hot
  * primitives (per-block signature hash, memory-system access, machine
- * snapshot capture / memory fork / restore). Optionally compares
- * every tracked simulated statistic of the sweep against a pinned golden
- * snapshot and fails if anything deviates — the contract that simulator
- * fast paths never change simulated results.
+ * snapshot capture / memory fork / restore / fork-and-run). Optionally
+ * compares every tracked simulated statistic of the sweep against a
+ * pinned golden snapshot and fails if anything deviates — the contract
+ * that simulator fast paths never change simulated results.
  *
  * Usage:
  *   simperf [--quick] [--bench a,b,c] [--instrs N] [--threads N]
@@ -157,6 +157,9 @@ struct MicroNumbers
     double snapshotCaptureUs = 0; ///< Simulator::capture()
     double snapshotForkUs = 0;    ///< SparseMemory::fork() alone
     double snapshotRestoreUs = 0; ///< Simulator::forkFrom() total
+    /** forkFrom() plus run() of the fork's next 5k instructions: what a
+     *  campaign injection pays, cold decodes included. */
+    double snapshotForkRunUs = 0;
 };
 
 MicroNumbers
@@ -246,7 +249,7 @@ runMicro()
         // Snapshot primitives over a small warmed machine.
         const prog::Program program =
             workloads::generateWorkload(workloads::specProfile("mcf"));
-        const core::SimConfig cfg = sweepSimConfig(Config::Full32, 6000);
+        const core::SimConfig cfg = sweepSimConfig(Config::Full32, 7000);
         core::Simulator src(program, cfg);
         if (src.runUntil(2000)) {
             constexpr int kIters = 25;
@@ -265,6 +268,11 @@ runMicro()
             for (int i = 0; i < kIters; ++i)
                 (void)core::Simulator::forkFrom(snap);
             m.snapshotRestoreUs = secsSince(t0) * 1e6 / kIters;
+
+            t0 = Clock::now();
+            for (int i = 0; i < kIters; ++i)
+                (void)core::Simulator::forkFrom(snap)->run();
+            m.snapshotForkRunUs = secsSince(t0) * 1e6 / kIters;
         }
     }
     return m;
@@ -437,7 +445,7 @@ writeReport(const Args &args, const Sweep &sweep, const SweepRunner &runner,
     double total_job_wall = 0;
     std::size_t replayed_jobs = 0;
     os << "{\n"
-       << "  \"schema\": \"rev-sim-speed-v6\",\n"
+       << "  \"schema\": \"rev-sim-speed-v7\",\n"
        << "  \"instr_budget\": " << args.opts.instrBudget << ",\n"
        << "  \"threads\": " << runner.threadsUsed() << ",\n"
        << "  \"jobs\": [\n";
@@ -477,6 +485,7 @@ writeReport(const Args &args, const Sweep &sweep, const SweepRunner &runner,
        << ", \"snapshot_capture_us\": " << micro.snapshotCaptureUs
        << ", \"snapshot_mem_fork_us\": " << micro.snapshotForkUs
        << ", \"snapshot_restore_us\": " << micro.snapshotRestoreUs
+       << ", \"snapshot_fork_run_us\": " << micro.snapshotForkRunUs
        << "},\n"
        << "  \"total\": {\"wall_seconds\": " << total_wall
        << ", \"job_wall_seconds\": " << total_job_wall
