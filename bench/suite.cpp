@@ -1,9 +1,7 @@
 #include "bench/suite.hpp"
 
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <sstream>
 
 #include "bench/sweep_runner.hpp"
@@ -78,22 +76,17 @@ runSweep(const SweepOptions &opts)
     return SweepRunner(opts).run();
 }
 
-namespace
+std::vector<std::string>
+parseNameList(const std::string &text)
 {
-
-/** The whole of @p text as an unsigned number, or FatalError. */
-u64
-parseCount(const char *flag, const std::string &text)
-{
-    u64 value = 0;
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (text.empty() || ec != std::errc() || ptr != end)
-        fatal(flag, " wants a number, got '", text, "'");
-    return value;
+    std::vector<std::string> names;
+    std::istringstream in(text);
+    std::string name;
+    while (std::getline(in, name, ','))
+        if (!name.empty())
+            names.push_back(name);
+    return names;
 }
-
-} // namespace
 
 SweepOptions
 sweepOptionsFromArgs(int argc, char **argv)
@@ -122,21 +115,11 @@ sweepOptionsFromArgs(int argc, char **argv)
         if (arg == "--quick") {
             // applied above
         } else if (arg == "--threads") {
-            const u64 threads = parseCount("--threads", next());
-            if (threads > std::numeric_limits<unsigned>::max())
-                fatal("--threads ", threads, " is out of range");
-            opts.threads = static_cast<unsigned>(threads);
+            opts.threads = parseCount<unsigned>("--threads", next());
         } else if (arg == "--instrs") {
-            opts.instrBudget = parseCount("--instrs", next());
-            if (opts.instrBudget == 0)
-                fatal("--instrs wants a budget above 0");
+            opts.instrBudget = parseCount<u64>("--instrs", next(), 1);
         } else if (arg == "--bench") {
-            opts.benchmarks.clear();
-            std::istringstream names(next());
-            std::string name;
-            while (std::getline(names, name, ','))
-                if (!name.empty())
-                    opts.benchmarks.push_back(name);
+            opts.benchmarks = parseNameList(next());
         } else if (arg == "--write-golden") {
             opts.useCache = true;
             opts.cachePath = next();

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <optional>
-#include <string_view>
 
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
@@ -71,13 +69,6 @@ campaignModes()
 {
     return {sig::ValidationMode::Full, sig::ValidationMode::Aggressive,
             sig::ValidationMode::CfiOnly};
-}
-
-bool
-snapshotForkEnabledFromEnv()
-{
-    const char *env = std::getenv("REV_SNAPSHOT_FORK");
-    return !env || std::string_view(env) != "0";
 }
 
 bool
@@ -325,12 +316,6 @@ Campaign::canRun(const InjectionPlan &plan) const
         if (ctx->name == plan.workload)
             return true;
     return false;
-}
-
-DetectionMatrix
-Campaign::run() const
-{
-    return run(snapshotForkEnabledFromEnv());
 }
 
 DetectionMatrix

@@ -20,8 +20,8 @@
  * campaign keeps one *source* simulator per (workload, mode, timing)
  * configuration, advances it monotonically through the group's plans in
  * fireIndex order, captures a copy-on-write Snapshot at each distinct
- * fire point, and forks every injection from it (REV_SNAPSHOT_FORK=0
- * disables). A fork's instruction/cycle/statistics stream is
+ * fire point, and forks every injection from it (run(false) runs every
+ * plan cold instead). A fork's instruction/cycle/statistics stream is
  * bit-identical to a cold run's from the snapshot index on
  * (tests/bench/snapshot_test.cpp), so the rendered matrix is
  * byte-identical either way — enforced in CI.
@@ -48,10 +48,6 @@ std::vector<TimingVariant> campaignTimings();
 
 /** Every validation mode, in canonical order. */
 std::vector<sig::ValidationMode> campaignModes();
-
-/** REV_SNAPSHOT_FORK: snapshot-forked injections are on unless the
- *  variable is set to "0". Read per call — tests toggle it mid-process. */
-bool snapshotForkEnabledFromEnv();
 
 /** Per-(class, mode) verdict counts of a campaign. */
 struct CellStats
@@ -143,15 +139,11 @@ class Campaign
      *  campaigns swept over different axes.) */
     bool canRun(const InjectionPlan &plan) const;
 
-    /** Run the whole campaign across the worker pool, with snapshot
-     *  forking per REV_SNAPSHOT_FORK. */
-    DetectionMatrix run() const;
-
-    /** Run the whole campaign; @p use_snapshots selects between
-     *  snapshot-forked injections (fork the warmed source at each
-     *  plan's fire index) and cold per-plan runs. Both render
-     *  byte-identical matrices. */
-    DetectionMatrix run(bool use_snapshots) const;
+    /** Run the whole campaign across the worker pool; @p use_snapshots
+     *  selects between snapshot-forked injections (fork the warmed
+     *  source at each plan's fire index) and cold per-plan runs. Both
+     *  render byte-identical matrices. */
+    DetectionMatrix run(bool use_snapshots = true) const;
 
     const CampaignSpec &spec() const { return spec_; }
     const std::vector<TimingVariant> &timings() const { return timings_; }

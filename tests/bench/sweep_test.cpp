@@ -280,5 +280,28 @@ TEST(SweepRunner, AblationJobsMatchDirectRuns)
     }
 }
 
+TEST(CommandLine, CountsAreWholeDecimalNumbersInRange)
+{
+    EXPECT_EQ(parseCount<unsigned>("--threads", "4"), 4u);
+    EXPECT_EQ(parseCount<unsigned>("--threads", "4294967295"), 4294967295u);
+    EXPECT_EQ(parseCount<u64>("--instrs", "1", 1), 1u);
+    // None of these is a count; a lenient parse reads them as
+    // 4294967295 threads or a zero (unbounded) budget.
+    for (const char *bad : {"-1", "abc", "", "12x", " 4", "+4", "0x10"})
+        EXPECT_THROW(parseCount<unsigned>("--threads", bad), FatalError)
+            << "'" << bad << "'";
+    EXPECT_THROW(parseCount<unsigned>("--threads", "4294967296"), FatalError);
+    EXPECT_THROW(parseCount<u64>("--instrs", "18446744073709551616"),
+                 FatalError);
+    EXPECT_THROW(parseCount<u64>("--instrs", "0", 1), FatalError);
+}
+
+TEST(CommandLine, NameListsDropEmptyNames)
+{
+    EXPECT_EQ(parseNameList("mcf,,bzip2,"),
+              (std::vector<std::string>{"mcf", "bzip2"}));
+    EXPECT_TRUE(parseNameList("").empty());
+}
+
 } // namespace
 } // namespace rev::bench

@@ -13,8 +13,7 @@
  *   revredteam [--seed N] [--quick] [--injections N] [--budget N]
  *              [--threads N] [--workloads a,b] [--out FILE]
  *              [--backend NAME] [--list-backends] [--shrink]
- *              [--disable-rev] [--snapshots | --no-snapshots]
- *              [--corpus DIR]
+ *              [--disable-rev] [--no-snapshots] [--corpus DIR]
  *
  *   --quick          the CI / acceptance campaign (500 injections)
  *   --out            detection-matrix JSON path (default: stdout)
@@ -27,10 +26,10 @@
  *   --disable-rev    run without validation attached (oracle self-test:
  *                    divergent injections of detectable classes must
  *                    surface as escapes)
- *   --snapshots      fork every injection from a warmed COW snapshot at
- *                    its fire index (--no-snapshots: cold per-plan runs;
- *                    default follows REV_SNAPSHOT_FORK, on). Matrices
- *                    are byte-identical either way — enforced in CI.
+ *   --no-snapshots   run every injection cold from instruction zero
+ *                    instead of forking it from a warmed COW snapshot
+ *                    at its fire index. Matrices are byte-identical
+ *                    either way — enforced in CI.
  *   --corpus DIR     replay every stored reproducer plan in DIR before
  *                    the sweep (a persistent regression gate: a stored
  *                    escape that still escapes fails the run), then
@@ -41,9 +40,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <optional>
 #include <string>
 
+#include "bench/suite.hpp"
 #include "common/logging.hpp"
 #include "redteam/campaign.hpp"
 #include "redteam/corpus.hpp"
@@ -62,7 +61,7 @@ struct Args
     std::string outPath;    ///< empty = stdout
     std::string corpusDir;  ///< empty = no corpus
     bool shrink = false;
-    std::optional<bool> snapshots; ///< unset = REV_SNAPSHOT_FORK default
+    bool snapshots = true;
 };
 
 [[noreturn]] void
@@ -72,8 +71,8 @@ usage(int code)
         "usage: revredteam [--seed N] [--quick] [--injections N]\n"
         "                  [--budget N] [--threads N] [--workloads a,b]\n"
         "                  [--out FILE] [--backend NAME] [--list-backends]\n"
-        "                  [--shrink] [--disable-rev]\n"
-        "                  [--snapshots | --no-snapshots] [--corpus DIR]\n");
+        "                  [--shrink] [--disable-rev] [--no-snapshots]\n"
+        "                  [--corpus DIR]\n");
     std::exit(code);
 }
 
@@ -94,12 +93,14 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--quick") {
             args.spec = CampaignSpec::quick(args.spec.seed);
         } else if (arg == "--injections") {
-            args.spec.injections = std::strtoull(next(i), nullptr, 0);
+            args.spec.injections =
+                bench::parseCount<u64>("--injections", next(i), 1);
         } else if (arg == "--budget") {
-            args.spec.instrBudget = std::strtoull(next(i), nullptr, 0);
+            args.spec.instrBudget =
+                bench::parseCount<u64>("--budget", next(i), 1);
         } else if (arg == "--threads") {
             args.spec.threads =
-                static_cast<unsigned>(std::strtoul(next(i), nullptr, 0));
+                bench::parseCount<unsigned>("--threads", next(i));
         } else if (arg == "--workloads") {
             args.spec.workloads.clear();
             std::string names = next(i);
@@ -117,8 +118,6 @@ parseArgs(int argc, char **argv)
             args.outPath = next(i);
         } else if (arg == "--shrink") {
             args.shrink = true;
-        } else if (arg == "--snapshots") {
-            args.snapshots = true;
         } else if (arg == "--no-snapshots") {
             args.snapshots = false;
         } else if (arg == "--corpus") {
@@ -185,8 +184,8 @@ printSummary(const DetectionMatrix &m)
 int
 main(int argc, char **argv)
 {
-    const Args args = parseArgs(argc, argv);
     try {
+        const Args args = parseArgs(argc, argv);
         Campaign campaign(args.spec);
 
         // Corpus replay: the persistent regression gate. Every stored
@@ -215,9 +214,7 @@ main(int argc, char **argv)
             }
         }
 
-        DetectionMatrix matrix = args.snapshots
-                                     ? campaign.run(*args.snapshots)
-                                     : campaign.run();
+        DetectionMatrix matrix = campaign.run(args.snapshots);
 
         if (args.shrink && !matrix.escapes.empty()) {
             for (EscapeRecord &e : matrix.escapes) {

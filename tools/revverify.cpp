@@ -37,15 +37,14 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <sys/resource.h>
 #endif
 
+#include "bench/suite.hpp"
 #include "common/logging.hpp"
 #include "validate/backend_cli.hpp"
 #include "verifier/loadgen.hpp"
@@ -54,6 +53,8 @@ namespace
 {
 
 using namespace rev;
+using bench::parseCount;
+using bench::parseNameList;
 
 struct Args
 {
@@ -88,24 +89,17 @@ parseArgs(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--sessions") {
-            args.opts.sessions =
-                static_cast<unsigned>(std::atoi(next(i)));
+            args.opts.sessions = parseCount<unsigned>("--sessions", next(i));
         } else if (arg == "--workers") {
-            args.opts.workers = static_cast<unsigned>(std::atoi(next(i)));
+            args.opts.workers = parseCount<unsigned>("--workers", next(i));
         } else if (arg == "--provers") {
-            args.opts.provers = static_cast<unsigned>(std::atoi(next(i)));
+            args.opts.provers = parseCount<unsigned>("--provers", next(i));
         } else if (arg == "--instrs") {
-            args.opts.instrBudget = std::strtoull(next(i), nullptr, 10);
+            args.opts.instrBudget = parseCount<u64>("--instrs", next(i), 1);
         } else if (arg == "--chunk") {
-            args.opts.chunkBytes =
-                static_cast<std::size_t>(std::strtoull(next(i), nullptr, 10));
+            args.opts.chunkBytes = parseCount<std::size_t>("--chunk", next(i));
         } else if (arg == "--bench") {
-            args.opts.benchmarks.clear();
-            std::istringstream names(next(i));
-            std::string name;
-            while (std::getline(names, name, ','))
-                if (!name.empty())
-                    args.opts.benchmarks.push_back(name);
+            args.opts.benchmarks = parseNameList(next(i));
         } else if (arg == "--transport") {
             const std::string t = next(i);
             if (t == "mem" || t == "memory")
@@ -116,11 +110,11 @@ parseArgs(int argc, char **argv)
                 usage(2);
         } else if (arg == "--dedup") {
             args.opts.dedupEntries =
-                static_cast<std::size_t>(std::strtoull(next(i), nullptr, 10));
+                parseCount<std::size_t>("--dedup", next(i));
         } else if (arg == "--no-dedup") {
             args.opts.dedupEntries = 0;
         } else if (arg == "--window") {
-            args.opts.window = static_cast<unsigned>(std::atoi(next(i)));
+            args.opts.window = parseCount<unsigned>("--window", next(i));
         } else if (arg == "--verdicts-out") {
             args.verdictsPath = next(i);
         } else if (arg == "--quick") {

@@ -7,12 +7,13 @@
  * writes the numbers to a JSON report (BENCH_sim_speed.json): per-job
  * wall times (tagged with whether the job replayed a recorded trace),
  * the sweep's per-phase host wall-clock breakdown (generate / proto-hash
- * / image-load / record / replay), and host microbenchmarks of the hot
- * primitives (per-block signature hash, memory-system access, machine
- * snapshot capture / memory fork / restore / fork-and-run). Optionally
- * compares every tracked simulated statistic of the sweep against a
- * pinned golden snapshot and fails if anything deviates — the contract
- * that simulator fast paths never change simulated results.
+ * / image-load / record / replay), and which hash and AES kernels the
+ * host runs. Per-layer host costs (hash throughput, memory access,
+ * snapshot capture and fork) come from revbench's traced run, not from
+ * here. Optionally compares every tracked simulated statistic of the
+ * sweep against a pinned golden snapshot and fails if anything
+ * deviates — the contract that simulator fast paths never change
+ * simulated results.
  *
  * Usage:
  *   simperf [--quick] [--bench a,b,c] [--instrs N] [--threads N]
@@ -34,7 +35,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <string>
@@ -44,13 +44,9 @@
 #include "bench/suite.hpp"
 #include "bench/sweep_runner.hpp"
 #include "common/logging.hpp"
-#include "core/snapshot.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/cubehash.hpp"
-#include "mem/memsys.hpp"
-#include "sig/table.hpp"
 #include "validate/backend_cli.hpp"
-#include "workloads/generator.hpp"
 #include "workloads/scheduler.hpp"
 
 namespace
@@ -96,30 +92,16 @@ parseArgs(int argc, char **argv)
         if (arg == "--quick") {
             args.opts = SweepOptions::quick();
         } else if (arg == "--bench") {
-            args.opts.benchmarks.clear();
-            std::string names = next(i);
-            std::size_t pos = 0;
-            while (pos != std::string::npos) {
-                const std::size_t comma = names.find(',', pos);
-                const std::string name =
-                    names.substr(pos, comma == std::string::npos
-                                          ? std::string::npos
-                                          : comma - pos);
-                if (!name.empty())
-                    args.opts.benchmarks.push_back(name);
-                pos = comma == std::string::npos ? comma : comma + 1;
-            }
+            args.opts.benchmarks = parseNameList(next(i));
         } else if (arg == "--instrs") {
-            args.opts.instrBudget = std::strtoull(next(i), nullptr, 10);
+            args.opts.instrBudget = parseCount<u64>("--instrs", next(i), 1);
         } else if (arg == "--threads") {
-            args.opts.threads = static_cast<unsigned>(std::atoi(next(i)));
+            args.opts.threads = parseCount<unsigned>("--threads", next(i));
         } else if (arg == "--out") {
             args.outPath = next(i);
             args.outPathSet = true;
         } else if (arg == "--cores") {
-            args.cores = static_cast<unsigned>(std::atoi(next(i)));
-            if (args.cores < 1)
-                usage(2);
+            args.cores = parseCount<unsigned>("--cores", next(i), 1);
         } else if (arg == "--golden") {
             args.goldenPath = next(i);
         } else if (validate::backendCliOptions(argc, argv, &i,
@@ -134,148 +116,6 @@ parseArgs(int argc, char **argv)
         }
     }
     return args;
-}
-
-/** Host cost of the two primitives the sweep leans on hardest. */
-struct MicroNumbers
-{
-    double bbHashNs = 0;      ///< one 64-byte basic-block signature hash
-    double memsysAccessNs = 0; ///< one timing-model memory access
-
-    // Hash-throughput breakdown: the single-state kernel vs the batch
-    // entry point over the same total bytes (64-byte block-sized
-    // messages, the sweep's common case).
-    double hashScalarMBps = 0; ///< single-state permute kernel
-    double hashBatchMBps = 0;  ///< crypto::cubehashBatch, 64 per call
-    unsigned statesPerRound = 1; ///< states the batch kernel's round advances
-
-    double aesCtrMBps = 0; ///< Aes128::ctrCrypt over 4 KiB buffers
-
-    // Machine-snapshot primitives (core/snapshot.hpp): what the
-    // campaign / sweep pay per warmed-state reuse instead of
-    // re-executing the prefix.
-    double snapshotCaptureUs = 0; ///< Simulator::capture()
-    double snapshotForkUs = 0;    ///< SparseMemory::fork() alone
-    double snapshotRestoreUs = 0; ///< Simulator::forkFrom() total
-    /** forkFrom() plus run() of the fork's next 5k instructions: what a
-     *  campaign injection pays, cold decodes included. */
-    double snapshotForkRunUs = 0;
-};
-
-MicroNumbers
-runMicro()
-{
-    using Clock = std::chrono::steady_clock;
-    auto secsSince = [](Clock::time_point t0) {
-        return std::chrono::duration<double>(Clock::now() - t0).count();
-    };
-    MicroNumbers m;
-    {
-        u8 buf[64];
-        for (unsigned i = 0; i < sizeof(buf); ++i)
-            buf[i] = static_cast<u8>(i * 37 + 1);
-        constexpr int kIters = 20000;
-        u32 sink = 0;
-        const auto t0 = Clock::now();
-        for (int i = 0; i < kIters; ++i)
-            sink ^= sig::bbHashBytes(buf, sizeof(buf), 0x1000 + sink % 7,
-                                     0x1040, 5);
-        m.bbHashNs = secsSince(t0) * 1e9 / kIters;
-    }
-    {
-        u8 buf[64];
-        for (unsigned i = 0; i < sizeof(buf); ++i)
-            buf[i] = static_cast<u8>(i * 11 + 5);
-        constexpr int kIters = 20000;
-        // Single-state kernel throughput.
-        {
-            u32 sink = 0;
-            const auto t0 = Clock::now();
-            for (int i = 0; i < kIters; ++i) {
-                crypto::CubeHash h(5, 32, 256);
-                h.update(buf, sizeof(buf));
-                sink ^= crypto::CubeHash::signature32(h.finalize());
-            }
-            const double secs = secsSince(t0);
-            m.hashScalarMBps =
-                secs > 0 ? kIters * sizeof(buf) / secs / 1e6 : 0;
-            (void)sink;
-        }
-        // Batch entry point throughput over the same bytes.
-        {
-            constexpr int kBatch = 64;
-            crypto::HashMsg msgs[kBatch];
-            for (auto &msg : msgs)
-                msg = {buf, sizeof(buf)};
-            crypto::Digest out[kBatch];
-            u32 sink = 0;
-            const auto t0 = Clock::now();
-            for (int i = 0; i < kIters / kBatch; ++i) {
-                crypto::cubehashBatch(msgs, kBatch, 5, out);
-                sink ^= crypto::CubeHash::signature32(out[i % kBatch]);
-            }
-            const double secs = secsSince(t0);
-            m.hashBatchMBps = secs > 0 ? (kIters / kBatch) * kBatch *
-                                             sizeof(buf) / secs / 1e6
-                                       : 0;
-            (void)sink;
-        }
-        m.statesPerRound = crypto::cubehashBatchLanes();
-    }
-    {
-        // Table-encryption throughput: CTR over 4 KiB buffers.
-        std::vector<u8> buf(4096, 0x5a);
-        const crypto::Aes128 aes(crypto::AesKey{});
-        constexpr int kIters = 2000;
-        const auto t0 = Clock::now();
-        for (int i = 0; i < kIters; ++i)
-            aes.ctrCrypt(buf, static_cast<u64>(i));
-        const double secs = secsSince(t0);
-        m.aesCtrMBps = secs > 0 ? kIters * buf.size() / secs / 1e6 : 0;
-    }
-    {
-        mem::MemorySystem ms{mem::MemConfig{}};
-        constexpr int kIters = 200000;
-        Cycle at = 0;
-        const auto t0 = Clock::now();
-        for (int i = 0; i < kIters; ++i) {
-            const auto r = ms.access((static_cast<Addr>(i) * 64) & 0x3fffff,
-                                     mem::AccessType::DataRead, at);
-            at = std::max(at + 1, r.l1Hit ? at + 1 : r.completeAt);
-        }
-        m.memsysAccessNs = secsSince(t0) * 1e9 / kIters;
-    }
-    {
-        // Snapshot primitives over a small warmed machine.
-        const prog::Program program =
-            workloads::generateWorkload(workloads::specProfile("mcf"));
-        const core::SimConfig cfg = sweepSimConfig(Config::Full32, 7000);
-        core::Simulator src(program, cfg);
-        if (src.runUntil(2000)) {
-            constexpr int kIters = 25;
-            auto t0 = Clock::now();
-            for (int i = 0; i < kIters; ++i)
-                (void)src.capture();
-            m.snapshotCaptureUs = secsSince(t0) * 1e6 / kIters;
-
-            const core::Snapshot snap = src.capture();
-            t0 = Clock::now();
-            for (int i = 0; i < kIters; ++i)
-                (void)snap.mem.fork();
-            m.snapshotForkUs = secsSince(t0) * 1e6 / kIters;
-
-            t0 = Clock::now();
-            for (int i = 0; i < kIters; ++i)
-                (void)core::Simulator::forkFrom(snap);
-            m.snapshotRestoreUs = secsSince(t0) * 1e6 / kIters;
-
-            t0 = Clock::now();
-            for (int i = 0; i < kIters; ++i)
-                (void)core::Simulator::forkFrom(snap)->run();
-            m.snapshotForkRunUs = secsSince(t0) * 1e6 / kIters;
-        }
-    }
-    return m;
 }
 
 // ---------------------------------------------------------------------------
@@ -323,8 +163,7 @@ runMulticoreScaling(const Args &args)
     // added validator bids for the same fill bandwidth.
     core::SimConfig proto = sweepSimConfig(Config::Full32, 0);
     proto.backend = args.opts.backend;
-    proto.core.maxInstrs =
-        args.opts.instrBudget ? args.opts.instrBudget : 120'000;
+    proto.core.maxInstrs = args.opts.instrBudget;
     proto.mem.dmaIntervalCycles = 400; // background DMA pressure
     proto.coreIdAddr = workloads::kSchedCoreIdWord;
 
@@ -435,7 +274,7 @@ runMulticoreScaling(const Args &args)
 
 void
 writeReport(const Args &args, const Sweep &sweep, const SweepRunner &runner,
-            double total_wall, const MicroNumbers &micro)
+            double total_wall)
 {
     std::ofstream os(args.outPath);
     if (!os)
@@ -445,7 +284,7 @@ writeReport(const Args &args, const Sweep &sweep, const SweepRunner &runner,
     double total_job_wall = 0;
     std::size_t replayed_jobs = 0;
     os << "{\n"
-       << "  \"schema\": \"rev-sim-speed-v7\",\n"
+       << "  \"schema\": \"rev-sim-speed-v8\",\n"
        << "  \"instr_budget\": " << args.opts.instrBudget << ",\n"
        << "  \"threads\": " << runner.threadsUsed() << ",\n"
        << "  \"jobs\": [\n";
@@ -474,19 +313,11 @@ writeReport(const Args &args, const Sweep &sweep, const SweepRunner &runner,
        << ", \"image_seconds\": " << ph.imageSeconds
        << ", \"record_seconds\": " << ph.recordSeconds
        << ", \"replay_seconds\": " << ph.replaySeconds << "},\n"
-       << "  \"micro\": {\"bb_hash_ns\": " << micro.bbHashNs
-       << ", \"memsys_access_ns\": " << micro.memsysAccessNs
-       << ", \"hash_scalar_mbps\": " << micro.hashScalarMBps
-       << ", \"hash_batch_mbps\": " << micro.hashBatchMBps
-       << ", \"hash_states_per_round\": " << micro.statesPerRound
-       << ", \"hash_impl\": \"" << crypto::cubehashImpl() << "\""
-       << ", \"aes_impl\": \"" << crypto::aesImpl() << "\""
-       << ", \"aes_ctr_mbps\": " << micro.aesCtrMBps
-       << ", \"snapshot_capture_us\": " << micro.snapshotCaptureUs
-       << ", \"snapshot_mem_fork_us\": " << micro.snapshotForkUs
-       << ", \"snapshot_restore_us\": " << micro.snapshotRestoreUs
-       << ", \"snapshot_fork_run_us\": " << micro.snapshotForkRunUs
-       << "},\n"
+       << "  \"host\": {\"hash_impl\": \"" << crypto::cubehashImpl()
+       << "\", \"hash_batch_impl\": \"" << crypto::cubehashBatchImpl()
+       << "\", \"hash_states_per_round\": "
+       << crypto::cubehashBatchLanes() << ", \"aes_impl\": \""
+       << crypto::aesImpl() << "\"},\n"
        << "  \"total\": {\"wall_seconds\": " << total_wall
        << ", \"job_wall_seconds\": " << total_job_wall
        << ", \"replayed_jobs\": " << replayed_jobs
@@ -498,15 +329,12 @@ writeReport(const Args &args, const Sweep &sweep, const SweepRunner &runner,
        << "}\n";
     std::printf("simperf: %zu jobs (%zu replayed), %.2fs wall "
                 "(gen %.2f + proto %.2f + image %.2f + record %.2f + "
-                "replay %.2f), "
-                "hash=%s (%.0f MB/s scalar, %.0f MB/s batch %s), "
-                "aes=%s (%.0f MB/s ctr), report -> %s\n",
+                "replay %.2f), hash=%s batch %s, aes=%s, report -> %s\n",
                 timings.size(), replayed_jobs, total_wall,
                 ph.generateSeconds, ph.protoSeconds, ph.imageSeconds,
                 ph.recordSeconds, ph.replaySeconds, crypto::cubehashImpl(),
-                micro.hashScalarMBps, micro.hashBatchMBps,
                 crypto::cubehashBatchImpl(), crypto::aesImpl(),
-                micro.aesCtrMBps, args.outPath.c_str());
+                args.outPath.c_str());
 }
 
 } // namespace
@@ -527,7 +355,7 @@ main(int argc, char **argv)
             std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
                 .count();
 
-        writeReport(args, sweep, runner, total_wall, runMicro());
+        writeReport(args, sweep, runner, total_wall);
 
         if (!args.goldenPath.empty()) {
             const auto diffs =
