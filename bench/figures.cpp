@@ -4,15 +4,17 @@
  * runner (sweep_runner.hpp): the paper sweep's tables -- Sec. VIII
  * basic-block statistics, Sec. V signature-table sizes, Figs. 6-12 and
  * the CFI-only overhead (Sec. V.D / VIII) -- then the steady-state
- * Fig. 7 and the design-choice ablations.
+ * Fig. 7, the design-choice ablations and multicore scaling.
  *
  * Each table beyond the sweep declares its job list up front; all jobs
  * run on one worker pool, and the tables render in README order. The
  * command line is the sweep's (sweepOptionsFromArgs) and means the same
- * for every table: --bench restricts the rows, the budget B comes from
- * --instrs or --quick (ablations run B/4; steady state warms B/2 and
- * measures B), and --backend applies to the paper and steady-state
- * tables (the ablations vary REV's own parameters, so they run REV).
+ * for every table: --bench restricts the rows (the multicore table has
+ * one workload and always runs), the budget B comes from --instrs or
+ * --quick (ablations run B/4; steady state warms B/2 and measures B;
+ * each core of the multicore table runs B), and --backend applies to
+ * the paper, steady-state and multicore tables (the ablations vary
+ * REV's own parameters, so they run REV).
  * Bad input exits with status 2.
  */
 
@@ -26,6 +28,7 @@
 #include "bench/sweep_runner.hpp"
 #include "common/logging.hpp"
 #include "workloads/profile.hpp"
+#include "workloads/scheduler.hpp"
 
 namespace
 {
@@ -850,6 +853,69 @@ declareSeeds(Extras &x, const SweepOptions &opts)
     };
 }
 
+/**
+ * Multicore scaling (beyond the paper, which validates one core, Sec.
+ * VII): the scheduler workload on 1, 2 and 4 cores over one shared
+ * L2/DRAM, base vs REV at B instructions per core. The DRAM and its
+ * background DMA pressure stay fixed, so every added validator bids for
+ * the same fill bandwidth. Overhead is the aggregate (slowest-core)
+ * cycle ratio; the wait column sums, over cores, the cycles SC fills
+ * queued behind other cores at the shared L2.
+ */
+Table
+declareMulticore(Extras &x, const SweepOptions &opts)
+{
+    static constexpr unsigned kCores[] = {1, 2, 4};
+    const WorkloadProfile prof = rev::workloads::schedStormProfile();
+    std::vector<std::size_t> jobs; // a (base, REV) pair per core count
+    for (unsigned cores : kCores) {
+        SimConfig cfg = sweepSimConfig(Config::Full32, opts.instrBudget);
+        cfg.backend = opts.backend;
+        cfg.mem.dmaIntervalCycles = 400;
+        cfg.coreIdAddr = rev::workloads::kSchedCoreIdWord;
+        cfg.numCores = cores;
+        SimConfig base = cfg;
+        base.withRev = false;
+        jobs.push_back(x.add(prof, base));
+        jobs.push_back(x.add(prof, cfg));
+    }
+    return [=, budget = opts.instrBudget](const Extras &x) {
+        printRule();
+        std::printf("Multicore scaling -- %s, base vs REV on a shared "
+                    "L2/DRAM\n",
+                    prof.name.c_str());
+        std::printf("Paper reference: none (Sec. VII evaluates one "
+                    "validated core)\n");
+        std::printf("%s-instruction budget per core; a DMA burst every 400 "
+                    "cycles\n",
+                    shortCount(budget).c_str());
+        printRule();
+        std::printf("%-6s %12s %12s %8s %10s %12s %12s\n", "cores",
+                    "base-cycles", "rev-cycles", "ovh%", "sc-fills",
+                    "fill-L2-miss", "xcore-wait");
+        bool rising = true;
+        double last = -1;
+        for (std::size_t k = 0; k < std::size(kCores); ++k) {
+            const JobResult &b = x.results[jobs[2 * k]];
+            const JobResult &r = x.results[jobs[2 * k + 1]];
+            const double ovh =
+                100.0 * (static_cast<double>(r.run.cycles) / b.run.cycles - 1);
+            rising = rising && ovh >= last;
+            last = ovh;
+            std::printf("%-6u %12llu %12llu %8.2f %10llu %12llu %12llu\n",
+                        kCores[k],
+                        static_cast<unsigned long long>(b.run.cycles),
+                        static_cast<unsigned long long>(r.run.cycles), ovh,
+                        static_cast<unsigned long long>(r.run.scFillAccesses),
+                        static_cast<unsigned long long>(r.run.scFillL2Misses),
+                        static_cast<unsigned long long>(
+                            r.xcoreScFillWaitCycles));
+        }
+        std::printf("\nOverhead never falls as cores are added: %s\n",
+                    rising ? "yes" : "NO");
+    };
+}
+
 } // namespace
 
 int
@@ -861,7 +927,7 @@ main(int argc, char **argv)
         std::vector<Table> tables;
         for (auto declare : {declareSteady, declareSc, declareChg,
                              declareTableDesign, declareReturn, declareDma,
-                             declareSeeds})
+                             declareSeeds, declareMulticore})
             tables.push_back(declare(x, opts));
         const Sweep s = SweepRunner(opts).run(x.jobs, &x.results);
         for (auto render :

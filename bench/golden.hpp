@@ -7,8 +7,8 @@
  * memory accesses, trace replay) are pure software optimizations: they
  * must never change a simulated number. The golden snapshot makes that
  * contract executable — the quick sweep is compared bit-for-bit against
- * a checked-in reference, both in the test suite and in the simperf
- * harness, so a perf patch that perturbs the timing model fails loudly.
+ * a checked-in reference by the test suite (GoldenStats), so a perf
+ * patch that perturbs the timing model fails loudly.
  *
  * File format ("revcache v8", one record per line):
  *

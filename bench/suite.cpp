@@ -2,10 +2,10 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 #include "bench/sweep_runner.hpp"
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 #include "validate/backend_cli.hpp"
 #include "workloads/generator.hpp"
 
@@ -76,18 +76,6 @@ runSweep(const SweepOptions &opts)
     return SweepRunner(opts).run();
 }
 
-std::vector<std::string>
-parseNameList(const std::string &text)
-{
-    std::vector<std::string> names;
-    std::istringstream in(text);
-    std::string name;
-    while (std::getline(in, name, ','))
-        if (!name.empty())
-            names.push_back(name);
-    return names;
-}
-
 SweepOptions
 sweepOptionsFromArgs(int argc, char **argv)
 {
@@ -115,7 +103,8 @@ sweepOptionsFromArgs(int argc, char **argv)
         if (arg == "--quick") {
             // applied above
         } else if (arg == "--threads") {
-            opts.threads = parseCount<unsigned>("--threads", next());
+            opts.threads =
+                parseCount<unsigned>("--threads", next(), 0, kMaxThreads);
         } else if (arg == "--instrs") {
             opts.instrBudget = parseCount<u64>("--instrs", next(), 1);
         } else if (arg == "--bench") {

@@ -19,13 +19,11 @@
 #ifndef REV_BENCH_SUITE_HPP
 #define REV_BENCH_SUITE_HPP
 
-#include <charconv>
-#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
-#include "common/logging.hpp"
+#include "common/cli.hpp"
 #include "common/types.hpp"
 #include "core/simulator.hpp"
 
@@ -176,34 +174,14 @@ Sweep runSweep(const SweepOptions &opts = {});
  *   --list-backends      print the registered backends and exit
  *
  * Prints usage and exits on --help or an unknown flag; throws FatalError
- * on a non-numeric --threads or a non-numeric or zero --instrs.
+ * on a non-numeric --threads or one above kMaxThreads, and on a
+ * non-numeric or zero --instrs.
  */
 SweepOptions sweepOptionsFromArgs(int argc, char **argv);
 
-/**
- * The command-line value @p text of @p flag as a decimal @p T of at
- * least @p min. Anything else (a sign, a stray character, an empty
- * string, a value @p T cannot hold) throws FatalError, so "-1" and
- * "abc" never reach a thread count or a budget as 4294967295 or 0.
- */
-template <class T>
-T
-parseCount(const char *flag, const std::string &text, T min = 0)
-{
-    u64 value = 0;
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-    if (text.empty() || ec != std::errc() || ptr != end)
-        fatal(flag, " wants a number, got '", text, "'");
-    if (value < min)
-        fatal(flag, " wants a number of at least ", min, ", got ", value);
-    if (value > std::numeric_limits<T>::max())
-        fatal(flag, " ", value, " is out of range");
-    return static_cast<T>(value);
-}
-
-/** The non-empty names of the comma-separated list @p text. */
-std::vector<std::string> parseNameList(const std::string &text);
+/** The checked command-line parsers, under their bench:: spellings. */
+using rev::parseCount;
+using rev::parseNameList;
 
 /** Percentage IPC overhead of @p cfg relative to the base run. */
 double overheadPct(const Sweep &s, const std::string &bench, Config cfg);

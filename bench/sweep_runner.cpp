@@ -11,9 +11,12 @@
 
 #include "bench/golden.hpp"
 #include "common/parallel.hpp"
+#include "crypto/aes.hpp"
+#include "crypto/cubehash.hpp"
 #include "program/trace.hpp"
 #include "sig/sigstore.hpp"
 #include "workloads/generator.hpp"
+#include "workloads/scheduler.hpp"
 
 namespace rev::bench
 {
@@ -176,6 +179,9 @@ simulate(const prog::Program &program, const Job &job, Slot &slot)
             break;
     } while (slot.result.run.instrs < job.measureInstrs);
     slot.result.replayed = sim.replayActive();
+    for (unsigned c = 0; c < sim.numCores(); ++c)
+        slot.result.xcoreScFillWaitCycles +=
+            sim.memsys().xcoreScFillWaitCycles(c);
 }
 
 StaticNumbers
@@ -242,8 +248,10 @@ SweepRunner::runJobs(const std::vector<Job> &jobs)
         slot.plan = indexOf(plans, job.program);
         if (job.cfg.withRev)
             slot.table = indexOf(plans[slot.plan].tables, tableKeyOf(job.cfg));
-        if (!replay || job.measureInstrs)
-            continue; // steady-state jobs run direct
+        // Steady-state and multicore jobs run direct: a GroupKey does
+        // not tell core counts apart.
+        if (!replay || job.measureInstrs || job.cfg.numCores > 1)
+            continue;
         slot.group = indexOf(groups, GroupKey{slot.plan, job.cfg.core.maxInstrs,
                                               job.cfg.core.splitLimits});
         ReplayGroup &group = groups[slot.group];
@@ -259,7 +267,7 @@ SweepRunner::runJobs(const std::vector<Job> &jobs)
     const auto genStart = std::chrono::steady_clock::now();
     parallelFor(plans.size(), threadsUsed_, [&](std::size_t k) {
         ProgramPlan &plan = plans[k];
-        plan.program = workloads::generateWorkload(plan.key);
+        plan.program = workloads::buildProgram(plan.key);
         if (opts_.progress) {
             const std::size_t done = genDone.fetch_add(1) + 1;
             std::lock_guard<std::mutex> lock(logMu);
@@ -408,9 +416,14 @@ SweepRunner::runJobs(const std::vector<Job> &jobs)
     if (opts_.progress)
         std::fprintf(stderr,
                      "[sweep] %zu jobs (%zu replayed) on %u thread%s in "
-                     "%.2fs\n",
+                     "%.2fs (gen %.2f + proto %.2f + image %.2f + record "
+                     "%.2f + replay %.2f), hash=%s batch %s, aes=%s\n",
                      jobs.size(), replayed, threadsUsed_,
-                     threadsUsed_ == 1 ? "" : "s", secondsSince(runStart));
+                     threadsUsed_ == 1 ? "" : "s", secondsSince(runStart),
+                     phases_.generateSeconds, phases_.protoSeconds,
+                     phases_.imageSeconds, phases_.recordSeconds,
+                     phases_.replaySeconds, crypto::cubehashImpl(),
+                     crypto::cubehashBatchImpl(), crypto::aesImpl());
     return results;
 }
 

@@ -23,7 +23,7 @@
  * config (the core is execute-functional, timing-directed), so the first
  * with-validation job of each group records an architectural trace
  * (program/trace.hpp) and the group's other one-shot jobs replay it.
- * Steady-state jobs run direct. Non-replayable recordings
+ * Steady-state and multicore jobs run direct. Non-replayable recordings
  * (self-modifying code, violations) and jobs whose trace fails
  * attachment validation silently run direct; REV_TRACE_REPLAY=0
  * disables the whole mechanism.
@@ -43,7 +43,8 @@ namespace rev::bench
 /** One simulation of an experiment. */
 struct Job
 {
-    workloads::WorkloadProfile program; ///< generated once per profile
+    workloads::WorkloadProfile program; ///< built once per profile
+                                        ///< (workloads::buildProgram)
     core::SimConfig cfg; ///< complete; the runner owns its harness pointers
 
     /**
@@ -66,6 +67,8 @@ struct JobResult
     u64 shadowSpills = 0;
     u64 shadowRefills = 0;
     u64 sigTableBytes = 0;
+    u64 xcoreScFillWaitCycles = 0; ///< SC fills queued behind other cores,
+                                   ///< summed over cores
     StaticNumbers statics; ///< of the job's program; table bytes unset
     double tableBuildSeconds = 0; ///< host time of the job's table build
     double wallSeconds = 0;
@@ -81,7 +84,8 @@ struct JobTiming
     bool replayed = false; ///< timed against a recorded trace
 };
 
-/** Host wall-clock per phase of the last run() (simperf breakdown). */
+/** Host wall-clock per phase of the last run(); the closing progress
+ *  line prints it. */
 struct SweepPhaseTimings
 {
     double generateSeconds = 0; ///< workload generation

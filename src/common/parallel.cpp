@@ -1,7 +1,10 @@
 #include "common/parallel.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+
+#include "common/logging.hpp"
 
 namespace rev
 {
@@ -9,15 +12,21 @@ namespace rev
 unsigned
 resolveThreadCount(unsigned requested)
 {
+    if (requested > kMaxThreads)
+        fatal("asked for ", requested, " threads; at most ", kMaxThreads,
+              " are allowed");
     if (requested > 0)
         return requested;
     if (const char *env = std::getenv("REV_BENCH_THREADS")) {
         const long n = std::strtol(env, nullptr, 10);
+        if (n > static_cast<long>(kMaxThreads))
+            fatal("REV_BENCH_THREADS=", env, " asks for more than ",
+                  kMaxThreads, " threads");
         if (n > 0)
             return static_cast<unsigned>(n);
     }
     const unsigned hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    return std::clamp(hw, 1u, kMaxThreads);
 }
 
 TaskQueue::TaskQueue(unsigned threads) : threads_(resolveThreadCount(threads))

@@ -30,9 +30,18 @@ namespace rev
 {
 
 /**
+ * The most OS threads one pool may start. Every thread-count flag is
+ * parsed against it (parseCount in common/cli.hpp), so a typo such as
+ * `--threads 100000` is a usage error instead of 100k threads.
+ */
+inline constexpr unsigned kMaxThreads = 256;
+
+/**
  * Resolve a thread-count request: @p requested if nonzero, otherwise the
  * REV_BENCH_THREADS environment variable if set and positive, otherwise
- * std::thread::hardware_concurrency() (minimum 1).
+ * std::thread::hardware_concurrency() (minimum 1, capped at kMaxThreads).
+ * A request or an environment value above kMaxThreads throws FatalError
+ * before any thread starts.
  */
 unsigned resolveThreadCount(unsigned requested);
 

@@ -14,7 +14,9 @@
 
 #include <cstdlib>
 
+#include "common/parallel.hpp"
 #include "workloads/generator.hpp"
+#include "workloads/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
@@ -249,11 +251,23 @@ TEST(SweepRunner, AblationJobsMatchDirectRuns)
     std::vector<Job> jobs;
     for (const core::SimConfig &cfg : cfgs)
         jobs.push_back({prof, cfg, 0, "ablation"});
+    // A 2-core job of the scheduler workload: its program comes from the
+    // scheduler generator, and it runs direct beside 1-core replay groups.
+    core::SimConfig two = rev();
+    two.numCores = 2;
+    two.coreIdAddr = workloads::kSchedCoreIdWord;
+    jobs.push_back({workloads::schedStormProfile(), two, 0, "cores=2"});
 
     std::vector<core::SimResult> direct;
     for (const core::SimConfig &cfg : cfgs)
         direct.push_back(core::Simulator(program, cfg).run());
     EXPECT_GT(direct[8].rev.shadowSpills, 0u);
+    const prog::Program sched = workloads::buildProgram(jobs.back().program);
+    core::Simulator twoCores(sched, two);
+    direct.push_back(twoCores.run());
+    const u64 xcoreWait = twoCores.memsys().xcoreScFillWaitCycles(0) +
+                          twoCores.memsys().xcoreScFillWaitCycles(1);
+    EXPECT_GT(xcoreWait, 0u);
 
     for (const char *replay : {"1", "0"}) {
         SCOPED_TRACE(std::string("REV_TRACE_REPLAY=") + replay);
@@ -273,10 +287,12 @@ TEST(SweepRunner, AblationJobsMatchDirectRuns)
                 << "job " << j;
             replayed += res[j].replayed;
         }
+        EXPECT_EQ(res.back().xcoreScFillWaitCycles, xcoreWait);
         // The sweep's first REV job records the default-limits group's
         // trace (same program, same budget); the 8-instruction group
-        // records on its own REV job. Every other job replays.
-        EXPECT_EQ(replayed, replay[0] == '1' ? jobs.size() - 1 : 0u);
+        // records on its own REV job; the 2-core job runs direct. Every
+        // other job replays.
+        EXPECT_EQ(replayed, replay[0] == '1' ? jobs.size() - 2 : 0u);
     }
 }
 
@@ -294,6 +310,11 @@ TEST(CommandLine, CountsAreWholeDecimalNumbersInRange)
     EXPECT_THROW(parseCount<u64>("--instrs", "18446744073709551616"),
                  FatalError);
     EXPECT_THROW(parseCount<u64>("--instrs", "0", 1), FatalError);
+    // Thread flags stop at kMaxThreads, so a typo never asks the OS for
+    // 100k threads.
+    EXPECT_EQ(parseCount<unsigned>("--threads", "256", 0, kMaxThreads), 256u);
+    EXPECT_THROW(parseCount<unsigned>("--threads", "257", 0, kMaxThreads),
+                 FatalError);
 }
 
 TEST(CommandLine, NameListsDropEmptyNames)

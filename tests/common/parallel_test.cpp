@@ -1,9 +1,12 @@
 #include "common/parallel.hpp"
 
+#include "common/logging.hpp"
+
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -112,6 +115,19 @@ TEST(Parallel, ResolveThreadCountReadsEnv)
     EXPECT_GE(resolveThreadCount(0), 1u);
     ::unsetenv("REV_BENCH_THREADS");
     EXPECT_GE(resolveThreadCount(0), 1u);
+}
+
+TEST(Parallel, ResolveThreadCountRejectsCountsAboveTheBound)
+{
+    // Resolving starts no thread, so the bound is checked without ever
+    // asking the OS for a huge count.
+    EXPECT_EQ(resolveThreadCount(kMaxThreads), kMaxThreads);
+    EXPECT_THROW(resolveThreadCount(kMaxThreads + 1), FatalError);
+    ::setenv("REV_BENCH_THREADS", std::to_string(kMaxThreads).c_str(), 1);
+    EXPECT_EQ(resolveThreadCount(0), kMaxThreads);
+    ::setenv("REV_BENCH_THREADS", std::to_string(kMaxThreads + 1).c_str(), 1);
+    EXPECT_THROW(resolveThreadCount(0), FatalError);
+    ::unsetenv("REV_BENCH_THREADS");
 }
 
 } // namespace

@@ -13,7 +13,8 @@
  *      config reproduces every aggregate and per-core number.
  *   3. Trace replay and snapshot forking compose with N>1.
  *   4. Contention is real and visible: adding cores never speeds up a
- *      core, and the cross-core wait counters attribute the queueing.
+ *      core or lowers REV's overhead, and the cross-core wait counters
+ *      attribute the queueing.
  */
 
 #include <gtest/gtest.h>
@@ -254,6 +255,28 @@ TEST(Multicore, SharedL2ContentionNeverSpeedsACoreUp)
     }
     EXPECT_GT(xcore, 0u);
     EXPECT_GT(xcore_sc, 0u);
+}
+
+TEST(Multicore, OverheadNeverFallsAsCoresAreAdded)
+{
+    // The figures multicore table's setup: fixed DRAM and DMA pressure,
+    // so each added validator bids for the same fill bandwidth. REV's
+    // overhead (aggregate-cycle ratio) may only grow with the core count.
+    double last = 0;
+    for (unsigned cores : {1u, 2u, 4u}) {
+        SimConfig rev = schedConfig(cores);
+        rev.core.maxInstrs = 100'000;
+        rev.mem.dmaIntervalCycles = 400;
+        SimConfig base = rev;
+        base.withRev = false;
+        const double base_cycles =
+            Simulator(schedProgram(), base).run().run.cycles;
+        const double overhead =
+            Simulator(schedProgram(), rev).run().run.cycles / base_cycles - 1;
+        EXPECT_GT(overhead, 0) << cores << " cores";
+        EXPECT_GE(overhead, last) << cores << " cores";
+        last = overhead;
+    }
 }
 
 } // namespace

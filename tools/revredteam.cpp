@@ -42,8 +42,9 @@
 #include <fstream>
 #include <string>
 
-#include "bench/suite.hpp"
+#include "common/cli.hpp"
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 #include "redteam/campaign.hpp"
 #include "redteam/corpus.hpp"
 #include "redteam/shrink.hpp"
@@ -94,23 +95,15 @@ parseArgs(int argc, char **argv)
             args.spec = CampaignSpec::quick(args.spec.seed);
         } else if (arg == "--injections") {
             args.spec.injections =
-                bench::parseCount<u64>("--injections", next(i), 1);
+                parseCount<u64>("--injections", next(i), 1);
         } else if (arg == "--budget") {
             args.spec.instrBudget =
-                bench::parseCount<u64>("--budget", next(i), 1);
+                parseCount<u64>("--budget", next(i), 1);
         } else if (arg == "--threads") {
             args.spec.threads =
-                bench::parseCount<unsigned>("--threads", next(i));
+                parseCount<unsigned>("--threads", next(i), 0, kMaxThreads);
         } else if (arg == "--workloads") {
-            args.spec.workloads.clear();
-            std::string names = next(i);
-            std::size_t pos = 0;
-            while (pos != std::string::npos) {
-                const std::size_t comma = names.find(',', pos);
-                args.spec.workloads.push_back(
-                    names.substr(pos, comma - pos));
-                pos = comma == std::string::npos ? comma : comma + 1;
-            }
+            args.spec.workloads = parseNameList(next(i));
         } else if (validate::backendCliOptions(argc, argv, &i,
                                                &args.spec.backend)) {
             // shared --backend / --list-backends handling

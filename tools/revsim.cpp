@@ -10,8 +10,9 @@
  *   --bench NAME       SPEC stand-in to run (default mcf); --list shows all
  *                      ("schedstorm" selects the preemptive-scheduler
  *                      workload from src/workloads/scheduler.cpp)
- *   --cores N          simulate N cores over the shared L2/DRAM; each runs
- *                      its own validator, stats aggregate (default 1)
+ *   --cores N          simulate N cores (1..64) over the shared L2/DRAM;
+ *                      each runs its own validator, stats aggregate
+ *                      (default 1)
  *   --mode MODE        full | aggressive | cfi (default full)
  *   --sc KB            signature cache capacity in KB (default 32)
  *   --instrs N         committed-instruction budget (default 500000)
@@ -31,8 +32,9 @@
  *   --backend NAME     validation backend: rev (default), lofat, null
  *   --list-backends    print the registered backends and exit
  *
- * Bad input (an unknown bench, an invalid SC geometry, ...) prints the
- * fatal message and exits with status 2.
+ * Bad input (an unknown bench, an invalid SC geometry, a count that is
+ * not a decimal number in range, ...) prints the fatal message and exits
+ * with status 2.
  */
 
 #include <cstdio>
@@ -40,6 +42,7 @@
 #include <cstring>
 
 #include "attacks/attack.hpp"
+#include "common/cli.hpp"
 #include "common/logging.hpp"
 #include "core/simulator.hpp"
 #include "program/trace.hpp"
@@ -51,6 +54,10 @@ namespace
 {
 
 using namespace rev;
+
+/** Each simulated core holds its own memory fork, validator and OoO
+ *  core, so --cores is bounded like a thread count. */
+constexpr unsigned kMaxCores = 64;
 
 void
 usage()
@@ -97,15 +104,11 @@ run(int argc, char **argv)
         } else if (arg == "--mode") {
             mode_s = next();
         } else if (arg == "--cores") {
-            cores = static_cast<unsigned>(std::atoi(next()));
-            if (cores < 1) {
-                usage();
-                return 2;
-            }
+            cores = parseCount<unsigned>("--cores", next(), 1, kMaxCores);
         } else if (arg == "--sc") {
-            sc_kb = static_cast<unsigned>(std::atoi(next()));
+            sc_kb = parseCount<unsigned>("--sc", next(), 1);
         } else if (arg == "--instrs") {
-            instrs = std::strtoull(next(), nullptr, 10);
+            instrs = parseCount<u64>("--instrs", next());
         } else if (arg == "--base") {
             with_base = true;
         } else if (arg == "--shadow-stack") {
@@ -113,13 +116,13 @@ run(int argc, char **argv)
         } else if (arg == "--page-shadowing") {
             page_shadowing = true;
         } else if (arg == "--interrupts") {
-            interrupts = std::strtoull(next(), nullptr, 10);
+            interrupts = parseCount<u64>("--interrupts", next());
         } else if (arg == "--dma") {
-            dma = std::strtoull(next(), nullptr, 10);
+            dma = parseCount<u64>("--dma", next());
         } else if (arg == "--no-wrong-path") {
             wrong_path = false;
         } else if (arg == "--seed") {
-            seed = std::strtoull(next(), nullptr, 10);
+            seed = parseCount<u64>("--seed", next());
         } else if (arg == "--stats") {
             stats = true;
         } else if (arg == "--attack") {

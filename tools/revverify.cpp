@@ -44,8 +44,9 @@
 #include <sys/resource.h>
 #endif
 
-#include "bench/suite.hpp"
+#include "common/cli.hpp"
 #include "common/logging.hpp"
+#include "common/parallel.hpp"
 #include "validate/backend_cli.hpp"
 #include "verifier/loadgen.hpp"
 
@@ -53,8 +54,6 @@ namespace
 {
 
 using namespace rev;
-using bench::parseCount;
-using bench::parseNameList;
 
 struct Args
 {
@@ -91,9 +90,11 @@ parseArgs(int argc, char **argv)
         if (arg == "--sessions") {
             args.opts.sessions = parseCount<unsigned>("--sessions", next(i));
         } else if (arg == "--workers") {
-            args.opts.workers = parseCount<unsigned>("--workers", next(i));
+            args.opts.workers =
+                parseCount<unsigned>("--workers", next(i), 0, kMaxThreads);
         } else if (arg == "--provers") {
-            args.opts.provers = parseCount<unsigned>("--provers", next(i));
+            args.opts.provers =
+                parseCount<unsigned>("--provers", next(i), 0, kMaxThreads);
         } else if (arg == "--instrs") {
             args.opts.instrBudget = parseCount<u64>("--instrs", next(i), 1);
         } else if (arg == "--chunk") {
