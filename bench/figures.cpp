@@ -859,8 +859,10 @@ declareSeeds(Extras &x, const SweepOptions &opts)
  * L2/DRAM, base vs REV at B instructions per core. The DRAM and its
  * background DMA pressure stay fixed, so every added validator bids for
  * the same fill bandwidth. Overhead is the aggregate (slowest-core)
- * cycle ratio; the wait column sums, over cores, the cycles SC fills
- * queued behind other cores at the shared L2.
+ * cycle ratio; the instrs column is the instructions committed by all
+ * cores (schedstorm halts before a large B runs out), and the wait
+ * column sums, over cores, the cycles SC fills queued behind other
+ * cores at the shared L2.
  */
 Table
 declareMulticore(Extras &x, const SweepOptions &opts)
@@ -890,10 +892,11 @@ declareMulticore(Extras &x, const SweepOptions &opts)
                     "cycles\n",
                     shortCount(budget).c_str());
         printRule();
-        std::printf("%-6s %12s %12s %8s %10s %12s %12s\n", "cores",
-                    "base-cycles", "rev-cycles", "ovh%", "sc-fills",
-                    "fill-L2-miss", "xcore-wait");
+        std::printf("%-5s %9s %11s %11s %7s %9s %12s %10s\n", "cores",
+                    "instrs", "base-cycles", "rev-cycles", "ovh%",
+                    "sc-fills", "fill-L2-miss", "xcore-wait");
         bool rising = true;
+        bool same_instrs = true;
         double last = -1;
         for (std::size_t k = 0; k < std::size(kCores); ++k) {
             const JobResult &b = x.results[jobs[2 * k]];
@@ -902,8 +905,10 @@ declareMulticore(Extras &x, const SweepOptions &opts)
                 100.0 * (static_cast<double>(r.run.cycles) / b.run.cycles - 1);
             rising = rising && ovh >= last;
             last = ovh;
-            std::printf("%-6u %12llu %12llu %8.2f %10llu %12llu %12llu\n",
+            same_instrs = same_instrs && b.run.instrs == r.run.instrs;
+            std::printf("%-5u %9llu %11llu %11llu %7.2f %9llu %12llu %10llu\n",
                         kCores[k],
+                        static_cast<unsigned long long>(r.run.instrs),
                         static_cast<unsigned long long>(b.run.cycles),
                         static_cast<unsigned long long>(r.run.cycles), ovh,
                         static_cast<unsigned long long>(r.run.scFillAccesses),
@@ -911,7 +916,11 @@ declareMulticore(Extras &x, const SweepOptions &opts)
                         static_cast<unsigned long long>(
                             r.xcoreScFillWaitCycles));
         }
-        std::printf("\nOverhead never falls as cores are added: %s\n",
+        std::printf("\ninstrs: committed by all cores together; the workload "
+                    "halts on its own\nbefore a large budget runs out.\n");
+        std::printf("Base commits the same instructions as REV: %s\n",
+                    same_instrs ? "yes" : "NO");
+        std::printf("Overhead never falls as cores are added: %s\n",
                     rising ? "yes" : "NO");
     };
 }

@@ -8,9 +8,13 @@
  *
  * The hot paths (instruction fetch, loads/stores, CHG hashing, clone)
  * resolve the page once per span and move whole runs of bytes with
- * memcpy/word operations instead of one hash-map lookup per byte; a
- * one-entry write cursor short-circuits the map for consecutive writes to
- * the same page. Reads go straight to the page map and write nothing, so
+ * memcpy/word operations instead of one lookup per byte; a one-entry
+ * write cursor short-circuits the lookup for consecutive writes to the
+ * same page. The page table is a flat open-addressed index (page number
+ * to slot position) over a deque of slots: the deque never moves a slot,
+ * so version pointers handed out in PageViews and the write cursor stay
+ * valid however far the table grows. Reads go straight to the page
+ * table and write nothing, so
  * any number of threads may read one memory at once (the red-team
  * campaign's workers share its golden image). Semantics are unchanged
  * from the byte-at-a-time reference: reads of unwritten locations return
@@ -48,10 +52,11 @@
 #include <atomic>
 #include <bit>
 #include <cstring>
+#include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/types.hpp"
 
 namespace rev
@@ -88,9 +93,10 @@ class SparseMemory
     // pointer outlives the slots it refers to, and the epoch is bumped so
     // external caches holding page views revalidate.
     SparseMemory(SparseMemory &&other) noexcept
-        : pages_(std::move(other.pages_)), epoch_(other.epoch_ + 1)
+        : index_(std::move(other.index_)), slots_(std::move(other.slots_)),
+          epoch_(other.epoch_ + 1)
     {
-        other.pages_.clear();
+        other.clearPages();
         other.resetWriteCursor();
         ++other.epoch_;
     }
@@ -99,8 +105,9 @@ class SparseMemory
     operator=(SparseMemory &&other) noexcept
     {
         if (this != &other) {
-            pages_ = std::move(other.pages_);
-            other.pages_.clear();
+            index_ = std::move(other.index_);
+            slots_ = std::move(other.slots_);
+            other.clearPages();
             resetWriteCursor();
             other.resetWriteCursor();
             ++epoch_;
@@ -195,7 +202,7 @@ class SparseMemory
     }
 
     /** Number of populated pages (tests / diagnostics). */
-    std::size_t pageCount() const { return pages_.size(); }
+    std::size_t pageCount() const { return slots_.size(); }
 
     /**
      * Write-version counter of a page (0 when the page is unpopulated).
@@ -227,11 +234,12 @@ class SparseMemory
 
     /**
      * Stable view of a populated page's bytes and version counter, or
-     * nulls when unpopulated. The version pointer stays valid until this
-     * memory is destroyed or moved from (it lives in the page-table slot,
-     * which copy-on-write never relocates); the bytes pointer is only
-     * good until the next write to the page — holders must re-fetch the
-     * view whenever the version changed, and drop it on an epoch() bump.
+     * nulls when unpopulated. The version pointer stays valid until the
+     * page table is destroyed (it lives in the table's slot, which
+     * neither table growth, copy-on-write nor a move relocates; a move
+     * hands the slot to the target); the bytes pointer is only good
+     * until the next write to the page — holders must re-fetch the view
+     * whenever the version changed, and drop it on an epoch() bump.
      */
     struct PageView
     {
@@ -289,7 +297,8 @@ class SparseMemory
     fork() const
     {
         SparseMemory copy;
-        copy.pages_ = pages_; // shared_ptr copies: pages now aliased
+        copy.index_ = index_;
+        copy.slots_ = slots_; // shared_ptr copies: pages now aliased
         return copy;
     }
 
@@ -299,23 +308,22 @@ class SparseMemory
     clone() const
     {
         SparseMemory copy;
-        copy.pages_.reserve(pages_.size());
-        for (const auto &[page_no, slot] : pages_) {
-            Slot dup;
-            dup.page = std::make_shared<Page>(*slot.page);
-            dup.version = slot.version;
-            copy.pages_.emplace(page_no, std::move(dup));
-        }
+        copy.index_ = index_;
+        for (const Slot &slot : slots_)
+            copy.slots_.push_back(
+                {std::make_shared<Page>(*slot.page), slot.version,
+                 slot.pageNo});
         return copy;
     }
 
-    /** Visit every populated page as (page_number, bytes). */
+    /** Visit every populated page as (page_number, bytes), in the order
+     *  the pages were first written. */
     template <typename Fn>
     void
     forEachPage(Fn &&fn) const
     {
-        for (const auto &[page_no, slot] : pages_)
-            fn(page_no, slot.page->bytes.data());
+        for (const Slot &slot : slots_)
+            fn(slot.pageNo, slot.page->bytes.data());
     }
 
   private:
@@ -340,6 +348,7 @@ class SparseMemory
     {
         std::shared_ptr<Page> page;
         u64 version = 0;
+        u64 pageNo = 0;
     };
 
     static constexpr u64 kNoPage = ~u64{0};
@@ -376,8 +385,8 @@ class SparseMemory
     const Slot *
     findSlot(u64 page_no) const
     {
-        auto it = pages_.find(page_no);
-        return it == pages_.end() ? nullptr : &it->second;
+        const u32 *pos = index_.find(page_no);
+        return pos ? &slots_[*pos] : nullptr;
     }
 
     /**
@@ -396,9 +405,12 @@ class SparseMemory
         if (page_no == writePageNo_) {
             slot = writeSlot_;
         } else {
-            slot = &pages_[page_no];
-            if (!slot->page) {
-                slot->page = std::make_shared<Page>();
+            if (const u32 *pos = index_.find(page_no)) {
+                slot = &slots_[*pos];
+            } else {
+                index_[page_no] = static_cast<u32>(slots_.size());
+                slot = &slots_.emplace_back(
+                    Slot{std::make_shared<Page>(), 0, page_no});
                 slot->page->bytes.fill(0);
             }
             writePageNo_ = page_no;
@@ -414,13 +426,23 @@ class SparseMemory
     }
 
     void
+    clearPages()
+    {
+        index_.clear();
+        slots_.clear();
+    }
+
+    void
     resetWriteCursor()
     {
         writePageNo_ = kNoPage;
         writeSlot_ = nullptr;
     }
 
-    std::unordered_map<u64, Slot> pages_;
+    FlatMap<u64, u32> index_; ///< page number -> position in slots_
+    /** The page table. A deque, because its elements never move: PageView
+     *  version pointers and writeSlot_ point into it. */
+    std::deque<Slot> slots_;
     u64 writePageNo_ = kNoPage;
     Slot *writeSlot_ = nullptr;
     u64 epoch_ = 0;

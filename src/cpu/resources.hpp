@@ -28,19 +28,20 @@ class WidthLimiter
         REV_ASSERT(width_ > 0, "WidthLimiter: zero width");
     }
 
-    /** Reserve a slot at the earliest cycle >= @p lower. */
+    /**
+     * Reserve a slot at the earliest cycle >= @p lower. Written as
+     * selects, not branches: whether the bound moves on depends on the
+     * simulated data, so branches here mispredict on the host.
+     */
     Cycle
     reserve(Cycle lower)
     {
-        if (lower > cycle_) {
-            cycle_ = lower;
-            used_ = 0;
-        }
-        if (used_ == width_) {
-            ++cycle_;
-            used_ = 0;
-        }
-        ++used_;
+        const bool later = lower > cycle_;
+        cycle_ = later ? lower : cycle_;
+        used_ = later ? 0 : used_;
+        const bool full = used_ == width_;
+        cycle_ += full;
+        used_ = (full ? 0 : used_) + 1;
         return cycle_;
     }
 
@@ -116,11 +117,16 @@ class FuPool
     Cycle
     acquire(Cycle ready, unsigned busy_cycles)
     {
+        // The first unit with the earliest free cycle, found with selects
+        // rather than data-dependent branches (see WidthLimiter).
         std::size_t best = 0;
-        for (std::size_t i = 1; i < freeAt_.size(); ++i)
-            if (freeAt_[i] < freeAt_[best])
-                best = i;
-        const Cycle start = std::max(ready, freeAt_[best]);
+        Cycle best_at = freeAt_[0];
+        for (std::size_t i = 1; i < freeAt_.size(); ++i) {
+            const bool earlier = freeAt_[i] < best_at;
+            best = earlier ? i : best;
+            best_at = earlier ? freeAt_[i] : best_at;
+        }
+        const Cycle start = std::max(ready, best_at);
         freeAt_[best] = start + busy_cycles;
         return start;
     }

@@ -11,7 +11,11 @@ disassemble(const Instr &ins, Addr pc)
     std::ostringstream os;
     os << opcodeName(ins.op);
     const auto c = ins.klass();
-    auto reg = [](u8 r) { return "r" + std::to_string(r); };
+    auto reg = [](u8 r) {
+        std::string s = "r";
+        s += std::to_string(r);
+        return s;
+    };
     auto hex = [](Addr a) {
         std::ostringstream h;
         h << "0x" << std::hex << a;

@@ -33,10 +33,15 @@ MemorySystem::MemorySystem(const MemConfig &cfg, unsigned num_cores)
 {
     REV_ASSERT(num_cores >= 1, "memsys: need at least one core port");
     ports_.reserve(num_cores);
-    for (unsigned c = 0; c < num_cores; ++c)
-        ports_.emplace_back(cfg, num_cores == 1
-                                     ? std::string()
-                                     : "c" + std::to_string(c) + ".");
+    for (unsigned c = 0; c < num_cores; ++c) {
+        std::string prefix;
+        if (num_cores > 1) {
+            prefix = "c";
+            prefix += std::to_string(c);
+            prefix += '.';
+        }
+        ports_.emplace_back(cfg, prefix);
+    }
 }
 
 void

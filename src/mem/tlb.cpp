@@ -31,6 +31,12 @@ bool
 Tlb::access(Addr addr)
 {
     const u64 page = addr >> pageShift_;
+    // Most accesses repeat the last page: a hit on the MRU entry changes
+    // no recency state, so it skips the index probe.
+    if (mru_ != kNil && nodes_[mru_].page == page) {
+        ++hits_;
+        return true;
+    }
     if (const u32 *n = index_.find(page)) {
         if (*n != mru_) { // refresh to MRU
             unlink(*n);

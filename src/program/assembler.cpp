@@ -45,7 +45,10 @@ Assembler::describe(Label l) const
     for (const auto &[name, id] : names_)
         if (id == l.id)
             return "'" + name + "'";
-    return "#" + std::to_string(l.id) + " (anonymous)";
+    std::string s = "#";
+    s += std::to_string(l.id);
+    s += " (anonymous)";
+    return s;
 }
 
 Addr

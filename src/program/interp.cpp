@@ -23,11 +23,6 @@ StoreBuffer::push(SeqNum seq, Addr addr, u64 value, unsigned size)
     REV_ASSERT(queue_.empty() || queue_.back().seq <= seq,
                "StoreBuffer: out-of-order push");
     queue_.push_back({seq, addr, value, size});
-    for (unsigned i = 0; i < size; ++i) {
-        auto &bv = bytes_[addr + i];
-        bv.value = static_cast<u8>(value >> (8 * i));
-        ++bv.refs;
-    }
     boundLo_ = std::min(boundLo_, addr);
     boundHi_ = std::max(boundHi_, addr + size);
 }
@@ -35,98 +30,70 @@ StoreBuffer::push(SeqNum seq, Addr addr, u64 value, unsigned size)
 void
 StoreBuffer::resetBounds()
 {
-    if (bytes_.empty()) {
+    if (queue_.empty()) {
         boundLo_ = kNoAddr;
         boundHi_ = 0;
     }
 }
 
+const StoreBuffer::Pending *
+StoreBuffer::newestOverlap(Addr addr, unsigned size) const
+{
+    if (addr + size <= boundLo_ || addr >= boundHi_)
+        return nullptr;
+    for (auto it = queue_.rbegin(); it != queue_.rend(); ++it)
+        if (it->overlaps(addr, size))
+            return &*it;
+    return nullptr;
+}
+
 u8
 StoreBuffer::readByte(const SparseMemory &mem, Addr addr) const
 {
-    if (bytes_.empty() || addr < boundLo_ || addr >= boundHi_)
-        return mem.read8(addr);
-    auto it = bytes_.find(addr);
-    return it != bytes_.end() ? it->second.value : mem.read8(addr);
+    const Pending *p = newestOverlap(addr, 1);
+    return p ? static_cast<u8>(p->value >> (8 * (addr - p->addr)))
+             : mem.read8(addr);
 }
 
 bool
 StoreBuffer::covers(Addr addr, unsigned size) const
 {
-    if (bytes_.empty() || addr + size <= boundLo_ || addr >= boundHi_)
-        return false;
-    for (unsigned i = 0; i < size; ++i)
-        if (bytes_.count(addr + i))
-            return true;
-    return false;
+    return newestOverlap(addr, size) != nullptr;
 }
 
 SeqNum
 StoreBuffer::newestCoverSeq(Addr addr, unsigned size) const
 {
-    if (bytes_.empty() || addr + size <= boundLo_ || addr >= boundHi_)
-        return 0;
-    for (auto it = queue_.rbegin(); it != queue_.rend(); ++it)
-        if (addr < it->addr + it->size && it->addr < addr + size)
-            return it->seq;
-    return 0;
+    const Pending *p = newestOverlap(addr, size);
+    return p ? p->seq : 0;
 }
 
 u64
-StoreBuffer::read64(const SparseMemory &mem, Addr addr) const
+StoreBuffer::read(const SparseMemory &mem, Addr addr, unsigned size) const
 {
-    if (!covers(addr, 8))
-        return mem.read64(addr);
+    if (!covers(addr, size))
+        return mem.read(addr, size);
     u64 v = 0;
-    for (int i = 7; i >= 0; --i)
+    for (unsigned i = size; i-- > 0;)
         v = (v << 8) | readByte(mem, addr + i);
     return v;
 }
 
 void
-StoreBuffer::removeBytes(const Pending &p)
-{
-    for (unsigned i = 0; i < p.size; ++i) {
-        auto it = bytes_.find(p.addr + i);
-        REV_ASSERT(it != bytes_.end(), "StoreBuffer: missing byte view");
-        if (--it->second.refs == 0)
-            bytes_.erase(it);
-    }
-}
-
-void
 StoreBuffer::drain(SparseMemory &mem, SeqNum upTo)
 {
-    while (!queue_.empty() && queue_.front().seq <= upTo) {
-        const Pending p = queue_.front();
-        queue_.pop_front();
-        mem.write(p.addr, p.value, p.size);
-        removeBytes(p);
-    }
+    auto it = queue_.begin();
+    for (; it != queue_.end() && it->seq <= upTo; ++it)
+        mem.write(it->addr, it->value, it->size);
+    queue_.erase(queue_.begin(), it);
     resetBounds();
 }
 
 void
 StoreBuffer::squash(SeqNum from)
 {
-    while (!queue_.empty() && queue_.back().seq >= from) {
-        const Pending p = queue_.back();
+    while (!queue_.empty() && queue_.back().seq >= from)
         queue_.pop_back();
-        removeBytes(p);
-        // Re-derive the forwarded value for bytes still covered by an older
-        // pending store to the same location.
-        for (const auto &older : queue_) {
-            for (unsigned i = 0; i < older.size; ++i) {
-                const Addr b = older.addr + i;
-                if (b >= p.addr && b < p.addr + p.size) {
-                    auto it = bytes_.find(b);
-                    if (it != bytes_.end())
-                        it->second.value =
-                            static_cast<u8>(older.value >> (8 * i));
-                }
-            }
-        }
-    }
     resetBounds();
 }
 
@@ -138,6 +105,7 @@ void
 DecodeCache::clear()
 {
     pages_.clear();
+    pageOrder_.clear();
     lastPageNo_ = kNoAddr;
     lastPage_ = nullptr;
     memEpoch_ = ~u64{0};
@@ -147,18 +115,15 @@ DecodeCache::clear()
 std::vector<u64>
 DecodeCache::touchedPages() const
 {
-    std::vector<u64> out;
-    out.reserve(pages_.size() + spanPages_.size());
-    for (const auto &kv : pages_)
-        out.push_back(kv.first);
+    std::vector<u64> out = pageOrder_;
     for (u64 p : spanPages_)
-        if (!pages_.count(p))
+        if (!pages_.contains(p))
             out.push_back(p);
     return out;
 }
 
 DecodeCache::CodePage &
-DecodeCache::pageFor(const SparseMemory &mem, u64 page_no)
+DecodeCache::switchPage(const SparseMemory &mem, u64 page_no)
 {
     if (mem.epoch() != memEpoch_) {
         // The page set was replaced wholesale (e.g. rollback): every
@@ -166,44 +131,33 @@ DecodeCache::pageFor(const SparseMemory &mem, u64 page_no)
         clear();
         memEpoch_ = mem.epoch();
     }
-    if (page_no == lastPageNo_)
-        return *lastPage_;
-    CodePage &cp = pages_[page_no];
+    CodePage *cp = pages_.find(page_no);
+    if (!cp) {
+        pageOrder_.push_back(page_no);
+        cp = &pages_[page_no];
+    }
+    // Inserting may move every entry, so only the newest is remembered.
     lastPageNo_ = page_no;
-    lastPage_ = &cp;
-    return cp;
+    lastPage_ = cp;
+    return *cp;
+}
+
+void
+DecodeCache::refresh(const SparseMemory &mem, CodePage &cp, u64 page_no)
+{
+    cp.view = mem.pageView(page_no);
+    cp.version = cp.view.version ? *cp.view.version : 0;
+    cp.decoded = cp.view.version
+                     ? &SparseMemory::annexOf<DecodedPage>(cp.view)
+                     : nullptr;
 }
 
 const Predecoded *
-DecodeCache::lookup(const SparseMemory &mem, Addr pc)
+DecodeCache::decodeSlot(const SparseMemory &mem, Addr pc, CodePage &cp)
 {
     const u64 page_no = pc >> SparseMemory::kPageShift;
     const u64 off = pc & (SparseMemory::kPageSize - 1);
-    CodePage &cp = pageFor(mem, page_no);
-
-    // Revalidate against the live page version: any write to the page
-    // since the last visit may have replaced the page object (a COW
-    // clone) or dropped its decodes, so re-fetch both. An unpopulated
-    // page is re-fetched on every visit (a write may have created it).
-    if (!cp.view.version || *cp.view.version != cp.version) {
-        cp.view = mem.pageView(page_no);
-        cp.version = cp.view.version ? *cp.view.version : 0;
-        cp.decoded = cp.view.version
-                         ? &SparseMemory::annexOf<DecodedPage>(cp.view)
-                         : nullptr;
-    }
-
     DecodedPage *dp = cp.decoded;
-    if (dp) {
-        switch (dp->state[off].load(std::memory_order_acquire)) {
-          case DecodedPage::kValid:
-            return &dp->slots[off].pd;
-          case DecodedPage::kInvalid:
-            return nullptr;
-          default:
-            break;
-        }
-    }
 
     u8 raw[8];
     mem.readBytes(pc, raw, sizeof(raw));
@@ -317,16 +271,10 @@ Machine::stepDirect(StoreBuffer *sb, SeqNum seq)
         rec.isLoad = true;
         rec.memAddr = addr;
         rec.memSize = size;
-        u64 v;
-        if (sb && sb->covers(addr, size)) {
-            if (recorder_)
-                rec.coverDist = seq - sb->newestCoverSeq(addr, size);
-            v = 0;
-            for (unsigned i = size; i-- > 0;)
-                v = (v << 8) | sb->readByte(mem_, addr + i);
-        } else {
-            v = mem_.read(addr, size);
-        }
+        if (sb && recorder_)
+            if (const SeqNum s = sb->newestCoverSeq(addr, size))
+                rec.coverDist = seq - s;
+        const u64 v = sb ? sb->read(mem_, addr, size) : mem_.read(addr, size);
         rec.loadValue = v;
         return v;
     };

@@ -32,10 +32,9 @@
 
 #include <array>
 #include <atomic>
-#include <deque>
-#include <unordered_map>
 #include <vector>
 
+#include "common/flat_map.hpp"
 #include "common/sparse_memory.hpp"
 #include "isa/instr.hpp"
 #include "isa/reguse.hpp"
@@ -49,8 +48,13 @@ class TraceReplayer;
 
 /**
  * Pending (not yet validated) stores, in program order. Loads forward from
- * the newest pending value per byte; drain() releases the oldest stores to
+ * the newest pending store per byte; drain() releases the oldest stores to
  * memory once their basic block has been authenticated.
+ *
+ * The queue is the whole structure: forwarding scans it newest-first. It
+ * holds at most one block's stores (SplitLimits::maxStores under REV, one
+ * store on the base core), so the scan is a handful of compares, and a
+ * push or drain touches no heap once the vector has grown.
  */
 class StoreBuffer
 {
@@ -65,8 +69,14 @@ class StoreBuffer
      *  store (the load would forward from the store queue). */
     bool covers(Addr addr, unsigned size = 8) const;
 
+    /** Little-endian read of @p size (1..8) bytes with forwarding. */
+    u64 read(const SparseMemory &mem, Addr addr, unsigned size) const;
+
     /** Read a 64-bit value with forwarding. */
-    u64 read64(const SparseMemory &mem, Addr addr) const;
+    u64 read64(const SparseMemory &mem, Addr addr) const
+    {
+        return read(mem, addr, 8);
+    }
 
     /** Release all stores with seq <= @p upTo into @p mem, oldest first. */
     void drain(SparseMemory &mem, SeqNum upTo);
@@ -91,25 +101,26 @@ class StoreBuffer
         Addr addr;
         u64 value;
         unsigned size;
+
+        bool
+        overlaps(Addr a, unsigned n) const
+        {
+            return a < addr + size && addr < a + n;
+        }
     };
 
-    struct ByteView
-    {
-        u8 value;
-        u32 refs; ///< pending stores covering this byte
-    };
+    /** The newest pending store overlapping [addr, addr + size), or
+     *  nullptr. */
+    const Pending *newestOverlap(Addr addr, unsigned size) const;
 
-    void removeBytes(const Pending &p);
     void resetBounds();
 
-    std::deque<Pending> queue_;
-    std::unordered_map<Addr, ByteView> bytes_;
+    std::vector<Pending> queue_; ///< oldest first
 
-    // Conservative address bounds of the pending bytes: covers() rejects
-    // non-overlapping loads with two compares instead of per-byte map
-    // probes. Bounds only grow while stores are pending and reset when the
-    // buffer empties; staleness is a missed fast path, never a wrong
-    // answer (the byte map stays authoritative).
+    // Conservative address bounds of the pending bytes: a load outside
+    // them skips the queue scan with two compares. Bounds only grow while
+    // stores are pending and reset when the buffer empties; staleness is
+    // a missed fast path, never a wrong answer.
     Addr boundLo_ = kNoAddr;
     Addr boundHi_ = 0; ///< one past the highest pending byte
 };
@@ -170,7 +181,35 @@ class DecodeCache
      * decode. The pointer is valid until the next lookup(), clear(), or
      * write to @p mem.
      */
-    const Predecoded *lookup(const SparseMemory &mem, Addr pc);
+    const Predecoded *
+    lookup(const SparseMemory &mem, Addr pc)
+    {
+        // Inline as far as a decoded slot of an unchanged page; a page
+        // switch, a stale page view and a decode go out of line.
+        const u64 page_no = pc >> SparseMemory::kPageShift;
+        const u64 off = pc & (SparseMemory::kPageSize - 1);
+        CodePage &cp = page_no == lastPageNo_ && mem.epoch() == memEpoch_
+                           ? *lastPage_
+                           : switchPage(mem, page_no);
+        // Revalidate against the live page version: any write to the
+        // page since the last visit may have replaced the page object (a
+        // COW clone) or dropped its decodes, so re-fetch both. An
+        // unpopulated page is re-fetched on every visit (a write may
+        // have created it).
+        if (!cp.view.version || *cp.view.version != cp.version)
+            refresh(mem, cp, page_no);
+        if (DecodedPage *dp = cp.decoded) {
+            switch (dp->state[off].load(std::memory_order_acquire)) {
+              case DecodedPage::kValid:
+                return &dp->slots[off].pd;
+              case DecodedPage::kInvalid:
+                return nullptr;
+              default:
+                break;
+            }
+        }
+        return decodeSlot(mem, pc, cp);
+    }
 
     /** Drop everything (tests / explicit resets). */
     void clear();
@@ -188,9 +227,16 @@ class DecodeCache
         DecodedPage *decoded = nullptr; ///< null while the page is unpopulated
     };
 
-    CodePage &pageFor(const SparseMemory &mem, u64 page_no);
+    /** The entry for @p page_no when it is not the page fetched last. */
+    CodePage &switchPage(const SparseMemory &mem, u64 page_no);
+    /** Re-fetch @p cp's page view and decoded page from @p mem. */
+    static void refresh(const SparseMemory &mem, CodePage &cp, u64 page_no);
+    /** Decode at @p pc, whose slot in @p cp is not decoded yet. */
+    const Predecoded *decodeSlot(const SparseMemory &mem, Addr pc,
+                                 CodePage &cp);
 
-    std::unordered_map<u64, CodePage> pages_;
+    FlatMap<u64, CodePage> pages_;
+    std::vector<u64> pageOrder_; ///< keys of pages_, in first-visit order
     u64 lastPageNo_ = kNoAddr;
     CodePage *lastPage_ = nullptr;
     u64 memEpoch_ = ~u64{0};

@@ -170,7 +170,7 @@ void
 RevValidator::onBBFetched(const BBFetchInfo &info)
 {
     PendingBB &cur = slotFor(info.bbSeq);
-    cur = PendingBB{};
+    cur.reset();
     cur.valid = true;
     cur.info = info;
 
@@ -358,7 +358,7 @@ RevValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
     PendingBB *curp = find(bb);
     if (!curp || curp->bypass) {
         if (curp)
-            *curp = PendingBB{};
+            curp->reset();
         return true;
     }
     PendingBB &cur = *curp;
@@ -399,7 +399,7 @@ RevValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
         offenders_.push_back({info.start, info.term, cur.computedHash,
                               lastViolation_});
         emit_trace(false, lastViolation_);
-        cur = PendingBB{};
+        cur.reset();
         return false;
     };
 
@@ -478,7 +478,7 @@ RevValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
 
     ++stats_.bbValidated;
     emit_trace(true, "");
-    cur = PendingBB{};
+    cur.reset();
     return true;
 }
 

@@ -229,13 +229,8 @@ class RevValidator final : public Validator
                  const SparseMemory &mem, mem::MemorySystem &memsys,
                  const RevConfig &cfg, unsigned core_id, Snapshot *from);
 
-    /**
-     * In-flight state of a basic block between fetch and commit — one
-     * slot of the inflight ring. Per-block trace bookkeeping (scHit,
-     * partialMiss, stall) rides in the slot so the fetch- and commit-side
-     * hooks agree on which dynamic block they describe.
-     */
-    struct PendingBB
+    /** The per-block fields of a PendingBB that are plain values. */
+    struct BlockState
     {
         bool valid = false;
         bool bypass = false; ///< REV disabled or no validation needed
@@ -248,12 +243,32 @@ class RevValidator final : public Validator
         bool refFound = false;
         bool termSeen = false; ///< terminator present, hash mismatched
         u32 refHash = 0;
-        std::vector<Addr> refTargets;
-        std::vector<Addr> refPreds;
 
         bool scHit = false;
         bool partialMiss = false;
         Cycle stall = 0;
+    };
+
+    /**
+     * In-flight state of a basic block between fetch and commit — one
+     * slot of the inflight ring. Per-block trace bookkeeping (scHit,
+     * partialMiss, stall) rides in the slot so the fetch- and commit-side
+     * hooks agree on which dynamic block they describe.
+     */
+    struct PendingBB : BlockState
+    {
+        std::vector<Addr> refTargets;
+        std::vector<Addr> refPreds;
+
+        /** Back to the default state, keeping the capacity of the
+         *  reference lists. */
+        void
+        reset()
+        {
+            static_cast<BlockState &>(*this) = BlockState{};
+            refTargets.clear();
+            refPreds.clear();
+        }
     };
 
     /**

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "common/sparse_memory.hpp"
 
 namespace rev
@@ -275,6 +278,114 @@ TEST(SparseMemory, ForkOfForkChainsSharing)
     EXPECT_EQ(gen0.read64(0x7000), 7u);
     EXPECT_EQ(gen1.read64(0x7000), 7u);
     EXPECT_EQ(gen2.read64(0x7000), 9u);
+}
+
+// --- the page-table index -------------------------------------------------
+
+/** Enough pages to grow the index (16 slots, at most half full) through
+ *  four rehashes: 16 -> 32 -> 64 -> 128 -> 256. */
+constexpr u64 kManyPages = 100;
+
+TEST(SparseMemory, ViewsAndWriteCursorSurviveIndexGrowth)
+{
+    constexpr u64 kPage = SparseMemory::kPageSize;
+    SparseMemory mem;
+    mem.write8(0, 1);
+    const SparseMemory::PageView first = mem.pageView(0);
+    ASSERT_NE(first.version, nullptr);
+
+    for (u64 p = 1; p <= kManyPages; ++p) {
+        // The first write inserts the page and points the write cursor at
+        // it; the second goes through the cursor.
+        mem.write8(p * kPage, static_cast<u8>(p));
+        mem.write8(p * kPage + 1, static_cast<u8>(p + 1));
+        EXPECT_EQ(*first.version, mem.pageVersion(0));
+    }
+    mem.write8(2, 2);
+    mem.write8(3, 3); // through the cursor again
+    EXPECT_EQ(*first.version, mem.pageVersion(0));
+    EXPECT_EQ(mem.pageVersion(0), 3u);
+    for (u64 p = 1; p <= kManyPages; ++p) {
+        EXPECT_EQ(mem.read8(p * kPage), static_cast<u8>(p));
+        EXPECT_EQ(mem.read8(p * kPage + 1), static_cast<u8>(p + 1));
+        EXPECT_EQ(mem.pageVersion(p), 2u);
+    }
+
+    // A fork leaves the source's slots where they were, and grows its own
+    // table without disturbing the source.
+    SparseMemory child = mem.fork();
+    const SparseMemory::PageView child_first = child.pageView(0);
+    for (u64 p = kManyPages + 1; p <= 3 * kManyPages; ++p)
+        child.write8(p * kPage, 7);
+    child.write8(0, 9);
+    EXPECT_EQ(*child_first.version, child.pageVersion(0));
+    EXPECT_EQ(*first.version, 3u);
+    mem.write8(0, 4);
+    EXPECT_EQ(*first.version, 4u);
+    EXPECT_EQ(child.read8(0), 9);
+    EXPECT_EQ(mem.read8(0), 4);
+
+    // A move carries the slots, so the pointer now tracks the target.
+    SparseMemory moved = std::move(mem);
+    moved.write8(0, 5);
+    EXPECT_EQ(*first.version, moved.pageVersion(0));
+    EXPECT_EQ(moved.read8(0), 5);
+    EXPECT_EQ(moved.read8(kManyPages * kPage), static_cast<u8>(kManyPages));
+    EXPECT_EQ(mem.pageCount(), 0u);
+}
+
+TEST(SparseMemory, ForEachPageVisitsEveryPageOnce)
+{
+    SparseMemory mem;
+    std::vector<u64> written;
+    for (u64 i = 0; i < kManyPages; ++i) {
+        const u64 page = (i * 7919) % 1000; // scattered, all distinct
+        written.push_back(page);
+        mem.write8(page * SparseMemory::kPageSize, 1);
+        mem.write8(page * SparseMemory::kPageSize + 9, 2); // no new page
+    }
+    SparseMemory child = mem.fork();
+    child.write8(5000 * SparseMemory::kPageSize, 3);
+
+    std::vector<u64> seen;
+    mem.forEachPage([&](u64 page, const u8 *bytes) {
+        seen.push_back(page);
+        EXPECT_EQ(bytes[0], 1);
+        EXPECT_EQ(bytes[9], 2);
+    });
+    std::sort(written.begin(), written.end());
+    std::sort(seen.begin(), seen.end());
+    EXPECT_EQ(seen, written);
+
+    std::size_t child_pages = 0;
+    child.forEachPage([&](u64, const u8 *) { ++child_pages; });
+    EXPECT_EQ(child_pages, kManyPages + 1);
+    EXPECT_EQ(child.pageCount(), kManyPages + 1);
+}
+
+TEST(SparseMemory, NoReadCreatesAPage)
+{
+    SparseMemory mem;
+    for (u64 p = 0; p < kManyPages; p += 2)
+        mem.write8(p * SparseMemory::kPageSize, 1);
+    const std::size_t pages = mem.pageCount();
+    const SparseMemory shared = mem.fork();
+
+    u8 buf[3 * SparseMemory::kPageSize];
+    for (u64 p = 1; p < 2 * kManyPages; p += 2) {
+        const Addr a = p * SparseMemory::kPageSize;
+        EXPECT_EQ(shared.read8(a), 0);
+        EXPECT_EQ(shared.read(a + 8, 8), 0u);
+        EXPECT_EQ(shared.pageVersion(p), 0u);
+        EXPECT_EQ(shared.pageView(p).version, nullptr);
+        EXPECT_EQ(shared.spanVersionSum(a, a + 1), 0u);
+        shared.readBytes(a - SparseMemory::kPageSize, buf, sizeof(buf));
+    }
+    EXPECT_EQ(shared.pageCount(), pages);
+    EXPECT_EQ(mem.pageCount(), pages);
+    std::size_t visited = 0;
+    shared.forEachPage([&](u64, const u8 *) { ++visited; });
+    EXPECT_EQ(visited, pages);
 }
 
 } // namespace

@@ -149,7 +149,7 @@ TEST(WalkNeeds, EarlyExitShortensSpillWalks)
     const Addr site = a.jmpr(2);
     std::vector<std::string> labels;
     for (int i = 0; i < 12; ++i) {
-        labels.push_back("t" + std::to_string(i));
+        labels.emplace_back("t") += std::to_string(i);
         a.label(labels.back());
         a.addi(1, 1, 1);
         a.halt();

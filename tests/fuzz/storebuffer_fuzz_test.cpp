@@ -1,12 +1,14 @@
 /**
  * @file
  * StoreBuffer differential fuzzing against a trivially correct reference:
- * a journal of (seq, addr, value) replayed into a plain byte map.
+ * a journal of (seq, addr, value, size) replayed byte by byte. Stores of
+ * 1, 2, 4 and 8 bytes overlap one another, and every step compares each
+ * forwarding answer (readByte, covers, newestCoverSeq, read64).
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
+#include <vector>
 
 #include "common/random.hpp"
 #include "program/interp.hpp"
@@ -20,9 +22,9 @@ namespace
 class RefBuffer
 {
   public:
-    void push(SeqNum seq, Addr addr, u64 value)
+    void push(SeqNum seq, Addr addr, u64 value, unsigned size)
     {
-        journal_.push_back({seq, addr, value});
+        journal_.push_back({seq, addr, value, size});
     }
 
     u8
@@ -30,9 +32,31 @@ class RefBuffer
     {
         u8 v = mem.read8(addr);
         for (const auto &e : journal_) {
-            if (addr >= e.addr && addr < e.addr + 8)
+            if (addr >= e.addr && addr < e.addr + e.size)
                 v = static_cast<u8>(e.value >> (8 * (addr - e.addr)));
         }
+        return v;
+    }
+
+    /** Newest pending store writing any byte of [addr, addr + size),
+     *  0 when none does. */
+    SeqNum
+    newestCoverSeq(Addr addr, unsigned size) const
+    {
+        SeqNum newest = 0;
+        for (const auto &e : journal_)
+            for (Addr b = addr; b < addr + size; ++b)
+                if (b >= e.addr && b < e.addr + e.size)
+                    newest = e.seq;
+        return newest;
+    }
+
+    u64
+    read64(const SparseMemory &mem, Addr addr) const
+    {
+        u64 v = 0;
+        for (unsigned i = 8; i-- > 0;)
+            v = (v << 8) | readByte(mem, addr + i);
         return v;
     }
 
@@ -41,7 +65,8 @@ class RefBuffer
     {
         std::size_t i = 0;
         while (i < journal_.size() && journal_[i].seq <= up_to) {
-            mem.write64(journal_[i].addr, journal_[i].value);
+            mem.write(journal_[i].addr, journal_[i].value,
+                      journal_[i].size);
             ++i;
         }
         journal_.erase(journal_.begin(),
@@ -61,6 +86,7 @@ class RefBuffer
         SeqNum seq;
         Addr addr;
         u64 value;
+        unsigned size;
     };
     std::vector<Entry> journal_;
 };
@@ -92,11 +118,12 @@ TEST_P(StoreBufferFuzz, MatchesReferenceUnderRandomOps)
           case 0:
           case 1:
           case 2:
-          case 3: { // store
+          case 3: { // store of 1, 2, 4 or 8 bytes
             const u64 v = rng.next();
+            const unsigned size = 1u << rng.below(4);
             ++seq;
-            dut.push(seq, addr, v);
-            ref.push(seq, addr, v);
+            dut.push(seq, addr, v, size);
+            ref.push(seq, addr, v, size);
             break;
           }
           case 4:
@@ -127,6 +154,18 @@ TEST_P(StoreBufferFuzz, MatchesReferenceUnderRandomOps)
             break;
           }
         }
+        // What a load of each width at addr would see, after every op.
+        for (unsigned size : {1u, 2u, 4u, 8u}) {
+            const SeqNum cover = ref.newestCoverSeq(addr, size);
+            ASSERT_EQ(dut.covers(addr, size), cover != 0)
+                << "op " << op << " size " << size << " addr " << std::hex
+                << addr;
+            ASSERT_EQ(dut.newestCoverSeq(addr, size), cover)
+                << "op " << op << " size " << size << " addr " << std::hex
+                << addr;
+        }
+        ASSERT_EQ(dut.read64(mem_dut, addr), ref.read64(mem_ref, addr))
+            << "op " << op << " addr " << std::hex << addr;
     }
 
     // Final drain and full comparison.

@@ -239,7 +239,8 @@ TEST(SigTable, SpillChainsForManyTargets)
     const Addr site = a.jmpr(2);
     std::vector<std::string> labels;
     for (int i = 0; i < 9; ++i) {
-        const std::string l = "t" + std::to_string(i);
+        std::string l = "t";
+        l += std::to_string(i);
         labels.push_back(l);
         a.label(l);
         a.addi(1, 1, i);
@@ -272,7 +273,7 @@ TEST(SigTable, AggressiveSpillPackingWithTargetsAndPreds)
     std::vector<std::string> fns;
     a.jmp("end");
     for (int i = 0; i < 7; ++i) {
-        fns.push_back("f" + std::to_string(i));
+        fns.emplace_back("f") += std::to_string(i);
         a.label(fns.back());
         a.addi(1, 1, i);
         a.ret();
@@ -386,7 +387,7 @@ TEST(SigTable, TamperedContCountsStayBounded)
     std::vector<std::string> fns;
     a.jmp("end");
     for (int i = 0; i < 7; ++i) {
-        fns.push_back("f" + std::to_string(i));
+        fns.emplace_back("f") += std::to_string(i);
         a.label(fns.back());
         a.addi(1, 1, i);
         a.ret();
