@@ -458,7 +458,7 @@ SimConfig
 baseAt(u64 budget)
 {
     SimConfig cfg = revAt(budget);
-    cfg.withRev = false;
+    cfg.backend = rev::validate::Backend::Null;
     return cfg;
 }
 
@@ -500,7 +500,7 @@ declareSteady(Extras &x, const SweepOptions &opts)
         Row &r = rows.emplace_back(prof.name);
         for (Config c : {Config::Base, Config::Full32, Config::Full64}) {
             SimConfig cfg = sweepSimConfig(c, warm);
-            if (cfg.withRev)
+            if (cfg.backend != rev::validate::Backend::Null)
                 cfg.backend = opts.backend;
             r.jobs.push_back(x.add(prof, cfg, opts.instrBudget));
         }
@@ -877,7 +877,7 @@ declareMulticore(Extras &x, const SweepOptions &opts)
         cfg.coreIdAddr = rev::workloads::kSchedCoreIdWord;
         cfg.numCores = cores;
         SimConfig base = cfg;
-        base.withRev = false;
+        base.backend = rev::validate::Backend::Null;
         jobs.push_back(x.add(prof, base));
         jobs.push_back(x.add(prof, cfg));
     }

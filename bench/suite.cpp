@@ -33,7 +33,7 @@ sweepSimConfig(Config c, u64 budget)
     cfg.core.maxInstrs = budget;
     switch (c) {
       case Config::Base:
-        cfg.withRev = false;
+        cfg.backend = validate::Backend::Null;
         break;
       case Config::Full32:
         cfg.mode = sig::ValidationMode::Full;

@@ -215,7 +215,7 @@ sweepJobs(const SweepOptions &opts)
             Job job;
             job.program = prof;
             job.cfg = sweepSimConfig(c, opts.instrBudget);
-            if (job.cfg.withRev)
+            if (job.cfg.backend != validate::Backend::Null)
                 job.cfg.backend = opts.backend;
             job.tag = configName(c);
             jobs.push_back(std::move(job));
@@ -246,7 +246,7 @@ SweepRunner::runJobs(const std::vector<Job> &jobs)
         Slot &slot = slots[j];
         slot.cfg = job.cfg;
         slot.plan = indexOf(plans, job.program);
-        if (job.cfg.withRev)
+        if (job.cfg.backend != validate::Backend::Null)
             slot.table = indexOf(plans[slot.plan].tables, tableKeyOf(job.cfg));
         // Steady-state and multicore jobs run direct: a GroupKey does
         // not tell core counts apart.
@@ -256,7 +256,8 @@ SweepRunner::runJobs(const std::vector<Job> &jobs)
                                               job.cfg.core.splitLimits});
         ReplayGroup &group = groups[slot.group];
         ++group.members;
-        if (group.recordJob == kNone && job.cfg.withRev)
+        if (group.recordJob == kNone &&
+            job.cfg.backend != validate::Backend::Null)
             group.recordJob = j;
     }
 

@@ -31,7 +31,8 @@ main()
                   bool with_rev) {
         core::SimConfig cfg;
         cfg.mode = mode;
-        cfg.withRev = with_rev;
+        if (!with_rev)
+            cfg.backend = validate::Backend::Null;
         return atk.execute(cfg);
     };
 

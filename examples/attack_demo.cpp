@@ -76,7 +76,8 @@ run(bool attack, bool with_rev)
 {
     Victim v = buildVictim();
     core::SimConfig cfg;
-    cfg.withRev = with_rev;
+    if (!with_rev)
+        cfg.backend = validate::Backend::Null;
     core::Simulator sim(v.program, cfg);
 
     if (attack) {

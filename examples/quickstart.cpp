@@ -54,12 +54,12 @@ main()
 
     // ---- 3. run on the base out-of-order core ------------------------------
     core::SimConfig base_cfg;
-    base_cfg.withRev = false;
+    base_cfg.backend = validate::Backend::Null;
     core::Simulator base(program, base_cfg);
     const core::SimResult rb = base.run();
 
     // ---- 4. run again with REV validating every basic block ----------------
-    core::SimConfig rev_cfg; // withRev defaults to true
+    core::SimConfig rev_cfg; // the backend defaults to REV
     core::Simulator rev(program, rev_cfg);
     const core::SimResult rr = rev.run();
 

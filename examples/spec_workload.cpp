@@ -48,7 +48,7 @@ main(int argc, char **argv)
 
     // Base run for the overhead comparison.
     core::SimConfig base_cfg;
-    base_cfg.withRev = false;
+    base_cfg.backend = validate::Backend::Null;
     base_cfg.core.maxInstrs = instrs;
     core::Simulator base(program, base_cfg);
     const core::SimResult rb = base.run();

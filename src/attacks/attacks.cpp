@@ -41,7 +41,8 @@ Attack::execute(const core::SimConfig &cfg)
     // Only REV raises authentication exceptions. An unprotected machine
     // may still crash *after* the payload ran (e.g., a gadget's final RET
     // popping garbage) -- that is not detection.
-    out.detected = cfg.withRev && r.run.violation.has_value();
+    out.detected = cfg.backend != validate::Backend::Null &&
+                   r.run.violation.has_value();
     if (out.detected)
         out.reason = r.run.violation->reason;
     out.succeeded = goalAchieved(sim);

@@ -24,9 +24,8 @@ Simulator::Simulator(const prog::Program &program, const SimConfig &cfg)
     else
         program_.loadInto(s0.mem);
 
-    const Backend backend = cfg_.effectiveBackend();
     const validate::BackendInfo *info =
-        validate::ValidatorRegistry::instance().find(backend);
+        validate::ValidatorRegistry::instance().find(cfg_.backend);
     REV_ASSERT(info, "unregistered validation backend");
 
     REV_ASSERT(!cfg_.memoryImage || !info->needsTables ||
@@ -37,7 +36,7 @@ Simulator::Simulator(const prog::Program &program, const SimConfig &cfg)
     if (info->needsTables) {
         // CFI-only SC entries hold no hash and no predecessor (Sec. V.D):
         // the same SRAM budget holds twice as many entries.
-        if (backend == Backend::Rev &&
+        if (cfg_.backend == Backend::Rev &&
             cfg_.mode == sig::ValidationMode::CfiOnly &&
             cfg_.rev.sc.entryBytes == validate::ScConfig{}.entryBytes) {
             cfg_.rev.sc.entryBytes = 8;
@@ -171,7 +170,7 @@ Simulator::createValidator(CoreSlot &slot, unsigned core_id,
     ctx.coreId = core_id;
     ctx.state = state;
     slot.validator = validate::ValidatorRegistry::instance().create(
-        cfg_.effectiveBackend(), ctx);
+        cfg_.backend, ctx);
     if (slot.validator->kind() == Backend::Rev)
         slot.revEngine =
             static_cast<validate::RevValidator *>(slot.validator.get());

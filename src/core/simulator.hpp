@@ -40,11 +40,8 @@ struct SimConfig
     validate::LoFatConfig lofat; ///< Backend::LoFat parameters
     sig::ValidationMode mode = sig::ValidationMode::Full;
 
-    /** Attach validation machinery (false = paper's base case; the
-     *  selected backend is replaced by Backend::Null). */
-    bool withRev = true;
-
-    /** Which validation backend to attach (see validate/registry.hpp). */
+    /** Which validation backend to attach (see validate/registry.hpp);
+     *  Backend::Null is the paper's base machine. */
     validate::Backend backend = validate::Backend::Rev;
 
     /**
@@ -147,14 +144,6 @@ struct SimConfig
      * must outlive the Simulator.
      */
     const prog::Trace *replayTrace = nullptr;
-
-    /** The backend actually attached: the configured one, or Null when
-     *  validation is off. */
-    validate::Backend
-    effectiveBackend() const
-    {
-        return withRev ? backend : validate::Backend::Null;
-    }
 };
 
 /** Results of one simulated run. */

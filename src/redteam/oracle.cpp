@@ -122,8 +122,7 @@ campaignSimConfig(const CampaignSpec &spec, sig::ValidationMode mode,
 {
     core::SimConfig cfg;
     cfg.mode = mode;
-    cfg.withRev = !spec.disableRev;
-    cfg.backend = spec.backend;
+    cfg.backend = spec.disableRev ? validate::Backend::Null : spec.backend;
     cfg.core.maxInstrs = spec.instrBudget;
     // Wrong-path fetch reads bytes the architectural run never executes;
     // an architecturally inert tamper would perturb I-side statistics

@@ -1,17 +1,11 @@
 #include "validate/lofat_validator.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <span>
 
-#include "common/logging.hpp"
 #include "validate/verdict.hpp"
 
 namespace rev::validate
 {
-
-using isa::InstrClass;
-using prog::TermKind;
 
 /** Everything LoFatValidator mutates between construction and a pause:
  *  the running hash chain, measurement-buffer occupancy and spill cursor,
@@ -93,15 +87,6 @@ LoFatValidator::commitReadyAt(BBSeq bb, Cycle earliest)
 }
 
 bool
-LoFatValidator::fail(const BBFetchInfo &info, const std::string &reason)
-{
-    ++stats_.violations;
-    lastViolation_ = reason + verdict::bbSuffix(info.start, info.term);
-    cur_ = PendingBB{};
-    return false;
-}
-
-bool
 LoFatValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
 {
     if (!cur_.valid || cur_.info.bbSeq != bb || cur_.bypass) {
@@ -124,71 +109,29 @@ LoFatValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
 
     // --- eager verifier: the event must exist in the attested CFG ---------
     const sig::ModuleSig *ms = store_.findByCode(info.term);
-    if (!ms) {
-        ++stats_.unattestedBlocks;
-        return fail(info, verdict::reasonUnattested(info.term));
-    }
-    const prog::Cfg &cfg = *ms->cfg;
-    const std::span<const u32> ids = cfg.blocksAtTerm(info.term);
-    if (ids.empty()) {
-        ++stats_.unattestedBlocks;
-        return fail(info, verdict::reasonUnattested(info.term));
-    }
-
-    // Edge check: the taken edge must appear in some attested block with
-    // this terminator (Return succs are the statically derived return-site
-    // set; Split succs the fall-through; Halt has no successor).
-    bool edge_ok = false;
-    bool any_successor = false;
-    bool is_return = false;
-    for (u32 id : ids) {
-        const prog::BasicBlock &b = cfg.blocks()[id];
-        if (b.kind == TermKind::Halt) {
-            edge_ok = true;
-            continue;
-        }
-        any_successor = true;
-        if (b.kind == TermKind::Return)
-            is_return = true;
-        const std::span<const Addr> succs = cfg.succs(b);
-        if (std::find(succs.begin(), succs.end(), actual_target) !=
-            succs.end())
-            edge_ok = true;
-    }
-    if (!edge_ok && any_successor) {
-        ++stats_.edgeViolations;
-        if (is_return)
-            return fail(info, verdict::reasonBadReturnSite(actual_target));
-        return fail(info, verdict::reasonIllegalEdge(actual_target));
+    const verdict::Finding finding = verdict::checkLoFatEdge(
+        ms ? ms->cfg.get() : nullptr, info.term, actual_target);
+    if (!finding.passed()) {
+        if (finding.kind == verdict::Finding::Kind::Unattested)
+            ++stats_.unattestedBlocks;
+        else
+            ++stats_.edgeViolations;
+        ++stats_.violations;
+        lastViolation_ =
+            finding.reason() + verdict::bbSuffix(info.start, info.term);
+        cur_ = PendingBB{};
+        return false;
     }
 
-    fold(info, actual_target);
+    chain_ = verdict::foldChain(chain_, info.start, info.term, actual_target,
+                                cur_.codeDigest, cfg_.chg.hashRounds);
+    ++stats_.chainUpdates;
     if (++bufferUsed_ >= cfg_.bufferEntries)
         spill(commit_cycle);
 
     ++stats_.bbValidated;
     cur_ = PendingBB{};
     return true;
-}
-
-void
-LoFatValidator::fold(const BBFetchInfo &info, Addr actual_target)
-{
-    // chain' = H(chain || start || term || target || code digest)
-    u8 buf[sizeof(crypto::Digest) + 3 * sizeof(Addr) + sizeof(u32)];
-    std::size_t off = 0;
-    std::memcpy(buf + off, chain_.data(), chain_.size());
-    off += chain_.size();
-    std::memcpy(buf + off, &info.start, sizeof(Addr));
-    off += sizeof(Addr);
-    std::memcpy(buf + off, &info.term, sizeof(Addr));
-    off += sizeof(Addr);
-    std::memcpy(buf + off, &actual_target, sizeof(Addr));
-    off += sizeof(Addr);
-    std::memcpy(buf + off, &cur_.codeDigest, sizeof(u32));
-    off += sizeof(u32);
-    chain_ = crypto::CubeHash::hash(buf, off, cfg_.chg.hashRounds);
-    ++stats_.chainUpdates;
 }
 
 void
@@ -234,13 +177,9 @@ void
 LoFatValidator::onSyscall(u8 service, Cycle commit_cycle)
 {
     (void)commit_cycle;
-    // Same trusted services as REV (Sec. VII): 1 suspends measurement,
-    // 2 resumes it.
-    if (service == 1)
-        enabled_ = false;
-    else if (service == 2)
-        enabled_ = true;
-    if (service == 1 || service == 2)
+    // Same trusted services as REV (Sec. VII): suspend and resume
+    // measurement.
+    if (verdict::applyService(service, enabled_))
         source_.emitSyscall(service);
 }
 

@@ -126,13 +126,8 @@ class LoFatValidator final : public Validator
         Cycle hashReadyAt = 0;
     };
 
-    /** Fold one attested event into the measurement chain. */
-    void fold(const BBFetchInfo &info, Addr actual_target);
-
     /** Drain the full buffer through the memory hierarchy. */
     void spill(Cycle from);
-
-    bool fail(const BBFetchInfo &info, const std::string &reason);
 
     const sig::SigStore &store_;
     mem::MemorySystem &memsys_;

@@ -8,7 +8,6 @@
 namespace rev::validate
 {
 
-using isa::InstrClass;
 using sig::ValidationMode;
 using verdict::hex;
 
@@ -38,8 +37,7 @@ struct RevValidator::Snapshot final : ValidatorSnapshot
     Chg::State chg;
     bool enabled;
     std::array<PendingBB, kInflightSlots> ring;
-    std::optional<Addr> pendingReturn;
-    std::vector<Addr> shadowStack;
+    verdict::RevReturnState returns;
     u64 shadowSpilled;
     Cycle shadowPenaltyAt;
     std::string lastViolation;
@@ -51,8 +49,8 @@ struct RevValidator::Snapshot final : ValidatorSnapshot
 
     explicit Snapshot(const RevValidator &v)
         : sc(v.sc_), sag(v.sag_), chg(v.chg_.saveState()),
-          enabled(v.enabled_), ring(v.ring_), pendingReturn(v.pendingReturn_),
-          shadowStack(v.shadowStack_), shadowSpilled(v.shadowSpilled_),
+          enabled(v.enabled_), ring(v.ring_), returns(v.returns_),
+          shadowSpilled(v.shadowSpilled_),
           shadowPenaltyAt(v.shadowPenaltyAt_),
           lastViolation(v.lastViolation_), stats(v.stats_),
           offenders(v.offenders_)
@@ -90,6 +88,7 @@ RevValidator::RevValidator(const sig::SigStore &store,
       sag_(from ? std::move(from->sag) : Sag(cfg.sagEntries)),
       chg_(from ? Chg(mem, cfg.chg, std::move(from->chg))
                 : Chg(mem, cfg.chg)),
+      rule_(store.mode(), cfg.returnValidation),
       enabled_(from ? from->enabled : cfg.startEnabled)
 {
     if (!from) {
@@ -100,8 +99,7 @@ RevValidator::RevValidator(const sig::SigStore &store,
         return;
     }
     ring_ = std::move(from->ring);
-    pendingReturn_ = from->pendingReturn;
-    shadowStack_ = std::move(from->shadowStack);
+    returns_ = std::move(from->returns);
     shadowSpilled_ = from->shadowSpilled;
     shadowPenaltyAt_ = from->shadowPenaltyAt;
     lastViolation_ = std::move(from->lastViolation);
@@ -122,12 +120,6 @@ RevValidator::preloadSag()
         sag_.install(ms.module->base, ms.module->codeEnd(), ms.tableBase);
         ++installed;
     }
-}
-
-bool
-RevValidator::isComputedClass(InstrClass c)
-{
-    return c == InstrClass::CallIndirect || c == InstrClass::JumpIndirect;
 }
 
 const sig::TableReader &
@@ -179,16 +171,11 @@ RevValidator::onBBFetched(const BBFetchInfo &info)
         return;
     }
 
-    const ValidationMode mode = store_.mode();
-
-    // CFI-only validates computed transfers and returns; every other block
-    // commits unchecked (Sec. V.D).
-    if (mode == ValidationMode::CfiOnly &&
-        !isComputedClass(info.termClass) &&
-        info.termClass != InstrClass::Return) {
+    if (!rule_.checksBlock(info.termClass)) {
         cur.bypass = true;
         return;
     }
+    const ValidationMode mode = store_.mode();
 
     Cycle t = info.fetchDoneAt;
 
@@ -227,17 +214,9 @@ RevValidator::onBBFetched(const BBFetchInfo &info)
                                                           : info.start;
     ScEntry *entry = sc_.probe(info.term, sc_start);
 
-    const bool need_target =
-        mode == ValidationMode::CfiOnly
-            ? true
-            : (isComputedClass(info.termClass) ||
-               (mode == ValidationMode::Aggressive &&
-                info.termClass != InstrClass::Return &&
-                info.termClass != InstrClass::Halt));
-    const bool need_pred =
-        mode != ValidationMode::CfiOnly &&
-        cfg_.returnValidation == ReturnValidation::DelayedPredecessor &&
-        pendingReturn_.has_value();
+    const bool need_target = rule_.checksTarget(info.termClass);
+    const std::optional<Addr> pred = rule_.predecessorToCheck(returns_);
+    const bool need_pred = pred.has_value();
 
     // Aggressive entries verify up to two successors (Sec. VIII); CFI-only
     // entries are hash-free and small enough to cache two MRU targets in
@@ -248,8 +227,7 @@ RevValidator::onBBFetched(const BBFetchInfo &info)
             !need_target ||
             entry->get(ScEntry::kSucc) == info.nextStart ||
             (two_slots && entry->get(ScEntry::kSucc2) == info.nextStart);
-        const bool pred_ok =
-            !need_pred || entry->get(ScEntry::kPred) == *pendingReturn_;
+        const bool pred_ok = !need_pred || entry->get(ScEntry::kPred) == *pred;
         if (target_ok && pred_ok) {
             // Full hit: validate from the cached entry.
             cur.scHit = true;
@@ -272,7 +250,7 @@ RevValidator::onBBFetched(const BBFetchInfo &info)
         if (need_target)
             needs.target = info.nextStart;
         if (need_pred)
-            needs.pred = *pendingReturn_;
+            needs.pred = *pred;
         // Partial-miss walks present the entry's reference hash (the SC
         // already authenticated this block's code).
         const sig::LookupResult ref = walk(*sag_entry, info.term,
@@ -290,8 +268,8 @@ RevValidator::onBBFetched(const BBFetchInfo &info)
                     entry->set(ScEntry::kSucc2, entry->get(ScEntry::kSucc));
                 entry->set(ScEntry::kSucc, info.nextStart);
             }
-            if (need_pred && contains(ref.retPreds, *pendingReturn_))
-                entry->set(ScEntry::kPred, *pendingReturn_);
+            if (need_pred && contains(ref.retPreds, *pred))
+                entry->set(ScEntry::kPred, *pred);
         }
         return;
     }
@@ -302,7 +280,7 @@ RevValidator::onBBFetched(const BBFetchInfo &info)
     if (need_target)
         needs.target = info.nextStart;
     if (need_pred)
-        needs.pred = *pendingReturn_;
+        needs.pred = *pred;
     // Complete-miss walks present the CHG digest as the discriminator, so
     // the hash must resolve now.
     resolveHash(cur);
@@ -330,8 +308,9 @@ RevValidator::onBBFetched(const BBFetchInfo &info)
                 }
             }
         }
-        if (pendingReturn_ && contains(ref.retPreds, *pendingReturn_))
-            fresh.set(ScEntry::kPred, *pendingReturn_);
+        const std::optional<Addr> &latched = returns_.pendingReturn;
+        if (latched && contains(ref.retPreds, *latched))
+            fresh.set(ScEntry::kPred, *latched);
         else if (!ref.retPreds.empty())
             fresh.set(ScEntry::kPred, ref.retPreds.front());
     }
@@ -363,7 +342,6 @@ RevValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
     }
     PendingBB &cur = *curp;
     const BBFetchInfo info = cur.info;
-    const ValidationMode mode = store_.mode();
 
     // SC-hit blocks read their digest here, before the measurement
     // record and the hash compare below consume it.
@@ -391,9 +369,18 @@ RevValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
         trace_(ev);
     };
 
-    auto fail = [&](const std::string &reason) {
+    const std::size_t depth_before = returns_.shadowStack.size();
+    const verdict::Finding finding = rule_.check(
+        {info.term, info.end, info.termClass, actual_target,
+         cur.computedHash},
+        {cur.refFound, cur.termSeen, cur.refHash, cur.refTargets,
+         cur.refPreds},
+        returns_);
+    chargeShadowTraffic(depth_before, commit_cycle);
+    if (!finding.passed()) {
         ++stats_.violations;
-        lastViolation_ = reason + verdict::bbSuffix(info.start, info.term);
+        lastViolation_ =
+            finding.reason() + verdict::bbSuffix(info.start, info.term);
         // Keep the offender's signature for later recognition
         // (paper, Sec. X).
         offenders_.push_back({info.start, info.term, cur.computedHash,
@@ -401,85 +388,34 @@ RevValidator::validateBB(BBSeq bb, Addr actual_target, Cycle commit_cycle)
         emit_trace(false, lastViolation_);
         cur.reset();
         return false;
-    };
-
-    if (!cur.refFound) {
-        return fail(cur.termSeen ? verdict::reasonHashMismatch()
-                                 : verdict::reasonNoReference());
-    }
-
-    if (mode != ValidationMode::CfiOnly) {
-        if (cur.computedHash != cur.refHash)
-            return fail(verdict::reasonHashMismatch());
-
-        if (cfg_.returnValidation == ReturnValidation::DelayedPredecessor) {
-            // Delayed return validation (Sec. V.A): this block was
-            // entered following a return; its entry lists the legitimate
-            // RET predecessors.
-            if (pendingReturn_) {
-                if (!contains(cur.refPreds, *pendingReturn_))
-                    return fail(verdict::reasonBadReturn(*pendingReturn_));
-                pendingReturn_.reset();
-            }
-        }
-    }
-
-    // Explicit target validation: always in CFI-only (only computed/return
-    // blocks get here), computed transfers in Full, and every non-return
-    // branch in Aggressive.
-    bool check_target = isComputedClass(info.termClass);
-    if (mode == ValidationMode::CfiOnly)
-        check_target = true;
-    else if (mode == ValidationMode::Aggressive &&
-             info.termClass != InstrClass::Return &&
-             info.termClass != InstrClass::Halt)
-        check_target = true;
-    if (check_target && !contains(cur.refTargets, actual_target))
-        return fail(verdict::reasonIllegalTransfer(actual_target));
-
-    if (mode != ValidationMode::CfiOnly &&
-        cfg_.returnValidation == ReturnValidation::DelayedPredecessor) {
-        // Arm the return latch for the next block (Full/Aggressive).
-        if (info.termClass == InstrClass::Return)
-            pendingReturn_ = info.term;
-    } else if (mode != ValidationMode::CfiOnly) {
-        // Shadow call stack (the conventional alternative).
-        if (info.termClass == InstrClass::Call ||
-            info.termClass == InstrClass::CallIndirect) {
-            shadowStack_.push_back(info.end);
-            if (shadowStack_.size() - shadowSpilled_ >
-                cfg_.shadowStackEntries) {
-                // On-chip stack full: spill the older half to memory.
-                shadowSpilled_ += cfg_.shadowStackEntries / 2;
-                ++stats_.shadowSpills;
-                shadowPenaltyAt_ =
-                    commit_cycle + cfg_.shadowSpillPenalty;
-            }
-        } else if (info.termClass == InstrClass::Return) {
-            if (shadowStack_.empty())
-                return fail(verdict::reasonShadowUnderflow());
-            if (shadowStack_.size() == shadowSpilled_ &&
-                shadowSpilled_ > 0) {
-                // On-chip stack empty: refill a batch from memory.
-                shadowSpilled_ -=
-                    std::min<u64>(shadowSpilled_,
-                                  cfg_.shadowStackEntries / 2);
-                ++stats_.shadowRefills;
-                shadowPenaltyAt_ =
-                    commit_cycle + cfg_.shadowSpillPenalty;
-            }
-            const Addr expected = shadowStack_.back();
-            shadowStack_.pop_back();
-            if (actual_target != expected)
-                return fail(
-                    verdict::reasonShadowMismatch(actual_target, expected));
-        }
     }
 
     ++stats_.bbValidated;
     emit_trace(true, "");
     cur.reset();
     return true;
+}
+
+void
+RevValidator::chargeShadowTraffic(std::size_t depth_before,
+                                  Cycle commit_cycle)
+{
+    const std::size_t depth = returns_.shadowStack.size();
+    if (depth > depth_before) {
+        if (depth - shadowSpilled_ > cfg_.shadowStackEntries) {
+            // On-chip stack full: spill the older half to memory.
+            shadowSpilled_ += cfg_.shadowStackEntries / 2;
+            ++stats_.shadowSpills;
+            shadowPenaltyAt_ = commit_cycle + cfg_.shadowSpillPenalty;
+        }
+    } else if (depth < depth_before && depth_before == shadowSpilled_ &&
+               shadowSpilled_ > 0) {
+        // The pop found the on-chip stack empty: refill a batch first.
+        shadowSpilled_ -=
+            std::min<u64>(shadowSpilled_, cfg_.shadowStackEntries / 2);
+        ++stats_.shadowRefills;
+        shadowPenaltyAt_ = commit_cycle + cfg_.shadowSpillPenalty;
+    }
 }
 
 void
@@ -503,14 +439,13 @@ RevValidator::refreshTables()
 RevValidator::ThreadState
 RevValidator::saveThreadState() const
 {
-    return ThreadState{pendingReturn_, shadowStack_, shadowSpilled_};
+    return ThreadState{returns_, shadowSpilled_};
 }
 
 void
 RevValidator::restoreThreadState(const ThreadState &state)
 {
-    pendingReturn_ = state.pendingReturn;
-    shadowStack_ = state.shadowStack;
+    returns_ = state;
     shadowSpilled_ = state.shadowSpilled;
 }
 
@@ -530,11 +465,7 @@ RevValidator::onSyscall(u8 service, Cycle commit_cycle)
     (void)commit_cycle;
     // Sec. VII: one protected system call disables REV (for trusted
     // self-modifying code), another re-enables it.
-    if (service == 1)
-        enabled_ = false;
-    else if (service == 2)
-        enabled_ = true;
-    if (service == 1 || service == 2)
+    if (verdict::applyService(service, enabled_))
         source_.emitSyscall(service);
 }
 

@@ -18,7 +18,10 @@
  *  3. At commit the block is authenticated -> validateBB(): hash match,
  *     computed-target membership, and the delayed return validation of
  *     Sec. V.A (a latch holds the RET address; the following block's entry
- *     lists the legitimate RET predecessors).
+ *     lists the legitimate RET predecessors) or the shadow stack. These
+ *     checks are verdict::RevRule (verdict.hpp), the rule the
+ *     StreamVerifier applies too; this class adds the timing and the
+ *     shadow stack's spill traffic.
  *
  * Memory updates of a block are withheld (by the core's StoreBuffer) until
  * validateBB() passes — a failed block never taints memory (R5).
@@ -30,7 +33,6 @@
 #include <array>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "mem/memsys.hpp"
@@ -40,32 +42,10 @@
 #include "validate/sc.hpp"
 #include "validate/source.hpp"
 #include "validate/validator.hpp"
+#include "validate/verdict.hpp"
 
 namespace rev::validate
 {
-
-/**
- * How return edges are authenticated.
- */
-enum class ReturnValidation : u8
-{
-    /**
-     * The paper's low-overhead scheme (Sec. V.A): the RET address is
-     * latched; the next block's table entry lists its legitimate RET
-     * predecessors. No shadow structure, scales to any call depth, but
-     * predecessor lists cost table space and MRU partial misses.
-     */
-    DelayedPredecessor = 0,
-
-    /**
-     * Conventional shadow call stack (the alternative the paper argues
-     * against, cf. Branch Regulation [35]): CALLs push the expected
-     * return site into a hardware stack; RETs must match the popped
-     * entry. Overflow spills are counted (and charged a memory
-     * round-trip), underflow is a violation.
-     */
-    ShadowStack = 1,
-};
 
 /** REV engine configuration. */
 struct RevConfig
@@ -165,10 +145,8 @@ class RevValidator final : public Validator
      * scheme is selected) the shadow call stack itself. Everything else
      * (SC, CHG, readers) is shared and refills on demand (R4).
      */
-    struct ThreadState
+    struct ThreadState : verdict::RevReturnState
     {
-        std::optional<Addr> pendingReturn;
-        std::vector<Addr> shadowStack;
         u64 shadowSpilled = 0;
     };
 
@@ -295,8 +273,6 @@ class RevValidator final : public Validator
         return slot.valid && slot.info.bbSeq == bb ? &slot : nullptr;
     }
 
-    static bool isComputedClass(isa::InstrClass c);
-
     /** Install module signature-table anchors until the SAG is full,
      *  counting only modules actually installed. */
     void preloadSag();
@@ -324,6 +300,10 @@ class RevValidator final : public Validator
                            Cycle from, Cycle &ready_at,
                            const sig::WalkNeeds &needs);
 
+    /** Charge the shadow-stack spill or refill that the commit rule's
+     *  push or pop (from @p depth_before frames) crossed. */
+    void chargeShadowTraffic(std::size_t depth_before, Cycle commit_cycle);
+
     const sig::SigStore &store_;
     const crypto::KeyVault &vault_;
     const SparseMemory &mem_;
@@ -335,17 +315,21 @@ class RevValidator final : public Validator
     Sag sag_;
     Chg chg_;
 
+    const verdict::RevRule rule_; ///< the commit rule (shared, verdict.hpp)
+
     bool enabled_;
     std::array<PendingBB, kInflightSlots> ring_;
-    std::optional<Addr> pendingReturn_; ///< Sec. V.A latch
+
+    /** The return latch and the shadow call stack the rule advances. */
+    verdict::RevReturnState returns_;
 
     /**
-     * Shadow call stack (ReturnValidation::ShadowStack). The on-chip
-     * portion holds cfg_.shadowStackEntries; deeper frames live in a
-     * (modeled) memory spill area. spilled_ counts frames currently in
-     * memory; crossings charge shadowSpillPenalty at the next commit.
+     * Shadow-stack spill accounting (ReturnValidation::ShadowStack). The
+     * on-chip portion holds cfg_.shadowStackEntries; deeper frames live
+     * in a (modeled) memory spill area. shadowSpilled_ counts frames
+     * currently in memory; crossings charge shadowSpillPenalty at the
+     * next commit.
      */
-    std::vector<Addr> shadowStack_;
     u64 shadowSpilled_ = 0;
     Cycle shadowPenaltyAt_ = 0;
 

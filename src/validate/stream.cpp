@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "validate/verdict.hpp"
+
 namespace rev::validate
 {
 
@@ -180,6 +182,8 @@ StreamReader::tryHeader(const u8 *data, std::size_t size, StreamHeader *out)
     if (p[7] > static_cast<u8>(sig::ValidationMode::CfiOnly))
         return Status::Malformed;
     h.mode = static_cast<sig::ValidationMode>(p[7]);
+    if (p[8] > static_cast<u8>(ReturnValidation::ShadowStack))
+        return Status::Malformed;
     h.returnValidation = p[8];
     h.hashRounds = p[9];
     h.bufferEntries = get16(p + 10);

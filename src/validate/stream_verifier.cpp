@@ -1,17 +1,12 @@
 #include "validate/stream_verifier.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <span>
 
-#include "validate/rev_validator.hpp"
 #include "validate/verdict.hpp"
 
 namespace rev::validate
 {
 
-using isa::InstrClass;
-using prog::TermKind;
 using sig::ValidationMode;
 
 namespace
@@ -19,18 +14,6 @@ namespace
 
 /** Discard the consumed prefix once it exceeds this. */
 constexpr std::size_t kCompactThreshold = 64 * 1024;
-
-bool
-contains(std::span<const Addr> v, Addr a)
-{
-    return std::find(v.begin(), v.end(), a) != v.end();
-}
-
-bool
-isComputedClass(InstrClass c)
-{
-    return c == InstrClass::CallIndirect || c == InstrClass::JumpIndirect;
-}
 
 } // namespace
 
@@ -77,6 +60,8 @@ StreamVerifier::processAvailable()
             return;
         haveHeader_ = true;
         enabled_ = hdr_.startEnabled;
+        revRule_ = verdict::RevRule(
+            hdr_.mode, static_cast<ReturnValidation>(hdr_.returnValidation));
         // The prover's claimed validation mode must be the mode the
         // reference tables were built for; anything else is garbage.
         if (hdr_.mode != refs_.mode()) {
@@ -223,10 +208,7 @@ StreamVerifier::handleEvent(const MeasurementEvent &ev)
             handleBlockLoFat(ev);
         break;
     case EventKind::Syscall:
-        if (ev.service == 1)
-            enabled_ = false;
-        else if (ev.service == 2)
-            enabled_ = true;
+        verdict::applyService(ev.service, enabled_);
         break;
     case EventKind::SpillMark:
         handleSpillMark(ev);
@@ -240,71 +222,20 @@ StreamVerifier::handleEvent(const MeasurementEvent &ev)
 void
 StreamVerifier::handleBlockRev(const MeasurementEvent &ev)
 {
-    const ValidationMode mode = hdr_.mode;
-
-    // Mirror the inline bypass rules: nothing to adjudicate while the
-    // trusted service suspended validation, and CFI-only checks computed
-    // transfers and returns exclusively (Sec. V.D).
-    if (!enabled_)
-        return;
-    if (mode == ValidationMode::CfiOnly &&
-        !isComputedClass(ev.termClass) &&
-        ev.termClass != InstrClass::Return)
+    // Nothing to adjudicate while the trusted service suspended
+    // validation, or for a block the mode does not check.
+    if (!enabled_ || !revRule_.checksBlock(ev.termClass))
         return;
 
     const sig::LookupResult &ref = resolve(ev.term, ev.codeDigest);
-    if (!ref.found) {
-        violation(ev, ref.termSeen ? verdict::reasonHashMismatch()
-                                   : verdict::reasonNoReference());
+    const verdict::Finding finding = revRule_.check(
+        {ev.term, ev.end, ev.termClass, ev.target, ev.codeDigest},
+        {ref.found, ref.termSeen, ref.hash, ref.targets, ref.retPreds},
+        returns_);
+    if (!finding.passed()) {
+        violation(ev, finding);
         return;
     }
-
-    const bool delayed_pred =
-        hdr_.returnValidation ==
-        static_cast<u8>(ReturnValidation::DelayedPredecessor);
-
-    if (mode != ValidationMode::CfiOnly && delayed_pred && pendingReturn_) {
-        if (!contains(ref.retPreds, *pendingReturn_)) {
-            violation(ev, verdict::reasonBadReturn(*pendingReturn_));
-            return;
-        }
-        pendingReturn_.reset();
-    }
-
-    bool check_target = isComputedClass(ev.termClass);
-    if (mode == ValidationMode::CfiOnly)
-        check_target = true;
-    else if (mode == ValidationMode::Aggressive &&
-             ev.termClass != InstrClass::Return &&
-             ev.termClass != InstrClass::Halt)
-        check_target = true;
-    if (check_target && !contains(ref.targets, ev.target)) {
-        violation(ev, verdict::reasonIllegalTransfer(ev.target));
-        return;
-    }
-
-    if (mode != ValidationMode::CfiOnly && delayed_pred) {
-        if (ev.termClass == InstrClass::Return)
-            pendingReturn_ = ev.term;
-    } else if (mode != ValidationMode::CfiOnly) {
-        if (ev.termClass == InstrClass::Call ||
-            ev.termClass == InstrClass::CallIndirect) {
-            shadowStack_.push_back(ev.end);
-        } else if (ev.termClass == InstrClass::Return) {
-            if (shadowStack_.empty()) {
-                violation(ev, verdict::reasonShadowUnderflow());
-                return;
-            }
-            const Addr expected = shadowStack_.back();
-            shadowStack_.pop_back();
-            if (ev.target != expected) {
-                violation(ev, verdict::reasonShadowMismatch(ev.target,
-                                                            expected));
-                return;
-            }
-        }
-    }
-
     ++verdict_.bbValidated;
 }
 
@@ -315,36 +246,15 @@ StreamVerifier::handleBlockLoFat(const MeasurementEvent &ev)
         return;
 
     const std::size_t shard = refs_.shardFor(ev.term);
-    const prog::Cfg *cfg =
-        shard == kNoShard ? nullptr : refs_.moduleSig(shard).cfg.get();
-    const std::span<const u32> ids =
-        cfg ? cfg->blocksAtTerm(ev.term) : std::span<const u32>{};
-    if (ids.empty()) {
-        ++verdict_.unattestedBlocks;
-        violation(ev, verdict::reasonUnattested(ev.term));
-        return;
-    }
-
-    bool edge_ok = false;
-    bool any_successor = false;
-    bool is_return = false;
-    for (u32 id : ids) {
-        const prog::BasicBlock &b = cfg->blocks()[id];
-        if (b.kind == TermKind::Halt) {
-            edge_ok = true;
-            continue;
-        }
-        any_successor = true;
-        if (b.kind == TermKind::Return)
-            is_return = true;
-        if (contains(cfg->succs(b), ev.target))
-            edge_ok = true;
-    }
-    if (!edge_ok && any_successor) {
-        ++verdict_.edgeViolations;
-        violation(ev, is_return
-                          ? verdict::reasonBadReturnSite(ev.target)
-                          : verdict::reasonIllegalEdge(ev.target));
+    const verdict::Finding finding = verdict::checkLoFatEdge(
+        shard == kNoShard ? nullptr : refs_.moduleSig(shard).cfg.get(),
+        ev.term, ev.target);
+    if (!finding.passed()) {
+        if (finding.kind == verdict::Finding::Kind::Unattested)
+            ++verdict_.unattestedBlocks;
+        else
+            ++verdict_.edgeViolations;
+        violation(ev, finding);
         return;
     }
 
@@ -380,22 +290,9 @@ StreamVerifier::foldChain(const MeasurementEvent &ev)
             return;
         }
     }
-    // Byte-for-byte the fold of LoFatValidator::fold():
-    // chain' = H(chain || start || term || target || code digest)
-    u8 buf[sizeof(crypto::Digest) + 3 * sizeof(Addr) + sizeof(u32)];
-    std::size_t off = 0;
-    std::memcpy(buf + off, chain_.data(), chain_.size());
-    off += chain_.size();
-    std::memcpy(buf + off, &ev.start, sizeof(Addr));
-    off += sizeof(Addr);
-    std::memcpy(buf + off, &ev.term, sizeof(Addr));
-    off += sizeof(Addr);
-    std::memcpy(buf + off, &ev.target, sizeof(Addr));
-    off += sizeof(Addr);
-    std::memcpy(buf + off, &ev.codeDigest, sizeof(u32));
-    off += sizeof(u32);
     const crypto::Digest prev = chain_;
-    chain_ = crypto::CubeHash::hash(buf, off, hdr_.hashRounds);
+    chain_ = verdict::foldChain(chain_, ev.start, ev.term, ev.target,
+                                ev.codeDigest, hdr_.hashRounds);
     if (dedup_ != nullptr) {
         ++dedupMisses_;
         dedup_->insertFold(prev, key, chain_);
@@ -440,12 +337,13 @@ StreamVerifier::handleEnd(const MeasurementEvent &ev)
 
 void
 StreamVerifier::violation(const MeasurementEvent &ev,
-                          const std::string &reason)
+                          const verdict::Finding &finding)
 {
     ++verdict_.violations;
     if (!verdict_.detected) {
         verdict_.detected = true;
-        verdict_.reason = reason + verdict::bbSuffix(ev.start, ev.term);
+        verdict_.reason =
+            finding.reason() + verdict::bbSuffix(ev.start, ev.term);
     }
 }
 

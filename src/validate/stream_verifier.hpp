@@ -7,11 +7,13 @@
  * same execution — the same Detected/Benign outcome, the same
  * violation-reason string (verdict.hpp), and the same architectural
  * counters (bbValidated, violations; LO-FAT chain/spill counters). The
- * checking rules are the commit-time halves of RevValidator::validateBB
- * and LoFatValidator::validateBB, driven by reference lookups against a
- * module-sharded RefStore instead of the in-core SC/SAG path; the
- * contract test (tests/validate/stream_contract_test.cpp) pins the
- * equivalence across every sweep config.
+ * checking rules are the ones the in-core backend calls (verdict.hpp:
+ * RevRule, checkLoFatEdge, foldChain), fed by reference lookups against a
+ * module-sharded RefStore instead of the in-core SC/SAG path. What this
+ * class adds is the stream decoding, the transport checks, the lookup
+ * memo and the cross-session dedup. The contract test
+ * (tests/validate/stream_contract_test.cpp) pins the equivalence across
+ * every sweep config, on honest and on attacked runs.
  *
  * One deliberate difference from the in-core path: the in-core SC
  * authenticates a block once and then trusts its cached reference hash,
@@ -33,13 +35,13 @@
 #ifndef REV_VALIDATE_STREAM_VERIFIER_HPP
 #define REV_VALIDATE_STREAM_VERIFIER_HPP
 
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "validate/refstore.hpp"
 #include "validate/stream.hpp"
+#include "validate/verdict.hpp"
 
 namespace rev::validate
 {
@@ -175,8 +177,10 @@ class StreamVerifier
     void handleSpillMark(const MeasurementEvent &ev);
     void handleEnd(const MeasurementEvent &ev);
 
-    /** Render a block-level violation exactly as the inline fail() does. */
-    void violation(const MeasurementEvent &ev, const std::string &reason);
+    /** Render a block-level violation exactly as the inline backend
+     *  does. */
+    void violation(const MeasurementEvent &ev,
+                   const verdict::Finding &finding);
 
     /** Render a transport-level failure (no architectural counterpart). */
     void transportFail(const std::string &reason);
@@ -203,11 +207,12 @@ class StreamVerifier
     std::unordered_map<Addr, std::vector<std::pair<u32, sig::LookupResult>>>
         memo_;
 
-    // --- REV session state (mirrors RevValidator) -----------------------
-    std::optional<Addr> pendingReturn_;
-    std::vector<Addr> shadowStack_;
+    // --- REV session state: the commit rule for the header's mode and
+    // return scheme, and the return state it advances ---------------------
+    verdict::RevRule revRule_;
+    verdict::RevReturnState returns_;
 
-    // --- LO-FAT session state (mirrors LoFatValidator) ------------------
+    // --- LO-FAT session state: the chain and the buffer occupancy --------
     crypto::Digest chain_{};
     unsigned bufferUsed_ = 0;
     bool spillPending_ = false;

@@ -20,7 +20,8 @@ cfgFor(ValidationMode mode, bool with_rev)
 {
     core::SimConfig cfg;
     cfg.mode = mode;
-    cfg.withRev = with_rev;
+    if (!with_rev)
+        cfg.backend = validate::Backend::Null;
     return cfg;
 }
 

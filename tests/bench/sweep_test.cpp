@@ -228,7 +228,7 @@ TEST(SweepRunner, AblationJobsMatchDirectRuns)
     };
     std::vector<core::SimConfig> cfgs;
     cfgs.push_back(rev());
-    cfgs.back().withRev = false;
+    cfgs.back().backend = validate::Backend::Null;
     cfgs.push_back(rev());
     cfgs.push_back(rev());
     cfgs.back().rev.chg.hashRounds = 2;

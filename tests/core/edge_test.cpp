@@ -238,7 +238,7 @@ TEST(ValidationBypass, DisabledRevHasNearZeroCost)
     p.addModule(a.finalize("t", "main"));
 
     SimConfig off;
-    off.withRev = false;
+    off.backend = validate::Backend::Null;
     SimConfig bypass; // REV attached but disabled by the syscall
     Simulator s1(p, off), s2(p, bypass);
     const SimResult r1 = s1.run();

@@ -268,7 +268,7 @@ TEST(Multicore, OverheadNeverFallsAsCoresAreAdded)
         rev.core.maxInstrs = 100'000;
         rev.mem.dmaIntervalCycles = 400;
         SimConfig base = rev;
-        base.withRev = false;
+        base.backend = validate::Backend::Null;
         const double base_cycles =
             Simulator(schedProgram(), base).run().run.cycles;
         const double overhead =

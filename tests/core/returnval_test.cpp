@@ -121,6 +121,49 @@ TEST(ShadowStack, DeepRecursionSpillsAndRefills)
     EXPECT_GT(r.rev.shadowRefills, 0u);
 }
 
+TEST(ShadowStack, RefillOnAFailingReturnIsCounted)
+{
+    // 300 nested calls over 32 on-chip entries spill 17 batches of 16
+    // (272 frames in memory); the 29th return is the first to find the
+    // on-chip part empty (300 - 28 == 272) and refills before it pops.
+    // A return that fails the shadow check still pays its refill.
+    for (const auto &[smashed, refills] :
+         {std::pair{28, 0u}, std::pair{29, 1u}}) {
+        using namespace isa;
+        prog::Assembler a(prog::kDefaultCodeBase);
+        a.label("main");
+        a.movi(1, 300);
+        a.call("f");
+        a.halt();
+        a.label("f");
+        a.addi(1, 1, -1);
+        a.beq(1, 0, "base");
+        a.call("f");
+        a.label("base");
+        const Addr ret_pc = a.ret();
+        prog::Program p;
+        p.addModule(a.finalize("rec", "main"));
+
+        SimConfig cfg = cfgWith(validate::ReturnValidation::ShadowStack);
+        cfg.rev.shadowStackEntries = 32;
+        Simulator sim(p, cfg);
+        int rets = 0;
+        sim.core().setPreStepHook([&](u64, Addr pc) {
+            if (pc == ret_pc && ++rets == smashed) {
+                const Addr sp = sim.core().machine().reg(isa::kRegSp);
+                sim.memory().write64(sp, p.main().entry);
+            }
+        });
+        const SimResult r = sim.run();
+        SCOPED_TRACE(smashed);
+        ASSERT_TRUE(r.run.violation.has_value());
+        EXPECT_NE(r.run.violation->reason.find("violates shadow stack"),
+                  std::string::npos);
+        EXPECT_EQ(r.rev.shadowSpills, 17u);
+        EXPECT_EQ(r.rev.shadowRefills, refills);
+    }
+}
+
 TEST(ShadowStack, DelayedSchemeHandlesRecursionWithoutSpills)
 {
     auto p = makeDeepRecursion(300);

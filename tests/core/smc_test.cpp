@@ -58,7 +58,7 @@ TEST(Smc, BaseConfigRefetchesPatchedCode)
     ASSERT_EQ(patch.diffs, 1u);
     auto p = makeSmcProgram(patch, /*trusted=*/false);
     SimConfig cfg;
-    cfg.withRev = false;
+    cfg.backend = validate::Backend::Null;
     Simulator sim(p, cfg);
     const SimResult r = sim.run();
     EXPECT_TRUE(r.run.halted);

@@ -27,7 +27,7 @@ randomHeader(Rng &rng)
     StreamHeader h;
     h.backend = static_cast<Backend>(rng.below(3));
     h.mode = static_cast<sig::ValidationMode>(rng.below(3));
-    h.returnValidation = static_cast<u8>(rng.below(3));
+    h.returnValidation = static_cast<u8>(rng.below(2));
     h.hashRounds = static_cast<u32>(rng.range(1, 16));
     h.bufferEntries = static_cast<u32>(rng.below(0x10000));
     h.entryBytes = static_cast<u32>(rng.below(0x10000));
@@ -201,6 +201,33 @@ TEST_P(StreamFuzz, DecoderIsTotalOnMutatedInput)
             prev = r.offset();
         }
         ASSERT_LE(r.offset(), bytes.size());
+    }
+}
+
+TEST(StreamHeaderCodec, OutOfRangeHeaderBytesAreMalformed)
+{
+    StreamWriter w;
+    w.onHeader(StreamHeader{});
+    const std::vector<u8> good = w.take();
+    ASSERT_EQ(good.size(), kStreamHeaderBytes);
+
+    // Byte 6 is the backend, 7 the validation mode, 8 the return-
+    // validation scheme, 16 the start-enabled flag.
+    const std::pair<std::size_t, u8> cases[] = {
+        {6, static_cast<u8>(Backend::Null) + 1},
+        {7, static_cast<u8>(sig::ValidationMode::CfiOnly) + 1},
+        {8, 2},
+        {8, 255},
+        {16, 2},
+    };
+    for (const auto &[at, value] : cases) {
+        std::vector<u8> bytes = good;
+        bytes[at] = value;
+        StreamReader r;
+        StreamHeader h;
+        EXPECT_EQ(r.tryHeader(bytes.data(), bytes.size(), &h),
+                  StreamReader::Status::Malformed)
+            << "byte " << at << " = " << int(value);
     }
 }
 

@@ -115,7 +115,7 @@ TEST(Generator, HotReachBoundsWorkingSet)
     auto run_unique = [](const WorkloadProfile &prof) {
         auto p = generateWorkload(prof);
         core::SimConfig cfg;
-        cfg.withRev = false;
+        cfg.backend = validate::Backend::Null;
         cfg.core.maxInstrs = 150'000;
         core::Simulator sim(p, cfg);
         return sim.run().run.uniqueBranches;
@@ -140,7 +140,7 @@ TEST(Generator, LoopFracAmplifiesLocality)
     auto run_unique_per_instr = [](const WorkloadProfile &prof) {
         auto p = generateWorkload(prof);
         core::SimConfig cfg;
-        cfg.withRev = false;
+        cfg.backend = validate::Backend::Null;
         cfg.core.maxInstrs = 100'000;
         core::Simulator sim(p, cfg);
         const auto r = sim.run().run;
@@ -152,7 +152,7 @@ TEST(Generator, LoopFracAmplifiesLocality)
     auto run_unique = [](const WorkloadProfile &prof) {
         auto p = generateWorkload(prof);
         core::SimConfig cfg;
-        cfg.withRev = false;
+        cfg.backend = validate::Backend::Null;
         cfg.core.maxInstrs = 100'000;
         core::Simulator sim(p, cfg);
         return sim.run().run.uniqueBranches;

@@ -236,7 +236,7 @@ run(int argc, char **argv)
     double base_ipc = 0;
     if (with_base) {
         core::SimConfig bcfg = cfg;
-        bcfg.withRev = false;
+        bcfg.backend = validate::Backend::Null;
         // The base run must not consume the recorder (one trace per
         // simulation); replay attachment revalidates per Simulator.
         bcfg.traceRecorder = nullptr;
