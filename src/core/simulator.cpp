@@ -105,60 +105,55 @@ Simulator::Simulator(const prog::Program &program, const SimConfig &cfg)
     }
 }
 
-Snapshot::Snapshot(const Simulator &sim)
-    : program(&sim.program_), cfg(sim.cfg_),
-      instrIndex(sim.slot0().core->committedInstrs()),
-      mem(sim.slot0().mem.fork()), memsys(sim.memsys_),
-      core(sim.slot0().core->saveState()),
-      validatorState(sim.slot0().validator->saveSnapshot()),
-      store(sim.store_)
+Simulator::Simulator(const Simulator &source)
+    : program_(source.program_), cfg_(source.cfg_), memsys_(source.memsys_),
+      vault_(source.vault_), store_(source.store_)
 {
-    for (const auto &s : sim.slots_)
-        REV_ASSERT(!s->core->machine().replaying(),
-                   "snapshots require direct execution");
     // Harness attachments describe the source's run, not a fork's:
     // forks record/replay/measure only what their own harness attaches.
-    cfg.traceRecorder = nullptr;
-    cfg.replayTrace = nullptr;
-    cfg.measurementSink = nullptr;
-    cfg.sigStorePrototype = nullptr;
-    cfg.memoryImage = nullptr; // mem is the fork's image
-    for (std::size_t c = 1; c < sim.slots_.size(); ++c) {
-        const Simulator::CoreSlot &s = *sim.slots_[c];
-        extra.emplace_back(s.mem.fork(), s.core->saveState(),
-                           s.validator->saveSnapshot(), s.finished);
+    cfg_.traceRecorder = nullptr;
+    cfg_.replayTrace = nullptr;
+    cfg_.measurementSink = nullptr;
+    cfg_.sigStorePrototype = nullptr;
+    cfg_.memoryImage = nullptr; // each slot's memory is the fork's image
+
+    // No loadInto(): the forked memories already hold the program image
+    // and signature tables exactly as the source left them, and the
+    // store handle shares the source's (immutable) table build.
+    for (const std::unique_ptr<CoreSlot> &from : source.slots_) {
+        REV_ASSERT(!from->core->machine().replaying(),
+                   "snapshots require direct execution");
+        const unsigned c = numCores();
+        CoreSlot &s = *slots_.emplace_back(std::make_unique<CoreSlot>());
+        s.mem = from->mem.fork();
+        // The run began at the source's pre-run image, so a failing fork
+        // rolls back there, as a cold run does.
+        if (cfg_.pageShadowing)
+            s.pristine = from->pristine.fork();
+        createValidator(s, c, from->validator.get());
+        s.core = std::make_unique<cpu::Core>(*from->core, s.mem, memsys_,
+                                             s.validator.get());
+        // A core whose run already ended keeps its stored result rather
+        // than re-running drained, or the aggregate would diverge from a
+        // cold run's.
+        s.finished = from->finished;
     }
 }
 
-Snapshot::ExtraSlot::ExtraSlot(
-    SparseMemory image, cpu::Core::Snapshot core_state,
-    std::unique_ptr<validate::ValidatorSnapshot> validator_state,
-    std::optional<cpu::RunResult> run_end)
-    : mem(std::move(image)), core(std::move(core_state)),
-      validatorState(std::move(validator_state)), finished(run_end)
+Snapshot::Snapshot(const Simulator &sim)
+    : instrIndex(sim.slot0().core->committedInstrs()),
+      machine_(new Simulator(sim))
 {
 }
 
 Snapshot::Snapshot(const Snapshot &other)
-    : program(other.program), cfg(other.cfg), instrIndex(other.instrIndex),
-      mem(other.mem.fork()), memsys(other.memsys), core(other.core),
-      validatorState(other.validatorState ? other.validatorState->clone()
-                                          : nullptr),
-      store(other.store), extra(other.extra)
-{
-}
-
-Snapshot::ExtraSlot::ExtraSlot(const ExtraSlot &other)
-    : mem(other.mem.fork()), core(other.core),
-      validatorState(other.validatorState ? other.validatorState->clone()
-                                          : nullptr),
-      finished(other.finished)
+    : instrIndex(other.instrIndex), machine_(new Simulator(*other.machine_))
 {
 }
 
 void
 Simulator::createValidator(CoreSlot &slot, unsigned core_id,
-                           validate::ValidatorSnapshot *state)
+                           const validate::Validator *source)
 {
     validate::BackendContext ctx;
     ctx.store = store_ ? &*store_ : nullptr;
@@ -168,46 +163,16 @@ Simulator::createValidator(CoreSlot &slot, unsigned core_id,
     ctx.rev = cfg_.rev;
     ctx.lofat = cfg_.lofat;
     ctx.coreId = core_id;
-    ctx.state = state;
-    slot.validator = validate::ValidatorRegistry::instance().create(
-        cfg_.backend, ctx);
+    slot.validator =
+        source ? source->fork(ctx)
+               : validate::ValidatorRegistry::instance().create(cfg_.backend,
+                                                                ctx);
     if (slot.validator->kind() == Backend::Rev)
         slot.revEngine =
             static_cast<validate::RevValidator *>(slot.validator.get());
     else if (slot.validator->kind() == Backend::LoFat)
         slot.lofatEngine =
             static_cast<validate::LoFatValidator *>(slot.validator.get());
-}
-
-Simulator::Simulator(Snapshot &&snap)
-    : program_(*snap.program), cfg_(std::move(snap.cfg)),
-      memsys_(std::move(snap.memsys)), vault_(cfg_.cpuSeed),
-      store_(std::move(snap.store))
-{
-    // No loadInto(): the snapshot's memories already hold the program
-    // image and signature tables exactly as the source left them, and
-    // the store handle shares the snapshot's (immutable) table build.
-    // Every component is built from the snapshot's state, not built
-    // fresh and then overwritten.
-    const auto adopt = [&](SparseMemory &&mem, cpu::Core::Snapshot &&core,
-                           validate::ValidatorSnapshot *state) {
-        const unsigned c = static_cast<unsigned>(slots_.size());
-        slots_.push_back(std::make_unique<CoreSlot>());
-        CoreSlot &s = *slots_.back();
-        s.mem = std::move(mem);
-        createValidator(s, c, state);
-        s.core = std::make_unique<cpu::Core>(program_, s.mem, memsys_,
-                                             cfg_.core, s.validator.get(), c,
-                                             std::move(core));
-        if (cfg_.pageShadowing)
-            s.pristine = s.mem.clone();
-        return &s;
-    };
-    adopt(std::move(snap.mem), std::move(snap.core),
-          snap.validatorState.get());
-    for (Snapshot::ExtraSlot &e : snap.extra)
-        adopt(std::move(e.mem), std::move(e.core), e.validatorState.get())
-            ->finished = e.finished;
 }
 
 Snapshot

@@ -23,6 +23,7 @@
 #include <ostream>
 #include <vector>
 
+#include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "cpu/core.hpp"
 #include "program/trace.hpp"
@@ -179,70 +180,7 @@ struct SimResult
     bool memoryRolledBack = false;
 };
 
-class Simulator;
-
-/**
- * A complete machine state captured mid-run at a committed-instruction
- * boundary: the COW-forked memory image, the warmed memory hierarchy,
- * the core's architectural + timing-loop state, and the validation
- * backend's full mid-run state. Produced by Simulator::snapshotAt() /
- * capture(); any number of Simulators can be forked from one snapshot
- * (Simulator::forkFrom()), each continuing the run independently —
- * bit-identical to a cold run that executed the same prefix.
- *
- * Self-contained: the snapshot shares the (immutable) signature-table
- * build and the COW page set by refcount, so it remains valid after the
- * Simulator it was captured from is destroyed or reloads its program
- * (the rebuild is copy-on-write; forks keep validating against the
- * tables captured here). Only the Program object is borrowed and must
- * outlive the snapshot and its forks.
- */
-struct Snapshot
-{
-    /** Capture @p sim's current state (same as sim.capture()). */
-    explicit Snapshot(const Simulator &sim);
-    Snapshot(Snapshot &&) = default;
-    Snapshot &operator=(Snapshot &&) = default;
-    /** An independent snapshot of the same state: the memory images are
-     *  COW forks, everything else is copied. Forking a copy leaves the
-     *  original usable for further forks. */
-    Snapshot(const Snapshot &other);
-
-    const prog::Program *program = nullptr;
-    SimConfig cfg; ///< harness pointers (recorder/replay/sink) cleared
-    u64 instrIndex = 0; ///< core 0's committed instructions at capture
-    SparseMemory mem;   ///< COW fork of core 0's image
-    mem::MemorySystem memsys; ///< warmed caches / TLBs / DRAM banks
-    cpu::Core::Snapshot core; ///< core 0's arch regs + timing-loop state
-    std::unique_ptr<validate::ValidatorSnapshot> validatorState;
-    std::optional<sig::SigStore> store; ///< handle on the shared build
-
-    /** State of one additional core (multicore capture). */
-    struct ExtraSlot
-    {
-        ExtraSlot(SparseMemory image, cpu::Core::Snapshot core_state,
-                  std::unique_ptr<validate::ValidatorSnapshot>
-                      validator_state,
-                  std::optional<cpu::RunResult> run_end);
-        ExtraSlot(ExtraSlot &&) = default;
-        ExtraSlot &operator=(ExtraSlot &&) = default;
-        ExtraSlot(const ExtraSlot &other); ///< as Snapshot's copy
-
-        SparseMemory mem; ///< COW fork of that core's private image
-        cpu::Core::Snapshot core;
-        std::unique_ptr<validate::ValidatorSnapshot> validatorState;
-        /** Set when that core's run already ended (halt / violation /
-         *  budget) before the capture: the fork must report the stored
-         *  result rather than re-running a drained core, or its
-         *  aggregate would diverge from a cold run's. */
-        std::optional<cpu::RunResult> finished;
-    };
-
-    /** Cores 1..N-1, in core-id order (empty at numCores == 1). The
-     *  scheduler itself needs no state here: the interleaving is a pure
-     *  function of the per-core committed counts these slots carry. */
-    std::vector<ExtraSlot> extra;
-};
+class Snapshot;
 
 /**
  * One program, one machine, one validation backend.
@@ -274,34 +212,25 @@ class Simulator
 
     /**
      * Capture a Snapshot of the current state — either the initial state
-     * (before any run) or a runUntil() pause point.
+     * (before any run) or a runUntil() pause point. Requires direct
+     * execution (no replay attached).
      */
     Snapshot capture() const;
 
     /** runUntil(@p index) + capture(). Returns nothing when the run
      *  ended before reaching @p index. */
-    std::optional<Snapshot>
-    snapshotAt(u64 index)
-    {
-        if (!runUntil(index))
-            return std::nullopt;
-        return capture();
-    }
+    std::optional<Snapshot> snapshotAt(u64 index);
 
     /**
-     * Construct a Simulator continuing @p snap's run, built directly
-     * from the snapshot's state. A subsequent run() commits exactly the
-     * instruction stream a cold run would from the snapshot index on.
-     * The snapshot is a sink: pass an lvalue to fork a copy of it (an
-     * O(dirty pages) memory fork plus value copies of the rest) and keep
-     * it for more forks, or std::move() it in for its last fork, which
-     * then copies nothing.
+     * The Simulator continuing @p snap's run: the snapshot's paused
+     * machine itself. A subsequent run() commits exactly the instruction
+     * stream a cold run would from the snapshot index on. The snapshot
+     * is a sink: pass an lvalue to fork a copy of it (an O(dirty pages)
+     * memory fork plus value copies of the rest) and keep it for more
+     * forks, or std::move() it in for its last fork, which then copies
+     * nothing.
      */
-    static std::unique_ptr<Simulator>
-    forkFrom(Snapshot snap)
-    {
-        return std::unique_ptr<Simulator>(new Simulator(std::move(snap)));
-    }
+    static std::unique_ptr<Simulator> forkFrom(Snapshot snap);
 
     /**
      * The program object changed (a module was added by the dynamic
@@ -385,7 +314,7 @@ class Simulator
     }
 
   private:
-    friend struct Snapshot; // captures the private per-core state
+    friend class Snapshot; // holds a paused fork
 
     /**
      * One core's private column of the machine: its COW memory image,
@@ -406,14 +335,20 @@ class Simulator
         std::optional<cpu::RunResult> finished; ///< run ended in a slice
     };
 
-    /** Fork constructor — see forkFrom(). */
-    explicit Simulator(Snapshot &&snap);
+    /**
+     * Fork constructor: a paused, detached copy of @p source. Every slot
+     * copies itself over the fork's own memory (a COW fork of the
+     * source's), memory system and store handle; the harness attachments
+     * (recorder, replay, measurement sink, prototype, image) and the
+     * cores' PreStepHooks are left behind. See Snapshot.
+     */
+    Simulator(const Simulator &source);
 
-    /** Create the configured backend over @p slot's components, starting
-     *  from @p state when forking (moved from), and wire the typed engine
-     *  views (shared by both constructors). */
+    /** Create the configured backend over @p slot's components — a fork
+     *  of @p source when given — and wire the typed engine views (shared
+     *  by both constructors). */
     void createValidator(CoreSlot &slot, unsigned core_id,
-                         validate::ValidatorSnapshot *state = nullptr);
+                         const validate::Validator *source = nullptr);
 
     /** The slot the deterministic scheduler runs next: the unfinished
      *  slot with the smallest (completed quanta, core id). Null when
@@ -441,6 +376,65 @@ class Simulator
     std::optional<sig::SigStore> store_;
     std::vector<std::unique_ptr<CoreSlot>> slots_; ///< core-id order
 };
+
+/**
+ * A paused machine: a detached fork of a Simulator taken at a
+ * committed-instruction boundary (Simulator::capture() /
+ * snapshotAt()). Nothing runs it; it exists to be forked. Any number of
+ * Simulators can be forked from one snapshot (Simulator::forkFrom()),
+ * each continuing the run independently — bit-identical to a cold run
+ * that executed the same prefix.
+ *
+ * Capture and fork are the same operation, copy-and-rebind: each
+ * component copies its mid-run state over the new machine's COW memory
+ * fork, memory-system copy and store handle. Copying a Snapshot is a
+ * fork of its machine; moving one (or forkFrom(std::move(snap))) hands
+ * the paused machine over and copies nothing.
+ *
+ * Self-contained: the machine shares the (immutable) signature-table
+ * build and the COW page set by refcount, so it stays valid after the
+ * Simulator it was captured from is destroyed or reloads its program
+ * (the rebuild is copy-on-write; forks keep validating against the
+ * tables captured here). Only the Program object is borrowed and must
+ * outlive the snapshot and its forks.
+ */
+class Snapshot
+{
+  public:
+    /** A fork of @p other's paused machine; @p other stays usable for
+     *  further forks. */
+    Snapshot(const Snapshot &other);
+    Snapshot(Snapshot &&) = default;
+    Snapshot &operator=(Snapshot &&) = default;
+
+    u64 instrIndex = 0; ///< core 0's committed instructions at capture
+
+    /** The paused machine, for inspection. */
+    const Simulator &machine() const { return *machine_; }
+
+  private:
+    friend class Simulator; // capture() and forkFrom()
+
+    /** A paused fork of @p sim — see Simulator::capture(). */
+    explicit Snapshot(const Simulator &sim);
+
+    std::unique_ptr<Simulator> machine_;
+};
+
+inline std::optional<Snapshot>
+Simulator::snapshotAt(u64 index)
+{
+    if (!runUntil(index))
+        return std::nullopt;
+    return capture();
+}
+
+inline std::unique_ptr<Simulator>
+Simulator::forkFrom(Snapshot snap)
+{
+    REV_ASSERT(snap.machine_, "forkFrom() of a moved-from snapshot");
+    return std::move(snap.machine_);
+}
 
 } // namespace rev::core
 

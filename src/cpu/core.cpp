@@ -90,39 +90,18 @@ Core::runUntil(u64 index, RunResult *out)
     // Snapshot cursors execute directly: a replayed machine maintains no
     // architectural state to capture.
     REV_ASSERT(!machine_.replaying(), "runUntil() on a replaying machine");
-    if (!state_)
-        state_.emplace(cfg_, machine_.pc(), clockBase_);
-    lastCommit_ = state_->prevCommit;
-    if (loop(*state_, index))
-        return true;
-    RunResult res = finish(*state_);
-    if (out)
-        *out = res;
-    return false;
+    return runSlice(index, out);
 }
 
-Core::Snapshot
-Core::saveState() const
+Core::Core(const Core &source, SparseMemory &mem, mem::MemorySystem &memsys,
+           validate::Validator *hooks)
+    : program_(source.program_), mem_(mem), memsys_(memsys),
+      coreId_(source.coreId_), cfg_(source.cfg_),
+      hooks_(hooks ? *hooks : nullHooks_), machine_(source.machine_, mem),
+      sb_(source.sb_), predictor_(source.predictor_),
+      pendingStores_(source.pendingStores_), state_(source.state_),
+      clockBase_(source.clockBase_), lastCommit_(source.lastCommit_)
 {
-    // Built in place: a default Snapshot would first allocate and fill
-    // predictor tables only to overwrite them.
-    return Snapshot{machine_.regs(), machine_.pc(), machine_.halted(),
-                    sb_, predictor_, pendingStores_, clockBase_,
-                    lastCommit_, state_};
-}
-
-Core::Core(const prog::Program &program, SparseMemory &mem,
-           mem::MemorySystem &memsys, const CoreConfig &cfg,
-           validate::Validator *hooks, unsigned core_id, Snapshot &&from)
-    : program_(program), mem_(mem), memsys_(memsys), coreId_(core_id),
-      cfg_(cfg), hooks_(hooks ? *hooks : nullHooks_), machine_(program, mem),
-      sb_(std::move(from.storeBuffer)),
-      predictor_(std::move(from.predictor)),
-      pendingStores_(std::move(from.pendingStores)),
-      state_(std::move(from.runState)), clockBase_(from.clockBase),
-      lastCommit_(from.lastCommit)
-{
-    machine_.restoreArch(from.regs, from.pc, from.halted);
 }
 
 bool

@@ -104,10 +104,11 @@ class Core
 
     /**
      * Run until just before the pre-step of committed-instruction index
-     * @p index (cumulative across pauses of the same logical run). A
-     * subsequent run() — here or in a fork restored from saveState() —
-     * sees @p index as its first pre-step, exactly like a cold run
-     * arriving at the same point, so injector hooks fire identically.
+     * @p index (cumulative across pauses of the same logical run):
+     * runSlice() on a directly executing machine. A subsequent run() —
+     * here or in a fork of this core — sees @p index as its first
+     * pre-step, exactly like a cold run arriving at the same point, so
+     * injector hooks fire identically.
      *
      * @return true when paused at @p index; false when the run finished
      *         first (halt / violation / budget), with the final result
@@ -121,9 +122,9 @@ class Core
     /**
      * One scheduling slice: run (or resume) until the run ends or the
      * cumulative committed-instruction count reaches @p pause_before,
-     * whichever comes first. run() is runSlice(kRunToEnd, ...); unlike
-     * runUntil() this carries run()'s full preamble (PreStepHook replay
-     * cancellation), so a multicore scheduler can time-slice replayed
+     * whichever comes first. run() is runSlice(kRunToEnd, ...). Unlike
+     * runUntil() it accepts a replaying machine (a PreStepHook cancels
+     * the replay first), so a multicore scheduler can time-slice replayed
      * runs. @return true when paused, false when the run finished (final
      * result stored to @p out when non-null).
      */
@@ -192,37 +193,16 @@ class Core
     };
 
     /**
-     * Everything a fork needs to continue this core's run mid-flight:
+     * A fork of @p source continuing its paused (or idle) run over
+     * @p mem, a fork of the source's memory image, @p memsys, a copy of
+     * its memory system, and @p hooks, a fork of its validator:
      * architectural registers, store buffer, predictor, store-drain
-     * queue, cycle frontiers, and the paused run-loop state. The memory
-     * image and the validator/memory-system state the core references
-     * are snapshotted separately (see core/snapshot.hpp).
+     * queue, cycle frontiers and the paused run-loop state are copied;
+     * the PreStepHook, trace recorder and replayer are not. A following
+     * run() resumes exactly where the source paused.
      */
-    struct Snapshot
-    {
-        std::array<u64, isa::kNumArchRegs> regs{};
-        Addr pc = 0;
-        bool halted = false;
-        prog::StoreBuffer storeBuffer;
-        BranchPredictor predictor;
-        std::deque<PendingStore> pendingStores;
-        Cycle clockBase = 0;
-        Cycle lastCommit = 0;
-        std::optional<RunState> runState;
-    };
-
-    /** Capture the core-side state of a paused (or idle) run. */
-    Snapshot saveState() const;
-
-    /**
-     * A core continuing from @p from, captured by saveState() on a core
-     * over the same program/config whose memory image @p mem is a fork
-     * of (its contents are moved out). A following run() resumes exactly
-     * where the source paused. Other parameters as above.
-     */
-    Core(const prog::Program &program, SparseMemory &mem,
-         mem::MemorySystem &memsys, const CoreConfig &cfg,
-         validate::Validator *hooks, unsigned core_id, Snapshot &&from);
+    Core(const Core &source, SparseMemory &mem, mem::MemorySystem &memsys,
+         validate::Validator *hooks);
 
   private:
     /**

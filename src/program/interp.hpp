@@ -280,6 +280,18 @@ class Machine
     Machine(const Program &program, SparseMemory &mem);
 
     /**
+     * A fork of @p source's architectural state (registers, PC, halt
+     * flag) over @p mem, a fork of its memory image. The decode cache
+     * starts empty (its contents are architecturally invisible) and no
+     * recorder or replayer is attached.
+     */
+    Machine(const Machine &source, SparseMemory &mem)
+        : regs_(source.regs_), pc_(source.pc_), halted_(source.halted_),
+          mem_(mem)
+    {
+    }
+
+    /**
      * Execute the instruction at the current PC. If @p sb is non-null,
      * stores go to the buffer (tagged @p seq) instead of memory, and loads
      * forward from it.
@@ -295,24 +307,6 @@ class Machine
 
     u64 reg(unsigned idx) const { return regs_[idx]; }
     void setReg(unsigned idx, u64 v) { if (idx != 0) regs_[idx] = v; }
-
-    /** Architectural register file (snapshot capture). */
-    const std::array<u64, isa::kNumArchRegs> &regs() const { return regs_; }
-
-    /**
-     * Adopt architectural state captured from another Machine running the
-     * same program image (snapshot fork / restore). The decode cache is
-     * kept: its contents are architecturally invisible, and every fetch
-     * revalidates them against the memory epoch and page versions.
-     */
-    void
-    restoreArch(const std::array<u64, isa::kNumArchRegs> &regs, Addr pc,
-                bool halted)
-    {
-        regs_ = regs;
-        pc_ = pc;
-        halted_ = halted;
-    }
 
     Addr pc() const { return pc_; }
     void setPc(Addr pc) { pc_ = pc; halted_ = false; }

@@ -8,7 +8,7 @@
 #include "common/logging.hpp"
 #include "common/parallel.hpp"
 #include "common/random.hpp"
-#include "core/snapshot.hpp"
+#include "core/simulator.hpp"
 #include "sig/table.hpp"
 #include "workloads/scheduler.hpp"
 

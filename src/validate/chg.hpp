@@ -44,30 +44,19 @@ struct ChgConfig
  */
 class Chg
 {
-    // Implementation types first: the public State below aggregates them.
-    struct Key
-    {
-        Addr start;
-        Addr term;
-        bool operator==(const Key &) const = default;
-    };
-    struct KeyHash
-    {
-        u64
-        operator()(const Key &k) const
-        {
-            return FlatHash{}(k.start * 0x9e3779b97f4a7c15ULL ^ k.term);
-        }
-    };
-
-    struct Memo
-    {
-        u32 hash;
-        u64 verSum; ///< spanVersionSum of [start, end) when hashed
-    };
-
   public:
     Chg(const SparseMemory &mem, const ChgConfig &cfg = {});
+
+    /**
+     * A fork of @p source (its digest memo and counters) over @p mem, a
+     * fork of the source's memory: page versions carry over, so memoized
+     * digests revalidate identically.
+     */
+    Chg(const Chg &source, const SparseMemory &mem)
+        : mem_(mem), cfg_(source.cfg_), cache_(source.cache_),
+          blocksHashed_(source.blocksHashed_), flushes_(source.flushes_)
+    {
+    }
 
     /**
      * Digest of the block [start, end) terminated at @p term, as hashed
@@ -91,33 +80,28 @@ class Chg
 
     void addStats(stats::StatGroup &group) const;
 
-    /**
-     * Copyable mid-run state — digest memo and counters —
-     * for snapshot capture. The memory binding is not part of the state:
-     * a fork constructs its Chg from this state over its own (forked)
-     * memory, whose page versions match the source's, so memoized
-     * digests revalidate identically.
-     */
-    struct State
+  private:
+    struct Key
     {
-        FlatMap<Key, Memo, KeyHash> cache;
-        stats::Counter blocksHashed, flushes;
+        Addr start;
+        Addr term;
+        bool operator==(const Key &) const = default;
+    };
+    struct KeyHash
+    {
+        u64
+        operator()(const Key &k) const
+        {
+            return FlatHash{}(k.start * 0x9e3779b97f4a7c15ULL ^ k.term);
+        }
     };
 
-    State
-    saveState() const
+    struct Memo
     {
-        return State{cache_, blocksHashed_, flushes_};
-    }
+        u32 hash;
+        u64 verSum; ///< spanVersionSum of [start, end) when hashed
+    };
 
-    /** A Chg over @p mem continuing from @p state (snapshot fork). */
-    Chg(const SparseMemory &mem, const ChgConfig &cfg, State &&state)
-        : mem_(mem), cfg_(cfg), cache_(std::move(state.cache)),
-          blocksHashed_(state.blocksHashed), flushes_(state.flushes)
-    {
-    }
-
-  private:
     const SparseMemory &mem_;
     ChgConfig cfg_;
     FlatMap<Key, Memo, KeyHash> cache_;

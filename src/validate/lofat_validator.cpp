@@ -2,55 +2,36 @@
 
 #include <algorithm>
 
+#include "validate/registry.hpp"
 #include "validate/verdict.hpp"
 
 namespace rev::validate
 {
 
-/** Everything LoFatValidator mutates between construction and a pause:
- *  the running hash chain, measurement-buffer occupancy and spill cursor,
- *  the in-flight block, the CHG state, and the counters. */
-struct LoFatValidator::Snapshot final : ValidatorSnapshot
-{
-    Chg::State chg;
-    bool enabled = true;
-    PendingBB cur;
-    crypto::Digest chain{};
-    unsigned bufferUsed = 0;
-    Addr spillCursor = kMeasurementRegion;
-    Cycle drainReadyAt = 0;
-    std::string lastViolation;
-    LoFatStats stats;
-
-    std::unique_ptr<ValidatorSnapshot>
-    clone() const override
-    {
-        return std::make_unique<Snapshot>(*this);
-    }
-};
-
 LoFatValidator::LoFatValidator(const sig::SigStore &store,
                                const SparseMemory &mem,
                                mem::MemorySystem &memsys,
-                               const LoFatConfig &cfg, unsigned core_id,
-                               ValidatorSnapshot *from)
+                               const LoFatConfig &cfg, unsigned core_id)
     : store_(store), memsys_(memsys), coreId_(core_id), cfg_(cfg),
-      chg_(from ? Chg(mem, cfg.chg,
-                      std::move(snapshotAs<Snapshot>(from)->chg))
-                : Chg(mem, cfg.chg)),
-      enabled_(cfg.startEnabled)
+      chg_(mem, cfg.chg), enabled_(cfg.startEnabled)
 {
-    Snapshot *s = snapshotAs<Snapshot>(from);
-    if (!s)
-        return;
-    enabled_ = s->enabled;
-    cur_ = s->cur;
-    chain_ = s->chain;
-    bufferUsed_ = s->bufferUsed;
-    spillCursor_ = s->spillCursor;
-    drainReadyAt_ = s->drainReadyAt;
-    lastViolation_ = std::move(s->lastViolation);
-    stats_ = s->stats;
+}
+
+LoFatValidator::LoFatValidator(const LoFatValidator &source,
+                               const BackendContext &ctx)
+    : store_(*ctx.store), memsys_(*ctx.memsys), coreId_(ctx.coreId),
+      cfg_(source.cfg_), chg_(source.chg_, *ctx.mem),
+      enabled_(source.enabled_), cur_(source.cur_), chain_(source.chain_),
+      bufferUsed_(source.bufferUsed_), spillCursor_(source.spillCursor_),
+      drainReadyAt_(source.drainReadyAt_),
+      lastViolation_(source.lastViolation_), stats_(source.stats_)
+{
+}
+
+std::unique_ptr<Validator>
+LoFatValidator::fork(const BackendContext &ctx) const
+{
+    return std::unique_ptr<Validator>(new LoFatValidator(*this, ctx));
 }
 
 void
@@ -214,22 +195,6 @@ LoFatValidator::snapshotStats(stats::StatSet &set,
     set.add(prefix + ".lofat.spill_bytes", stats_.spillBytes);
     set.add(prefix + ".lofat.unattested_blocks", stats_.unattestedBlocks);
     set.add(prefix + ".lofat.edge_violations", stats_.edgeViolations);
-}
-
-std::unique_ptr<ValidatorSnapshot>
-LoFatValidator::saveSnapshot() const
-{
-    auto snap = std::make_unique<Snapshot>();
-    snap->chg = chg_.saveState();
-    snap->enabled = enabled_;
-    snap->cur = cur_;
-    snap->chain = chain_;
-    snap->bufferUsed = bufferUsed_;
-    snap->spillCursor = spillCursor_;
-    snap->drainReadyAt = drainReadyAt_;
-    snap->lastViolation = lastViolation_;
-    snap->stats = stats_;
-    return snap;
 }
 
 } // namespace rev::validate

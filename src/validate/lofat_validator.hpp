@@ -70,14 +70,10 @@ class LoFatValidator final : public Validator
      * @param mem    Functional memory (the CHG hashes fetched bytes).
      * @param memsys  Timing hierarchy for measurement spill traffic.
      * @param core_id Memory-system port the spills issue through.
-     * @param from   When non-null, a saveSnapshot() capture of a LO-FAT
-     *               validator of the same configuration over a memory
-     *               @p mem is a fork of: this validator continues from
-     *               it (moving its contents out).
      */
     LoFatValidator(const sig::SigStore &store, const SparseMemory &mem,
                    mem::MemorySystem &memsys, const LoFatConfig &cfg = {},
-                   unsigned core_id = 0, ValidatorSnapshot *from = nullptr);
+                   unsigned core_id = 0);
 
     // --- Validator --------------------------------------------------------
     Backend kind() const override { return Backend::LoFat; }
@@ -92,7 +88,8 @@ class LoFatValidator final : public Validator
     std::string violationReason() const override { return lastViolation_; }
     void attachMeasurementSink(MeasurementSink *sink) override;
     void sealMeasurement() override { source_.seal(chain_); }
-    std::unique_ptr<ValidatorSnapshot> saveSnapshot() const override;
+    std::unique_ptr<Validator>
+    fork(const BackendContext &ctx) const override;
     void invalidateCodeCache() override { chg_.invalidate(); }
     void refreshTables() override { chg_.invalidate(); }
     ValidationStats commonStats() const override { return stats_; }
@@ -112,8 +109,8 @@ class LoFatValidator final : public Validator
     unsigned bufferUsed() const { return bufferUsed_; }
 
   private:
-    /** Full mid-run state capture (defined in lofat_validator.cpp). */
-    struct Snapshot;
+    /** Fork constructor — see fork(). */
+    LoFatValidator(const LoFatValidator &source, const BackendContext &ctx);
 
     struct PendingBB
     {

@@ -49,7 +49,7 @@ ValidatorRegistry::ValidatorRegistry()
                         "rev backend needs store/vault/mem/memsys");
              return std::make_unique<RevValidator>(
                  *ctx.store, *ctx.vault, *ctx.mem, *ctx.memsys, ctx.rev,
-                 ctx.coreId, ctx.state);
+                 ctx.coreId);
          }});
     infos_.push_back(
         {Backend::LoFat, "lofat",
@@ -59,8 +59,7 @@ ValidatorRegistry::ValidatorRegistry()
              REV_ASSERT(ctx.store && ctx.mem && ctx.memsys,
                         "lofat backend needs store/mem/memsys");
              return std::make_unique<LoFatValidator>(
-                 *ctx.store, *ctx.mem, *ctx.memsys, ctx.lofat, ctx.coreId,
-                 ctx.state);
+                 *ctx.store, *ctx.mem, *ctx.memsys, ctx.lofat, ctx.coreId);
          }});
     infos_.push_back(
         {Backend::Null, "null", "no validation (the paper's base case)",

@@ -23,9 +23,9 @@
 namespace rev::validate
 {
 
-/** Everything a backend factory may draw from. Pointers may be null when
- *  the backend does not need them (the registry's needsTables flag tells
- *  the owner which ones to build). */
+/** Everything a backend factory (or a fork, Validator::fork()) may draw
+ *  from. Pointers may be null when the backend does not need them (the
+ *  registry's needsTables flag tells the owner which ones to build). */
 struct BackendContext
 {
     const sig::SigStore *store = nullptr;
@@ -35,9 +35,6 @@ struct BackendContext
     RevConfig rev;
     LoFatConfig lofat;
     unsigned coreId = 0; ///< memory-system port for SC-fill/spill traffic
-    /** When set, the validator starts in this captured state (moved
-     *  from) instead of fresh: a snapshot fork. */
-    ValidatorSnapshot *state = nullptr;
 };
 
 /** One registered backend. */
@@ -67,9 +64,6 @@ class ValidatorRegistry
     /** Construct a validator of @p kind from @p ctx. */
     std::unique_ptr<Validator> create(Backend kind,
                                       const BackendContext &ctx) const;
-
-    /** Register an additional backend (tests, future out-of-tree use). */
-    void add(BackendInfo info) { infos_.push_back(std::move(info)); }
 
   private:
     ValidatorRegistry(); ///< registers the built-in backends

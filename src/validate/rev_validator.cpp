@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hpp"
+#include "validate/registry.hpp"
 #include "validate/verdict.hpp"
 
 namespace rev::validate
@@ -22,92 +23,45 @@ contains(const std::vector<Addr> &v, Addr a)
 
 } // namespace
 
-/**
- * Everything RevValidator mutates between construction and a pause point.
- * Table readers are carried as inert clones of their construction-time
- * header caches (not re-parsed by a fork: a tamper landing before the
- * pause may have corrupted the header bytes in memory, and a cold run's
- * reader — created at first use — would still hold the pre-tamper parse).
- * They are immutable, so copies of the snapshot share them.
- */
-struct RevValidator::Snapshot final : ValidatorSnapshot
-{
-    SignatureCache sc;
-    Sag sag;
-    Chg::State chg;
-    bool enabled;
-    std::array<PendingBB, kInflightSlots> ring;
-    verdict::RevReturnState returns;
-    u64 shadowSpilled;
-    Cycle shadowPenaltyAt;
-    std::string lastViolation;
-    RevStats stats;
-    std::vector<OffenderRecord> offenders;
-    /** (table base, inert header-cache clone) — re-bound by the fork. */
-    std::vector<std::pair<Addr, std::shared_ptr<const sig::TableReader>>>
-        readers;
-
-    explicit Snapshot(const RevValidator &v)
-        : sc(v.sc_), sag(v.sag_), chg(v.chg_.saveState()),
-          enabled(v.enabled_), ring(v.ring_), returns(v.returns_),
-          shadowSpilled(v.shadowSpilled_),
-          shadowPenaltyAt(v.shadowPenaltyAt_),
-          lastViolation(v.lastViolation_), stats(v.stats_),
-          offenders(v.offenders_)
-    {
-        for (const auto &[base, reader] : v.readers_)
-            readers.emplace_back(base, std::make_shared<const sig::TableReader>(
-                                           *reader, v.mem_));
-    }
-
-    std::unique_ptr<ValidatorSnapshot>
-    clone() const override
-    {
-        return std::make_unique<Snapshot>(*this);
-    }
-};
-
 RevValidator::RevValidator(const sig::SigStore &store,
                            const crypto::KeyVault &vault,
                            const SparseMemory &mem,
                            mem::MemorySystem &memsys, const RevConfig &cfg,
-                           unsigned core_id, ValidatorSnapshot *from)
-    : RevValidator(store, vault, mem, memsys, cfg, core_id,
-                   snapshotAs<Snapshot>(from))
+                           unsigned core_id)
+    : store_(store), vault_(vault), mem_(mem), memsys_(memsys),
+      coreId_(core_id), cfg_(cfg), sc_(cfg.sc), sag_(cfg.sagEntries),
+      chg_(mem, cfg.chg), rule_(store.mode(), cfg.returnValidation),
+      enabled_(cfg.startEnabled)
 {
+    // The trusted linker pre-loads the SAG for statically linked modules
+    // (Sec. IV.B); modules beyond the SAG capacity fault in at run time.
+    preloadSag();
 }
 
-RevValidator::RevValidator(const sig::SigStore &store,
-                           const crypto::KeyVault &vault,
-                           const SparseMemory &mem,
-                           mem::MemorySystem &memsys, const RevConfig &cfg,
-                           unsigned core_id, Snapshot *from)
-    : store_(store), vault_(vault), mem_(mem), memsys_(memsys),
-      coreId_(core_id), cfg_(cfg),
-      sc_(from ? std::move(from->sc) : SignatureCache(cfg.sc)),
-      sag_(from ? std::move(from->sag) : Sag(cfg.sagEntries)),
-      chg_(from ? Chg(mem, cfg.chg, std::move(from->chg))
-                : Chg(mem, cfg.chg)),
-      rule_(store.mode(), cfg.returnValidation),
-      enabled_(from ? from->enabled : cfg.startEnabled)
+RevValidator::RevValidator(const RevValidator &source,
+                           const BackendContext &ctx)
+    : store_(*ctx.store), vault_(*ctx.vault), mem_(*ctx.mem),
+      memsys_(*ctx.memsys), coreId_(ctx.coreId), cfg_(source.cfg_),
+      sc_(source.sc_), sag_(source.sag_), chg_(source.chg_, *ctx.mem),
+      rule_(source.rule_), enabled_(source.enabled_), ring_(source.ring_),
+      returns_(source.returns_), shadowSpilled_(source.shadowSpilled_),
+      shadowPenaltyAt_(source.shadowPenaltyAt_),
+      lastViolation_(source.lastViolation_), stats_(source.stats_),
+      offenders_(source.offenders_)
 {
-    if (!from) {
-        // The trusted linker pre-loads the SAG for statically linked
-        // modules (Sec. IV.B); modules beyond the SAG capacity fault in
-        // at run time.
-        preloadSag();
-        return;
-    }
-    ring_ = std::move(from->ring);
-    returns_ = std::move(from->returns);
-    shadowSpilled_ = from->shadowSpilled;
-    shadowPenaltyAt_ = from->shadowPenaltyAt;
-    lastViolation_ = std::move(from->lastViolation);
-    stats_ = from->stats;
-    offenders_ = std::move(from->offenders);
-    for (const auto &[base, reader] : from->readers)
+    // Table readers are re-bound clones of the source's header caches,
+    // not re-parsed: a tamper landing before the pause may have corrupted
+    // the header bytes in memory, and a cold run's reader — created at
+    // first use — still holds the pre-tamper parse.
+    for (const auto &[base, reader] : source.readers_)
         readers_.emplace_back(
             base, std::make_unique<sig::TableReader>(*reader, mem_));
+}
+
+std::unique_ptr<Validator>
+RevValidator::fork(const BackendContext &ctx) const
+{
+    return std::unique_ptr<Validator>(new RevValidator(*this, ctx));
 }
 
 void
@@ -503,12 +457,6 @@ RevValidator::snapshotStats(stats::StatSet &set,
     set.add(prefix + ".rev.commit_stall_cycles", stats_.commitStallCycles);
     set.add(prefix + ".rev.shadow_spills", stats_.shadowSpills);
     set.add(prefix + ".rev.shadow_refills", stats_.shadowRefills);
-}
-
-std::unique_ptr<ValidatorSnapshot>
-RevValidator::saveSnapshot() const
-{
-    return std::make_unique<Snapshot>(*this);
 }
 
 } // namespace rev::validate

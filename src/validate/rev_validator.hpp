@@ -93,15 +93,10 @@ class RevValidator final : public Validator
      * @param mem    Functional memory (holds code and the tables).
      * @param memsys  Timing hierarchy for SC fill traffic.
      * @param core_id Memory-system port the SC fills issue through.
-     * @param from   When non-null, a saveSnapshot() capture of a REV
-     *               validator of the same configuration over a memory
-     *               @p mem is a fork of: this validator continues from
-     *               it (moving its contents out).
      */
     RevValidator(const sig::SigStore &store, const crypto::KeyVault &vault,
                  const SparseMemory &mem, mem::MemorySystem &memsys,
-                 const RevConfig &cfg = {}, unsigned core_id = 0,
-                 ValidatorSnapshot *from = nullptr);
+                 const RevConfig &cfg = {}, unsigned core_id = 0);
 
     // --- Validator --------------------------------------------------------
     Backend kind() const override { return Backend::Rev; }
@@ -116,7 +111,8 @@ class RevValidator final : public Validator
     std::string violationReason() const override { return lastViolation_; }
     void attachMeasurementSink(MeasurementSink *sink) override;
     void sealMeasurement() override { source_.seal(); }
-    std::unique_ptr<ValidatorSnapshot> saveSnapshot() const override;
+    std::unique_ptr<Validator>
+    fork(const BackendContext &ctx) const override;
 
     /** Attacks that modify code space must invalidate memoized digests. */
     void invalidateCodeCache() override { chg_.invalidate(); }
@@ -199,13 +195,8 @@ class RevValidator final : public Validator
     sig::ValidationMode mode() const { return store_.mode(); }
 
   private:
-    /** Full mid-run state capture (defined in rev_validator.cpp). */
-    struct Snapshot;
-
-    /** The public constructor, with @p from already cast. */
-    RevValidator(const sig::SigStore &store, const crypto::KeyVault &vault,
-                 const SparseMemory &mem, mem::MemorySystem &memsys,
-                 const RevConfig &cfg, unsigned core_id, Snapshot *from);
+    /** Fork constructor — see fork(). */
+    RevValidator(const RevValidator &source, const BackendContext &ctx);
 
     /** The per-block fields of a PendingBB that are plain values. */
     struct BlockState

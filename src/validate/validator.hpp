@@ -14,7 +14,8 @@
  * do-nothing default with base-case semantics (commit never gated, every
  * block passes, stores drain eagerly), so the core calls hooks
  * unconditionally instead of guarding each call site with a null check,
- * and a new backend overrides only the events it cares about.
+ * and a new backend overrides only the events it cares about — plus
+ * fork(), the one hook every backend must write (snapshot forking).
  */
 
 #ifndef REV_VALIDATE_VALIDATOR_HPP
@@ -23,7 +24,6 @@
 #include <memory>
 #include <string>
 
-#include "common/logging.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 #include "isa/instr.hpp"
@@ -32,6 +32,7 @@ namespace rev::validate
 {
 
 class MeasurementSink; // stream.hpp — the prover/verifier wire format
+struct BackendContext; // registry.hpp — what a backend is built over
 
 /** The registered validation backends (see registry.hpp). */
 enum class Backend : u8
@@ -40,48 +41,6 @@ enum class Backend : u8
     LoFat = 1, ///< LO-FAT-style hash-chained control-flow attestation
     Null = 2,  ///< no validation (the paper's base case)
 };
-
-/**
- * Opaque capture of a backend's complete mid-run state — inflight ring,
- * hash chain, CHG memo, caches, latches, counters.
- * Produced by Validator::saveSnapshot() and consumed by constructing a
- * validator of the same backend and configuration from it
- * (BackendContext::state), bound to a fork of the source's memory image
- * (snapshot forking, core/snapshot.hpp). The base type is the null
- * backend's (empty) state.
- */
-struct ValidatorSnapshot
-{
-    ValidatorSnapshot() = default;
-    ValidatorSnapshot(const ValidatorSnapshot &) = default;
-    ValidatorSnapshot(ValidatorSnapshot &&) = default;
-    ValidatorSnapshot &operator=(const ValidatorSnapshot &) = default;
-    ValidatorSnapshot &operator=(ValidatorSnapshot &&) = default;
-    virtual ~ValidatorSnapshot() = default;
-
-    /** An independent copy (a snapshot copied to fork it twice). */
-    virtual std::unique_ptr<ValidatorSnapshot>
-    clone() const
-    {
-        return std::make_unique<ValidatorSnapshot>();
-    }
-};
-
-/**
- * @p from as the backend's own snapshot type @p S, or nullptr when
- * @p from is null (a validator constructed fresh). Panics when @p from
- * was captured from a different backend.
- */
-template <typename S>
-S *
-snapshotAs(ValidatorSnapshot *from)
-{
-    if (!from)
-        return nullptr;
-    S *s = dynamic_cast<S *>(from);
-    REV_ASSERT(s, "snapshot restored into a different backend");
-    return s;
-}
 
 /** Stable CLI name, e.g. "rev". */
 const char *backendName(Backend b);
@@ -213,20 +172,16 @@ class Validator
     // --- snapshot fork ----------------------------------------------------
 
     /**
-     * Capture the backend's complete mid-run state for a snapshot fork.
-     * Deliberately excluded: the measurement sink and trace callback (a
-     * forked validator reports to whatever its own harness attached —
-     * campaign forks attach none) and the construction-time bindings
-     * (store, vault, memory, memory system), which the forked validator
-     * is constructed over fork-side. A validator constructed from the
-     * capture (BackendContext::state) answers every hook exactly as the
-     * source would have from the pause point.
+     * A validator of this backend continuing this one's complete mid-run
+     * state over the forked machine's bindings in @p ctx (store, vault,
+     * memory, memory system, core id); it answers every hook exactly as
+     * this one would from the pause point. The measurement sink and trace
+     * callback are not carried: a fork reports to whatever its own
+     * harness attaches (campaign forks attach none). Pure virtual, so a
+     * backend cannot fork from fresh state by omission.
      */
-    virtual std::unique_ptr<ValidatorSnapshot>
-    saveSnapshot() const
-    {
-        return std::make_unique<ValidatorSnapshot>();
-    }
+    virtual std::unique_ptr<Validator>
+    fork(const BackendContext &ctx) const = 0;
 
     // --- harness-facing maintenance -------------------------------------
 
@@ -267,6 +222,12 @@ class NullValidator final : public Validator
 {
   public:
     Backend kind() const override { return Backend::Null; }
+
+    std::unique_ptr<Validator>
+    fork(const BackendContext &) const override
+    {
+        return std::make_unique<NullValidator>();
+    }
 };
 
 } // namespace rev::validate

@@ -3,21 +3,25 @@
  * Snapshot-fork determinism: a run forked from a warmed snapshot at
  * instruction F must be indistinguishable — every tracked statistic,
  * every verdict, every violation cycle — from a cold run that executed
- * the same prefix itself. Exercised across every sweep config (all
- * backends and validation modes) and with tamper injections at the fork
- * point (the red-team campaign's usage). Replay interaction is covered
+ * the same prefix itself. Exercised for every registered backend (a new
+ * backend is covered without touching this file), across every sweep
+ * config, with tamper injections at the fork point (the red-team
+ * campaign's usage), and at two cores. Replay interaction is covered
  * separately: snapshots require direct execution, and replay_test.cpp
  * pins direct == replay.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
+#include <vector>
 
 #include "attacks/injector.hpp"
 #include "bench/suite.hpp"
-#include "core/snapshot.hpp"
+#include "core/simulator.hpp"
 #include "workloads/generator.hpp"
+#include "workloads/scheduler.hpp"
 
 namespace rev::bench
 {
@@ -35,21 +39,47 @@ benchProgram()
     return p;
 }
 
-/** Full observable surface of one run: counters + run result fields. */
+const prog::Program &
+schedProgram()
+{
+    static const prog::Program p =
+        workloads::buildProgram(workloads::schedStormProfile());
+    return p;
+}
+
+/** Every registered backend, in registry order. */
+const std::vector<validate::BackendInfo> &
+backends()
+{
+    return validate::ValidatorRegistry::instance().list();
+}
+
+/** Full observable surface of one run: counters, run result fields and
+ *  the final memory image. */
 struct Observed
 {
     core::SimResult res;
     stats::StatSet stats;
+    std::map<u64, std::vector<u8>> pages; ///< core 0's memory after the run
 };
 
 Observed
-coldRun(const core::SimConfig &cfg)
+observe(core::Simulator &sim)
 {
-    core::Simulator sim(benchProgram(), cfg);
     Observed o;
     o.res = sim.run();
     o.stats = sim.stats();
+    sim.memory().forEachPage([&o](u64 page, const u8 *bytes) {
+        o.pages[page].assign(bytes, bytes + SparseMemory::kPageSize);
+    });
     return o;
+}
+
+Observed
+coldRun(const prog::Program &p, const core::SimConfig &cfg)
+{
+    core::Simulator sim(p, cfg);
+    return observe(sim);
 }
 
 Observed
@@ -59,111 +89,138 @@ forkedRun(const core::SimConfig &cfg, u64 fork_at)
     std::optional<core::Snapshot> snap = source.snapshotAt(fork_at);
     EXPECT_TRUE(snap.has_value());
     auto fork = core::Simulator::forkFrom(*snap);
-    Observed o;
-    o.res = fork->run();
-    o.stats = fork->stats();
-    return o;
+    return observe(*fork);
+}
+
+void
+expectSameRun(const cpu::RunResult &cold, const cpu::RunResult &fork)
+{
+    EXPECT_EQ(cold.cycles, fork.cycles);
+    EXPECT_EQ(cold.instrs, fork.instrs);
+    EXPECT_EQ(cold.committedBranches, fork.committedBranches);
+    EXPECT_EQ(cold.mispredicts, fork.mispredicts);
+    EXPECT_EQ(cold.halted, fork.halted);
+    EXPECT_EQ(cold.violation.has_value(), fork.violation.has_value());
+    if (cold.violation && fork.violation) {
+        EXPECT_EQ(cold.violation->cycle, fork.violation->cycle);
+        EXPECT_EQ(cold.violation->pc, fork.violation->pc);
+        EXPECT_EQ(cold.violation->reason, fork.violation->reason);
+    }
 }
 
 void
 expectIdentical(const Observed &cold, const Observed &fork)
 {
-    EXPECT_EQ(cold.res.run.cycles, fork.res.run.cycles);
-    EXPECT_EQ(cold.res.run.instrs, fork.res.run.instrs);
-    EXPECT_EQ(cold.res.run.committedBranches, fork.res.run.committedBranches);
-    EXPECT_EQ(cold.res.run.mispredicts, fork.res.run.mispredicts);
-    EXPECT_EQ(cold.res.run.halted, fork.res.run.halted);
-    EXPECT_EQ(cold.res.run.violation.has_value(),
-              fork.res.run.violation.has_value());
-    if (cold.res.run.violation && fork.res.run.violation) {
-        EXPECT_EQ(cold.res.run.violation->cycle, fork.res.run.violation->cycle);
-        EXPECT_EQ(cold.res.run.violation->pc, fork.res.run.violation->pc);
-        EXPECT_EQ(cold.res.run.violation->reason,
-                  fork.res.run.violation->reason);
-    }
+    expectSameRun(cold.res.run, fork.res.run);
+    ASSERT_EQ(cold.res.perCore.size(), fork.res.perCore.size());
+    for (std::size_t c = 0; c < cold.res.perCore.size(); ++c)
+        expectSameRun(cold.res.perCore[c], fork.res.perCore[c]);
+    EXPECT_EQ(cold.res.memoryRolledBack, fork.res.memoryRolledBack);
     ASSERT_EQ(cold.stats.rows().size(), fork.stats.rows().size());
     for (std::size_t i = 0; i < cold.stats.rows().size(); ++i) {
         EXPECT_EQ(cold.stats.rows()[i].first, fork.stats.rows()[i].first);
         EXPECT_EQ(cold.stats.rows()[i].second, fork.stats.rows()[i].second)
             << cold.stats.rows()[i].first;
     }
+    EXPECT_EQ(cold.pages.size(), fork.pages.size());
+    EXPECT_TRUE(cold.pages == fork.pages) << "final memory images differ";
+}
+
+/** Tamper the bytes the machine is about to fetch at kForkIndex, so the
+ *  dirtied block is validated immediately after the hook fires. */
+void
+armTamper(core::Simulator &sim, const std::vector<u8> &garbage, bool &fired)
+{
+    attacks::inject::onceAtIndex(
+        sim, kForkIndex,
+        [&garbage](core::Simulator &s) {
+            attacks::inject::tamperCode(s, s.core().machine().pc(), garbage);
+        },
+        fired);
 }
 
 TEST(SnapshotFork, MatchesColdRunAcrossAllConfigs)
 {
+    // Config::Base is the null backend at the Full32 geometry, which the
+    // backend loop covers.
     for (Config c : kAllConfigs) {
+        if (c == Config::Base)
+            continue;
         SCOPED_TRACE(configName(c));
-        const core::SimConfig cfg = sweepSimConfig(c, kBudget);
-        expectIdentical(coldRun(cfg), forkedRun(cfg, kForkIndex));
+        for (const validate::BackendInfo &info : backends()) {
+            SCOPED_TRACE(info.name);
+            core::SimConfig cfg = sweepSimConfig(c, kBudget);
+            cfg.backend = info.kind;
+            expectIdentical(coldRun(benchProgram(), cfg),
+                            forkedRun(cfg, kForkIndex));
+        }
     }
 }
 
+/** The fork continues the backend's own running state, not only its
+ *  counters: LO-FAT's measurement chain folds every committed
+ *  control-flow event since instruction 0, so byte-equality proves the
+ *  fork continued the source's chain exactly where a cold run would
+ *  have been. */
 TEST(SnapshotFork, MatchesColdRunLoFatBackend)
 {
-    core::SimConfig cfg = sweepSimConfig(Config::Full32, kBudget);
-    cfg.backend = validate::Backend::LoFat;
+    for (const validate::BackendInfo &info : backends()) {
+        SCOPED_TRACE(info.name);
+        core::SimConfig cfg = sweepSimConfig(Config::Full32, kBudget);
+        cfg.backend = info.kind;
 
-    core::Simulator cold(benchProgram(), cfg);
-    const core::SimResult cold_res = cold.run();
+        core::Simulator cold(benchProgram(), cfg);
+        const Observed cold_obs = observe(cold);
 
-    core::Simulator source(benchProgram(), cfg);
-    auto snap = source.snapshotAt(kForkIndex);
-    ASSERT_TRUE(snap.has_value());
-    auto fork = core::Simulator::forkFrom(*snap);
-    const core::SimResult fork_res = fork->run();
+        core::Simulator source(benchProgram(), cfg);
+        auto snap = source.snapshotAt(kForkIndex);
+        ASSERT_TRUE(snap.has_value());
+        auto fork = core::Simulator::forkFrom(*snap);
+        expectIdentical(cold_obs, observe(*fork));
 
-    // The measurement chain folds every committed control-flow event
-    // since instruction 0: byte-equality proves the fork continued the
-    // source's chain exactly where a cold run would have been.
-    ASSERT_NE(cold.lofat(), nullptr);
-    ASSERT_NE(fork->lofat(), nullptr);
-    EXPECT_EQ(cold.lofat()->chain(), fork->lofat()->chain());
-    EXPECT_EQ(cold_res.run.cycles, fork_res.run.cycles);
-    EXPECT_EQ(cold_res.lofat.chainUpdates, fork_res.lofat.chainUpdates);
-    EXPECT_EQ(cold_res.lofat.bufferSpills, fork_res.lofat.bufferSpills);
-    EXPECT_EQ(cold_res.lofat.spillBytes, fork_res.lofat.spillBytes);
+        EXPECT_EQ(cold.validator()->violationReason(),
+                  fork->validator()->violationReason());
+        if (cold.lofat()) {
+            ASSERT_NE(fork->lofat(), nullptr);
+            EXPECT_EQ(cold.lofat()->chain(), fork->lofat()->chain());
+        }
+    }
 }
 
 /** Tamper at the fork point: the campaign's exact usage. The injected
- *  fork must produce the same violation, at the same cycle, as a cold
- *  run with the same hook installed from instruction 0. */
+ *  fork must produce the same outcome — for a validating backend the
+ *  same violation, at the same cycle — as a cold run with the same hook
+ *  installed from instruction 0. */
 TEST(SnapshotFork, InjectedForkMatchesColdInjection)
 {
-    const core::SimConfig cfg = sweepSimConfig(Config::Full32, kBudget);
     const std::vector<u8> garbage = {0x90, 0x90, 0x90, 0x90};
+    for (const validate::BackendInfo &info : backends()) {
+        SCOPED_TRACE(info.name);
+        core::SimConfig cfg = sweepSimConfig(Config::Full32, kBudget);
+        cfg.backend = info.kind;
 
-    // Tampering the bytes the machine is about to fetch guarantees the
-    // dirtied block is validated immediately after the hook fires.
-    auto arm = [&](core::Simulator &sim, bool &fired) {
-        attacks::inject::onceAtIndex(
-            sim, kForkIndex,
-            [&garbage](core::Simulator &s) {
-                attacks::inject::tamperCode(s, s.core().machine().pc(),
-                                            garbage);
-            },
-            fired);
-    };
+        bool cold_fired = false;
+        core::Simulator cold(benchProgram(), cfg);
+        const bool validating = cold.validator()->validationActive();
+        armTamper(cold, garbage, cold_fired);
+        const Observed cold_obs = observe(cold);
 
-    bool cold_fired = false;
-    core::Simulator cold(benchProgram(), cfg);
-    arm(cold, cold_fired);
-    const core::SimResult cold_res = cold.run();
+        core::Simulator source(benchProgram(), cfg);
+        auto snap = source.snapshotAt(kForkIndex);
+        ASSERT_TRUE(snap.has_value());
+        auto fork = core::Simulator::forkFrom(*snap);
+        bool fork_fired = false;
+        armTamper(*fork, garbage, fork_fired);
+        const Observed fork_obs = observe(*fork);
 
-    core::Simulator source(benchProgram(), cfg);
-    auto snap = source.snapshotAt(kForkIndex);
-    ASSERT_TRUE(snap.has_value());
-    auto fork = core::Simulator::forkFrom(*snap);
-    bool fork_fired = false;
-    arm(*fork, fork_fired);
-    const core::SimResult fork_res = fork->run();
-
-    EXPECT_TRUE(cold_fired);
-    EXPECT_TRUE(fork_fired);
-    ASSERT_TRUE(cold_res.run.violation.has_value());
-    ASSERT_TRUE(fork_res.run.violation.has_value());
-    EXPECT_EQ(cold_res.run.violation->cycle, fork_res.run.violation->cycle);
-    EXPECT_EQ(cold_res.run.violation->pc, fork_res.run.violation->pc);
-    EXPECT_EQ(cold_res.run.violation->reason, fork_res.run.violation->reason);
+        EXPECT_TRUE(cold_fired);
+        EXPECT_TRUE(fork_fired);
+        if (validating) {
+            EXPECT_TRUE(cold_obs.res.run.violation.has_value());
+            EXPECT_TRUE(fork_obs.res.run.violation.has_value());
+        }
+        expectIdentical(cold_obs, fork_obs);
+    }
 }
 
 /** Two forks of one snapshot run independently: a tamper in one must
@@ -171,31 +228,30 @@ TEST(SnapshotFork, InjectedForkMatchesColdInjection)
  *  the clean fork still matches the cold run. */
 TEST(SnapshotFork, SiblingForksAreIsolated)
 {
-    const core::SimConfig cfg = sweepSimConfig(Config::Full32, kBudget);
-    const Observed cold = coldRun(cfg);
-
-    core::Simulator source(benchProgram(), cfg);
-    auto snap = source.snapshotAt(kForkIndex);
-    ASSERT_TRUE(snap.has_value());
-
-    auto dirty = core::Simulator::forkFrom(*snap);
-    bool fired = false;
     const std::vector<u8> garbage = {0xff, 0xff, 0xff, 0xff};
-    attacks::inject::onceAtIndex(
-        *dirty, kForkIndex,
-        [&garbage](core::Simulator &s) {
-            attacks::inject::tamperCode(s, s.core().machine().pc(), garbage);
-        },
-        fired);
-    const core::SimResult dirty_res = dirty->run();
-    EXPECT_TRUE(fired);
-    EXPECT_TRUE(dirty_res.run.violation.has_value());
+    for (const validate::BackendInfo &info : backends()) {
+        SCOPED_TRACE(info.name);
+        core::SimConfig cfg = sweepSimConfig(Config::Full32, kBudget);
+        cfg.backend = info.kind;
+        const Observed cold = coldRun(benchProgram(), cfg);
 
-    auto clean = core::Simulator::forkFrom(*snap);
-    Observed clean_obs;
-    clean_obs.res = clean->run();
-    clean_obs.stats = clean->stats();
-    expectIdentical(cold, clean_obs);
+        core::Simulator source(benchProgram(), cfg);
+        auto snap = source.snapshotAt(kForkIndex);
+        ASSERT_TRUE(snap.has_value());
+
+        auto dirty = core::Simulator::forkFrom(*snap);
+        const bool validating = dirty->validator()->validationActive();
+        bool fired = false;
+        armTamper(*dirty, garbage, fired);
+        const core::SimResult dirty_res = dirty->run();
+        EXPECT_TRUE(fired);
+        if (validating) {
+            EXPECT_TRUE(dirty_res.run.violation.has_value());
+        }
+
+        auto clean = core::Simulator::forkFrom(*snap);
+        expectIdentical(cold, observe(*clean));
+    }
 }
 
 /** The source cursor advances across several pause points; a fork taken
@@ -203,37 +259,121 @@ TEST(SnapshotFork, SiblingForksAreIsolated)
  *  one cursor for all fire indices of a config). */
 TEST(SnapshotFork, CursorAdvancesAcrossPausePoints)
 {
-    const core::SimConfig cfg = sweepSimConfig(Config::Agg32, kBudget);
-    const Observed cold = coldRun(cfg);
+    for (const validate::BackendInfo &info : backends()) {
+        SCOPED_TRACE(info.name);
+        core::SimConfig cfg = sweepSimConfig(Config::Agg32, kBudget);
+        cfg.backend = info.kind;
+        const Observed cold = coldRun(benchProgram(), cfg);
 
-    core::Simulator source(benchProgram(), cfg);
-    ASSERT_TRUE(source.runUntil(1'000));
-    ASSERT_TRUE(source.runUntil(4'096));
-    ASSERT_TRUE(source.runUntil(4'096)); // same index: immediate pause
-    auto snap = source.snapshotAt(kForkIndex);
-    ASSERT_TRUE(snap.has_value());
-    EXPECT_EQ(snap->instrIndex, kForkIndex);
+        core::Simulator source(benchProgram(), cfg);
+        ASSERT_TRUE(source.runUntil(1'000));
+        ASSERT_TRUE(source.runUntil(4'096));
+        ASSERT_TRUE(source.runUntil(4'096)); // same index: immediate pause
+        auto snap = source.snapshotAt(kForkIndex);
+        ASSERT_TRUE(snap.has_value());
+        EXPECT_EQ(snap->instrIndex, kForkIndex);
 
-    auto fork = core::Simulator::forkFrom(*snap);
-    Observed fork_obs;
-    fork_obs.res = fork->run();
-    fork_obs.stats = fork->stats();
-    expectIdentical(cold, fork_obs);
+        auto fork = core::Simulator::forkFrom(*snap);
+        expectIdentical(cold, observe(*fork));
+    }
 }
 
 /** A paused source resumed to completion equals an uninterrupted run. */
 TEST(SnapshotFork, ResumedSourceMatchesColdRun)
 {
-    const core::SimConfig cfg = sweepSimConfig(Config::Cfi32, kBudget);
-    const Observed cold = coldRun(cfg);
+    for (const validate::BackendInfo &info : backends()) {
+        SCOPED_TRACE(info.name);
+        core::SimConfig cfg = sweepSimConfig(Config::Cfi32, kBudget);
+        cfg.backend = info.kind;
+        const Observed cold = coldRun(benchProgram(), cfg);
 
-    core::Simulator source(benchProgram(), cfg);
-    ASSERT_TRUE(source.runUntil(kForkIndex));
-    (void)source.capture();
-    Observed resumed;
-    resumed.res = source.run();
-    resumed.stats = source.stats();
-    expectIdentical(cold, resumed);
+        core::Simulator source(benchProgram(), cfg);
+        ASSERT_TRUE(source.runUntil(kForkIndex));
+        (void)source.capture();
+        expectIdentical(cold, observe(source));
+    }
+}
+
+/** A snapshot is self-contained: capture, destroy the source, fork a
+ *  copy, then hand the snapshot itself to a last fork (the campaign's
+ *  move path). Both forks match a cold run, on one core and on two. */
+TEST(SnapshotFork, SnapshotOutlivesItsSource)
+{
+    struct Setup
+    {
+        const char *name;
+        const prog::Program &program;
+        core::SimConfig cfg;
+        u64 forkAt;
+    };
+    core::SimConfig one = sweepSimConfig(Config::Full32, kBudget);
+    core::SimConfig two = one;
+    two.numCores = 2;
+    two.coreIdAddr = workloads::kSchedCoreIdWord;
+    two.core.maxInstrs = 30'000;
+    const Setup setups[] = {
+        {"1 core", benchProgram(), one, kForkIndex},
+        {"2 cores", schedProgram(), two, 10'000},
+    };
+
+    for (const Setup &m : setups) {
+        SCOPED_TRACE(m.name);
+        for (const validate::BackendInfo &info : backends()) {
+            SCOPED_TRACE(info.name);
+            core::SimConfig cfg = m.cfg;
+            cfg.backend = info.kind;
+            const Observed cold = coldRun(m.program, cfg);
+
+            std::optional<core::Snapshot> snap;
+            {
+                core::Simulator source(m.program, cfg);
+                snap = source.snapshotAt(m.forkAt);
+            }
+            ASSERT_TRUE(snap.has_value());
+            EXPECT_EQ(snap->instrIndex, m.forkAt);
+
+            auto copy = core::Simulator::forkFrom(*snap);
+            expectIdentical(cold, observe(*copy));
+
+            auto last = core::Simulator::forkFrom(std::move(*snap));
+            expectIdentical(cold, observe(*last));
+        }
+    }
+}
+
+/** Strict R5 with page shadowing: a run that fails rolls memory back to
+ *  the image it started from. A fork started from the source's pre-run
+ *  image too, so its rollback must land where a cold run's does, not at
+ *  the fork point. */
+TEST(SnapshotFork, PageShadowingRollsBackToThePreRunImage)
+{
+    const std::vector<u8> garbage = {0x90, 0x90, 0x90, 0x90};
+    bool any_rollback = false;
+    for (const validate::BackendInfo &info : backends()) {
+        SCOPED_TRACE(info.name);
+        core::SimConfig cfg = sweepSimConfig(Config::Full32, kBudget);
+        cfg.backend = info.kind;
+        cfg.pageShadowing = true;
+
+        bool cold_fired = false;
+        core::Simulator cold(benchProgram(), cfg);
+        armTamper(cold, garbage, cold_fired);
+        const Observed cold_obs = observe(cold);
+
+        core::Simulator source(benchProgram(), cfg);
+        auto snap = source.snapshotAt(kForkIndex);
+        ASSERT_TRUE(snap.has_value());
+        auto fork = core::Simulator::forkFrom(*snap);
+        bool fork_fired = false;
+        armTamper(*fork, garbage, fork_fired);
+        const Observed fork_obs = observe(*fork);
+
+        EXPECT_TRUE(cold_fired);
+        EXPECT_TRUE(fork_fired);
+        any_rollback = any_rollback || cold_obs.res.memoryRolledBack;
+        expectIdentical(cold_obs, fork_obs);
+    }
+    EXPECT_TRUE(any_rollback);
 }
 
 } // namespace

@@ -214,7 +214,7 @@ TEST(DynamicCode, ReloadAfterCaptureKeepsSnapshotTables)
 
     // Forks of the earlier snapshot validate against the tables captured
     // then, and finish exactly like a cold run of the unlinked program.
-    EXPECT_EQ(snap.store->moduleSigs().size(), 1u);
+    EXPECT_EQ(snap.machine().sigStore()->moduleSigs().size(), 1u);
     auto fork = Simulator::forkFrom(snap);
     ASSERT_EQ(fork->sigStore()->moduleSigs().size(), 1u);
     const SimResult fr = fork->run();
@@ -239,7 +239,7 @@ TEST(DynamicCode, ReloadAfterCaptureKeepsSnapshotTables)
     ASSERT_TRUE(relinked);
     EXPECT_FALSE(lr.run.violation.has_value()) << lr.run.violation->reason;
     EXPECT_EQ(linker->core().machine().reg(1), 123u);
-    EXPECT_EQ(snap.store->moduleSigs().size(), 1u);
+    EXPECT_EQ(snap.machine().sigStore()->moduleSigs().size(), 1u);
 }
 
 TEST(DynamicCode, UnregisteredJitCodeIsRejected)

@@ -21,7 +21,7 @@
 
 #include <optional>
 
-#include "core/snapshot.hpp"
+#include "core/simulator.hpp"
 #include "program/trace.hpp"
 #include "workloads/generator.hpp"
 #include "workloads/scheduler.hpp"
@@ -216,7 +216,7 @@ TEST(Multicore, SnapshotForkRoundTripsTwoCores)
     Simulator source(schedProgram(), cfg);
     std::optional<Snapshot> snap = source.snapshotAt(kBudget / 3);
     ASSERT_TRUE(snap.has_value());
-    EXPECT_EQ(snap->extra.size(), 1u); // core 1 rides in the extra slot
+    EXPECT_EQ(snap->machine().numCores(), 2u); // core 1 is paused too
 
     auto fork = Simulator::forkFrom(*snap);
     Observed forked;

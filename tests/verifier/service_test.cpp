@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "attacks/injector.hpp"
 #include "common/random.hpp"
 #include "validate/stream_verifier.hpp"
 #include "verifier/service.hpp"
@@ -216,6 +217,90 @@ TEST(VerifierService, DedupOnOffVerdictsBitIdentical)
                 1u << 16);
     expectSameVerdict(noDedup[0], dedup[0]);
     expectSameVerdict(noDedup[1], dedup[1]);
+}
+
+/**
+ * Sessions the corpus never sends: a REV run caught returning to a
+ * smashed address, a CFI-only run checked against CFI-only reference
+ * tables, and a shadow-stack run. Through the service — over memory and
+ * socket, with dedup on and off — each must reach the verdict the
+ * backend rendered inline, so the service's rejecting and non-default
+ * paths are covered, not only the passing Full-mode one.
+ */
+TEST(VerifierService, RejectingCfiAndShadowStackSessionsMatchInline)
+{
+    const test::Corpus &c = test::corpus();
+    constexpr u64 kBudget = 5000;
+
+    core::SimConfig rev;
+    rev.core.maxInstrs = kBudget;
+    rev.sigStorePrototype = c.store.get();
+    // The first RET from instruction 2000 on returns to main's entry.
+    const Addr entry = c.program.main().entry;
+    bool fired = false;
+    const test::CapturedStream attacked = test::captureRun(
+        c.program, rev, [entry, &fired](core::Simulator &sim) {
+            attacks::inject::onceAtReturn(
+                sim, 2000,
+                [entry](core::Simulator &s) {
+                    attacks::inject::smashReturnAddress(s, entry);
+                },
+                fired);
+        });
+    ASSERT_TRUE(fired);
+    ASSERT_TRUE(attacked.detected);
+
+    core::SimConfig cfi = rev;
+    cfi.mode = sig::ValidationMode::CfiOnly;
+    sig::SigStore cfi_store(c.program, cfi.mode, *c.vault, cfi.toolchainSeed,
+                            cfi.core.splitLimits, cfi.rev.chg.hashRounds);
+    const validate::RefStore cfi_refs(cfi_store, c.vault.get());
+    cfi.sigStorePrototype = &cfi_store;
+    const test::CapturedStream cfi_only = test::captureRun(c.program, cfi);
+
+    core::SimConfig shadow = rev;
+    shadow.rev.returnValidation = validate::ReturnValidation::ShadowStack;
+    const test::CapturedStream shadow_stack =
+        test::captureRun(c.program, shadow);
+
+    struct Case
+    {
+        const char *name;
+        const test::CapturedStream &cap;
+        const validate::RefStore &refs;
+    };
+    const Case cases[] = {{"attacked rev", attacked, *c.refs},
+                          {"cfi-only", cfi_only, cfi_refs},
+                          {"shadow stack", shadow_stack, *c.refs}};
+
+    std::vector<TransportKind> kinds = {TransportKind::Memory};
+#if defined(__unix__) || defined(__APPLE__)
+    kinds.push_back(TransportKind::Socket);
+#endif
+    for (const TransportKind kind : kinds) {
+        SCOPED_TRACE(kind == TransportKind::Memory ? "memory" : "socket");
+        for (const std::size_t dedup : {std::size_t{0}, std::size_t{1} << 16}) {
+            SCOPED_TRACE(dedup ? "dedup on" : "dedup off");
+            VerifierService svc(ServiceOptions{2, dedup});
+            std::vector<u64> ids;
+            for (const Case &k : cases)
+                ids.push_back(svc.openSession(k.refs, kind, 1u << 14));
+            for (std::size_t i = 0; i < ids.size(); ++i)
+                pump(svc, ids[i], cases[i].cap.stream, 911);
+            svc.drain();
+
+            const std::vector<SessionReport> reports = svc.reports();
+            for (std::size_t i = 0; i < ids.size(); ++i) {
+                SCOPED_TRACE(cases[i].name);
+                const validate::StreamVerdict &v = reports[ids[i]].verdict;
+                EXPECT_GT(cases[i].cap.bbValidated, 0u);
+                EXPECT_TRUE(v.complete);
+                EXPECT_EQ(v.detected, cases[i].cap.detected);
+                EXPECT_EQ(v.reason, cases[i].cap.reason);
+                EXPECT_EQ(v.bbValidated, cases[i].cap.bbValidated);
+            }
+        }
+    }
 }
 
 TEST(VerifierService, LatchedSessionSwallowsOffersWithoutLivelock)

@@ -9,6 +9,7 @@
 #ifndef REV_TESTS_VERIFIER_TESTUTIL_HPP
 #define REV_TESTS_VERIFIER_TESTUTIL_HPP
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -42,17 +43,20 @@ struct Corpus
     CapturedStream lofat;
 };
 
+/** Installs a hook (e.g. a tamper) on a freshly built simulator. */
+using Arm = std::function<void(core::Simulator &)>;
+
+/** One measured run of @p cfg (the sink is attached here), armed with
+ *  @p arm when given, plus its inline golden. */
 inline CapturedStream
-captureOne(const prog::Program &program, sig::SigStore *store,
-           validate::Backend backend, u64 budget)
+captureRun(const prog::Program &program, core::SimConfig cfg,
+           const Arm &arm = {})
 {
-    core::SimConfig cfg;
-    cfg.core.maxInstrs = budget;
-    cfg.backend = backend;
-    cfg.sigStorePrototype = store;
     validate::StreamWriter writer;
     cfg.measurementSink = &writer;
     core::Simulator sim(program, cfg);
+    if (arm)
+        arm(sim);
     const core::SimResult res = sim.run();
     sim.validator()->sealMeasurement();
 
@@ -62,6 +66,17 @@ captureOne(const prog::Program &program, sig::SigStore *store,
     c.reason = sim.validator()->violationReason();
     c.bbValidated = res.validation.bbValidated;
     return c;
+}
+
+inline CapturedStream
+captureOne(const prog::Program &program, sig::SigStore *store,
+           validate::Backend backend, u64 budget)
+{
+    core::SimConfig cfg;
+    cfg.core.maxInstrs = budget;
+    cfg.backend = backend;
+    cfg.sigStorePrototype = store;
+    return captureRun(program, cfg);
 }
 
 /** Build the shared corpus once per test binary (expensive: simulated

@@ -167,10 +167,7 @@ run(int argc, char **argv)
             if (attack != atk->name())
                 continue;
             core::SimConfig acfg;
-            acfg.mode = mode_s == "aggressive"
-                            ? sig::ValidationMode::Aggressive
-                            : (mode_s == "cfi" ? sig::ValidationMode::CfiOnly
-                                               : sig::ValidationMode::Full);
+            acfg.mode = mode;
             acfg.backend = backend;
             const attacks::AttackOutcome out = atk->execute(acfg);
             std::printf("attack               %s\n", atk->name());
