@@ -32,17 +32,6 @@ namespace rev::attacks
 using validate::TamperClass;
 using validate::tamperClassName;
 
-/**
- * Whether tampering of class @p c is detectable by the REV backend under
- * @p mode (the historical single-backend question; the general form is
- * validate::backendClaims).
- */
-inline bool
-tamperDetectableIn(TamperClass c, sig::ValidationMode mode)
-{
-    return validate::backendClaims(validate::Backend::Rev, c, mode);
-}
-
 /** Result of one attack run. */
 struct AttackOutcome
 {

@@ -6,7 +6,7 @@
  * timing model (caches, DRAM) tracks tags and latencies only and reads
  * values from this image, mirroring how trace-driven cache models work.
  *
- * The hot paths (instruction fetch, loads/stores, CHG hashing, clone)
+ * The hot paths (instruction fetch, loads/stores, CHG hashing)
  * resolve the page once per span and move whole runs of bytes with
  * memcpy/word operations instead of one lookup per byte; a one-entry
  * write cursor short-circuits the lookup for consecutive writes to the
@@ -16,7 +16,8 @@
  * valid however far the table grows. Reads go straight to the page
  * table and write nothing, so
  * any number of threads may read one memory at once (the red-team
- * campaign's workers share its golden image). Semantics are unchanged
+ * campaign's workers share its golden image, and the stream verifier's
+ * workers share one RefStore's table image). Semantics are unchanged
  * from the byte-at-a-time reference: reads of unwritten locations return
  * zero, writes allocate pages on demand, and multi-byte values are
  * little-endian.
@@ -88,7 +89,7 @@ class SparseMemory
 
     SparseMemory() = default;
 
-    // Copying is explicit via fork()/clone(). Moves transfer the page
+    // Copying is explicit via fork(). Moves transfer the page
     // set; both operands' write cursors are reset so no cached
     // pointer outlives the slots it refers to, and the epoch is bumped so
     // external caches holding page views revalidate.
@@ -299,20 +300,6 @@ class SparseMemory
         SparseMemory copy;
         copy.index_ = index_;
         copy.slots_ = slots_; // shared_ptr copies: pages now aliased
-        return copy;
-    }
-
-    /** Deep copy. Kept for callers that want guaranteed page ownership;
-     *  fork() is observably identical and cheaper. */
-    SparseMemory
-    clone() const
-    {
-        SparseMemory copy;
-        copy.index_ = index_;
-        for (const Slot &slot : slots_)
-            copy.slots_.push_back(
-                {std::make_shared<Page>(*slot.page), slot.version,
-                 slot.pageNo});
         return copy;
     }
 

@@ -78,7 +78,7 @@ Simulator::Simulator(const prog::Program &program, const SimConfig &cfg)
         s.core = std::make_unique<cpu::Core>(program_, s.mem, memsys_,
                                              cfg_.core, s.validator.get(), c);
         if (cfg_.pageShadowing)
-            s.pristine = s.mem.clone();
+            s.pristine = s.mem.fork();
     }
 
     REV_ASSERT(!(cfg_.traceRecorder && cfg_.replayTrace),
@@ -219,7 +219,7 @@ Simulator::reloadProgram()
             store_->loadInto(sp->mem);
         sp->validator->refreshTables();
         if (cfg_.pageShadowing)
-            sp->pristine = sp->mem.clone();
+            sp->pristine = sp->mem.fork();
     }
 }
 
@@ -438,7 +438,7 @@ Simulator::aggregate()
         // Strict R5 (Sec. IV.A): the compromised execution's shadow pages
         // are never mapped in; the original state survives intact.
         for (auto &sp : slots_)
-            sp->mem = sp->pristine.clone();
+            sp->mem = sp->pristine.fork();
         res.memoryRolledBack = true;
     }
     return res;

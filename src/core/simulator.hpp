@@ -47,10 +47,13 @@ struct SimConfig
 
     /**
      * Sec. IV.A strict R5: treat the whole run as a transaction against
-     * shadow pages. If the execution fails authentication, the entire
-     * memory state is rolled back to its pre-run content (instead of only
-     * squashing the offending block's stores). See core/shadow.hpp for
-     * the page-granular mechanism itself.
+     * shadow pages. The pre-run image is kept as a copy-on-write fork
+     * (SparseMemory::fork()), so the run's writes land on private page
+     * copies; if the execution fails authentication, the fork is moved
+     * back in and the entire memory state is rolled back (instead of only
+     * squashing the offending block's stores). The paper also forbids DMA
+     * out of a shadow page; the simulated DMA is timing-only traffic with
+     * no functional output, so there is nothing to gate.
      */
     bool pageShadowing = false;
 
@@ -326,7 +329,7 @@ class Simulator
     struct CoreSlot
     {
         SparseMemory mem;      ///< private functional image
-        SparseMemory pristine; ///< pre-run snapshot (pageShadowing only)
+        SparseMemory pristine; ///< pre-run COW fork (pageShadowing only)
         std::unique_ptr<validate::Validator> validator;
         validate::RevValidator *revEngine = nullptr;     ///< typed view
         validate::LoFatValidator *lofatEngine = nullptr; ///< typed view

@@ -273,7 +273,13 @@ buildWorkloadContext(const workloads::WorkloadProfile &profile,
                "campaign golden run raised a violation: " +
                    r.run.violation->reason);
 
-    ctx->goldenMemory = sim.memory().clone();
+    // Rebuilt page by page, not forked: a fork would keep the record
+    // run's decoded-instruction annexes (about 2 MB) alive for the whole
+    // campaign, and this image is only ever compared, never executed.
+    sim.memory().forEachPage([&](u64 page_no, const u8 *bytes) {
+        ctx->goldenMemory.writeBytes(page_no << SparseMemory::kPageShift,
+                                     bytes, SparseMemory::kPageSize);
+    });
     ctx->goldenInstrs = r.run.instrs;
     if (!spec.disableRev)
         ctx->trace = recorder.take();
@@ -324,10 +330,11 @@ buildWorkloadContext(const workloads::WorkloadProfile &profile,
     // position. The hash map additionally spreads each block entry over
     // the block's whole [start, end) span — the CHG digests exactly that
     // span whenever the block is fetched — marked through the end of the
-    // digest's consumption window: the staged lane request snapshots the
-    // block bytes no later than the terminator's commit (position entry
-    // + numInstrs - 1), so a tamper at any position <= that can still be
-    // read by the in-flight digest and must not be treated as quiescent.
+    // digest's consumption window. REV reads the digest through
+    // RevValidator::resolveHash no later than the terminator's commit
+    // (position entry + numInstrs - 1); LO-FAT reads it at fetch. A
+    // tamper at any position <= that mark can still be read into the
+    // block's digest and must not be treated as quiescent.
     {
         const prog::Module &mm = ctx->program.main();
         ctx->quiescenceBase = mm.base;

@@ -9,11 +9,12 @@
  * the trusted toolchain built and the key vault of the CPU the tables
  * are bound to, not the prover's memory.
  *
- * Layout: one shard per module. Each shard owns a private copy of the
- * table image plus a mutex, so worker threads verifying different
- * sessions can look up different modules concurrently; the verifier core
- * batches each session's pending lookups by shard to amortize the lock
- * (see verifier/service.hpp).
+ * Layout: the tables are loaded once into one image, and each module
+ * (one "shard") gets a TableReader over it. SparseMemory reads write
+ * nothing and a reader caches only what it parsed at construction, so
+ * any number of worker threads verifying sessions may look up any
+ * module at once, with no lock.
+ *
  * Lookups run the *real* TableReader decrypt-and-walk path — the
  * verifier's found/termSeen/targets/preds semantics are the in-core
  * semantics by construction, not by re-implementation.
@@ -23,7 +24,6 @@
 #define REV_VALIDATE_REFSTORE_HPP
 
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "common/sparse_memory.hpp"
@@ -52,7 +52,10 @@ class RefStore
      */
     RefStore(const sig::SigStore &store, const crypto::KeyVault *vault);
 
-    std::size_t shardCount() const { return shards_.size(); }
+    // The readers refer to tables_, so a RefStore stays where it was
+    // built.
+    RefStore(const RefStore &) = delete;
+    RefStore &operator=(const RefStore &) = delete;
 
     /** Shard whose module code contains @p addr, or kNoShard. */
     std::size_t shardFor(Addr addr) const;
@@ -60,47 +63,30 @@ class RefStore
     /** The module record behind @p shard (CFG, table stats). */
     const sig::ModuleSig &moduleSig(std::size_t shard) const
     {
-        return *shards_[shard]->sig;
+        return *shards_[shard].sig;
     }
 
     sig::ValidationMode mode() const { return store_.mode(); }
 
     /**
      * Full/Aggressive reference lookup of (term, hash), walking the
-     * module's encrypted table. Thread-safe (serialized per shard).
+     * module's encrypted table. Thread-safe (reads only).
      */
     sig::LookupResult lookup(std::size_t shard, Addr term, u32 hash) const;
 
-    /** CFI-only site lookup. Thread-safe (serialized per shard). */
+    /** CFI-only site lookup. Thread-safe (reads only). */
     sig::LookupResult lookupSite(std::size_t shard, Addr term) const;
-
-    /** One pending reference lookup of a batch. */
-    struct LookupKey
-    {
-        Addr term = 0;
-        u32 hash = 0; ///< ignored in CFI-only mode
-    };
-
-    /**
-     * Resolve @p keys against @p shard under one lock acquisition — the
-     * verifier core groups a session chunk's pending lookups by shard so
-     * N blocks cost one lock round trip per shard, not N.
-     * @p out is resized to keys.size(), index-aligned with @p keys.
-     */
-    void lookupBatch(std::size_t shard, const std::vector<LookupKey> &keys,
-                     std::vector<sig::LookupResult> *out) const;
 
   private:
     struct Shard
     {
         const sig::ModuleSig *sig = nullptr;
-        SparseMemory tableMem; ///< private image copy (reads mutate caches)
         std::unique_ptr<sig::TableReader> reader; ///< null when table-less
-        mutable std::mutex lock;
     };
 
     const sig::SigStore store_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    SparseMemory tables_; ///< every module's table, loaded once
+    std::vector<Shard> shards_;
 };
 
 } // namespace rev::validate

@@ -1,7 +1,5 @@
 #include "validate/stream_verifier.hpp"
 
-#include <algorithm>
-
 #include "validate/verdict.hpp"
 
 namespace rev::validate
@@ -70,8 +68,6 @@ StreamVerifier::processAvailable()
         }
     }
 
-    prefetchLookups();
-
     MeasurementEvent ev;
     while (!verdict_.complete) {
         const StreamReader::Status st =
@@ -90,70 +86,6 @@ StreamVerifier::processAvailable()
                    buf_.begin() + static_cast<std::ptrdiff_t>(
                                       reader_.offset()));
         reader_.rebase(reader_.offset());
-    }
-}
-
-void
-StreamVerifier::prefetchLookups()
-{
-    if (!haveHeader_ || verdict_.complete || hdr_.backend != Backend::Rev)
-        return;
-
-    // Scan ahead over every decodable event with a throwaway cursor and
-    // collect the reference keys the verdict loop will need, grouped by
-    // shard; one lookupBatch per shard amortizes its lock. Results land
-    // in the session memo, so repeated blocks (loops) cost one walk.
-    std::vector<std::vector<RefStore::LookupKey>> perShard(
-        refs_.shardCount());
-    StreamReader scan = reader_;
-    MeasurementEvent ev;
-    while (scan.tryNext(buf_.data(), buf_.size(), &ev) ==
-           StreamReader::Status::Ok) {
-        if (ev.kind != EventKind::Block)
-            continue;
-        const u32 key =
-            hdr_.mode == ValidationMode::CfiOnly ? 0 : ev.codeDigest;
-        auto &units = memo_[ev.term];
-        const bool known =
-            std::any_of(units.begin(), units.end(),
-                        [&](const auto &u) { return u.first == key; });
-        if (known)
-            continue;
-        const std::size_t shard = refs_.shardFor(ev.term);
-        if (shard == kNoShard)
-            continue; // resolve() renders these as not-found directly
-        // A session elsewhere may already have paid for this unit: the
-        // shared cache returns the identical table-walk result without
-        // touching the shard lock.
-        if (dedup_ != nullptr) {
-            sig::LookupResult cached;
-            if (dedup_->lookupUnit(&refs_, ev.term, key, &cached)) {
-                ++dedupHits_;
-                units.emplace_back(key, std::move(cached));
-                continue;
-            }
-        }
-        // Reserve the memo slot so the scan queues each unit once.
-        units.emplace_back(key, sig::LookupResult{});
-        perShard[shard].push_back({ev.term, key});
-    }
-
-    std::vector<sig::LookupResult> results;
-    for (std::size_t shard = 0; shard < perShard.size(); ++shard) {
-        if (perShard[shard].empty())
-            continue;
-        refs_.lookupBatch(shard, perShard[shard], &results);
-        for (std::size_t i = 0; i < results.size(); ++i) {
-            const RefStore::LookupKey &k = perShard[shard][i];
-            if (dedup_ != nullptr) {
-                ++dedupMisses_;
-                dedup_->insertUnit(&refs_, k.term, k.hash, results[i]);
-            }
-            for (auto &unit : memo_[k.term]) {
-                if (unit.first == k.hash)
-                    unit.second = std::move(results[i]);
-            }
-        }
     }
 }
 

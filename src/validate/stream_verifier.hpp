@@ -11,7 +11,11 @@
  * RevRule, checkLoFatEdge, foldChain), fed by reference lookups against a
  * module-sharded RefStore instead of the in-core SC/SAG path. What this
  * class adds is the stream decoding, the transport checks, the lookup
- * memo and the cross-session dedup. The contract test
+ * memo and the cross-session dedup. A REV block's reference data is
+ * resolved when the block is adjudicated, once per static unit: the
+ * session memo, else the shared dedup cache, else a RefStore walk, which
+ * takes no lock (sessions on other workers walk the same tables at
+ * once). The contract test
  * (tests/validate/stream_contract_test.cpp) pins the equivalence across
  * every sweep config, on honest and on attacked runs.
  *
@@ -165,10 +169,8 @@ class StreamVerifier
   private:
     void processAvailable();
 
-    /** Batch-resolve reference lookups for every decodable Block whose
-     *  (term, digest) is not yet memoized, grouped by shard. */
-    void prefetchLookups();
-
+    /** Reference data of the unit (term, digest): the session memo,
+     *  else the shared dedup cache, else a RefStore table walk. */
     const sig::LookupResult &resolve(Addr term, u32 digest);
 
     void handleEvent(const MeasurementEvent &ev);

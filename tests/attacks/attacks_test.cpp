@@ -115,18 +115,21 @@ TEST(Attacks, DetectabilityMatrixIsTaxonomyDriven)
     // pure code substitution under CFI-only validation is blind: no
     // basic-block hashes are kept, and the control-flow shape is intact.
     using TC = TamperClass;
+    using validate::Backend;
+    using validate::backendClaims;
     const ValidationMode kModes[] = {ValidationMode::Full,
                                      ValidationMode::Aggressive,
                                      ValidationMode::CfiOnly};
     for (auto mode : kModes) {
         const bool hashed = mode != ValidationMode::CfiOnly;
-        EXPECT_EQ(tamperDetectableIn(TC::CodeSubstitution, mode), hashed)
+        EXPECT_EQ(backendClaims(Backend::Rev, TC::CodeSubstitution, mode),
+                  hashed)
             << sig::modeName(mode);
-        EXPECT_TRUE(tamperDetectableIn(TC::ControlFlowHijack, mode))
+        EXPECT_TRUE(backendClaims(Backend::Rev, TC::ControlFlowHijack, mode))
             << sig::modeName(mode);
-        EXPECT_TRUE(tamperDetectableIn(TC::ForeignCode, mode))
+        EXPECT_TRUE(backendClaims(Backend::Rev, TC::ForeignCode, mode))
             << sig::modeName(mode);
-        EXPECT_TRUE(tamperDetectableIn(TC::SignatureTamper, mode))
+        EXPECT_TRUE(backendClaims(Backend::Rev, TC::SignatureTamper, mode))
             << sig::modeName(mode);
     }
     // Every concrete attack's detectableIn() must follow its class —
@@ -134,7 +137,7 @@ TEST(Attacks, DetectabilityMatrixIsTaxonomyDriven)
     for (const auto &atk : makeAllAttacks())
         for (auto mode : kModes)
             EXPECT_EQ(atk->detectableIn(mode),
-                      tamperDetectableIn(atk->tamperClass(), mode))
+                      backendClaims(Backend::Rev, atk->tamperClass(), mode))
                 << atk->name() << " in " << sig::modeName(mode);
 }
 

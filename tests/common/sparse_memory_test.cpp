@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/random.hpp"
 #include "common/sparse_memory.hpp"
 
 namespace rev
@@ -167,13 +168,89 @@ TEST(SparseMemory, CloneKeepsVersionsAndMovesBumpEpoch)
     const u64 ver = mem.pageVersion(0x3000 / SparseMemory::kPageSize);
     const u64 epoch = mem.epoch();
 
-    SparseMemory copy = mem.clone();
+    SparseMemory copy = mem.fork();
     EXPECT_EQ(copy.read64(0x3000), 43u);
     EXPECT_EQ(copy.pageVersion(0x3000 / SparseMemory::kPageSize), ver);
 
-    mem = copy.clone(); // move-assign replaces the page set
+    mem = copy.fork(); // move-assign replaces the page set
     EXPECT_GT(mem.epoch(), epoch);
     EXPECT_EQ(mem.read64(0x3000), 43u);
+}
+
+TEST(SparseMemory, ForkIsAPageShadowTransaction)
+{
+    // Sec. IV.A page shadowing as the simulator runs it: the live image
+    // is a fork of the committed one; moving it over the committed image
+    // commits the epoch, and re-forking the committed image discards it.
+    SparseMemory base;
+    base.write64(0x1000, 1);
+    base.write64(0x1008, 2);
+    SparseMemory txn = base.fork();
+
+    // Reads see the base until written.
+    EXPECT_EQ(txn.read64(0x1000), 1u);
+
+    // Writes stay private; the untouched neighbour on the same page keeps
+    // its value in the private copy.
+    txn.write64(0x1000, 7);
+    txn.write64(0x5000, 3);
+    EXPECT_EQ(txn.read64(0x1000), 7u);
+    EXPECT_EQ(txn.read64(0x1008), 2u);
+    EXPECT_EQ(base.read64(0x1000), 1u);
+    EXPECT_EQ(base.read64(0x5000), 0u);
+
+    // Commit maps every written page in.
+    base = std::move(txn);
+    EXPECT_EQ(base.read64(0x1000), 7u);
+    EXPECT_EQ(base.read64(0x1008), 2u);
+    EXPECT_EQ(base.read64(0x5000), 3u);
+
+    // Discard: the next epoch's write is dropped by re-forking, and the
+    // committed first epoch survives it.
+    txn = base.fork();
+    txn.write64(0x1000, 9);
+    txn = base.fork();
+    EXPECT_EQ(txn.read64(0x1000), 7u);
+    EXPECT_EQ(base.read64(0x1000), 7u);
+
+    // Random epochs against a flat byte model of both images.
+    Rng rng(2024);
+    constexpr Addr kLo = 0x1000;
+    constexpr std::size_t kSpan = 3 * SparseMemory::kPageSize;
+    std::vector<u8> committed(kSpan + 8), live;
+    for (std::size_t i = 0; i < committed.size(); ++i)
+        committed[i] = base.read8(kLo + i);
+    live = committed;
+    for (int op = 0; op < 20'000; ++op) {
+        const Addr a = kLo + rng.below(kSpan);
+        switch (rng.below(8)) {
+        case 0: {
+            const u64 v = rng.next();
+            txn.write64(a, v);
+            for (unsigned b = 0; b < 8; ++b)
+                live[a - kLo + b] = static_cast<u8>(v >> (8 * b));
+            break;
+        }
+        case 1:
+            base = std::move(txn);
+            txn = base.fork();
+            committed = live;
+            break;
+        case 2:
+            txn = base.fork();
+            live = committed;
+            break;
+        default: {
+            u64 want = 0;
+            for (unsigned b = 0; b < 8; ++b)
+                want |= u64{live[a - kLo + b]} << (8 * b);
+            ASSERT_EQ(txn.read64(a), want) << "op " << op;
+            break;
+        }
+        }
+    }
+    for (std::size_t i = 0; i < committed.size(); ++i)
+        ASSERT_EQ(base.read8(kLo + i), committed[i]) << "byte " << i;
 }
 
 // --- copy-on-write fork semantics -----------------------------------------

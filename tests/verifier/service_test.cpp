@@ -4,8 +4,9 @@
  * sessions must render bit-identical verdicts, frames larger than the
  * socket buffer must arrive whole, dedup on/off must not change a
  * verdict, latched sessions must swallow (not livelock) further offers,
- * and the ready queue must survive sessions opened mid-flight plus
- * notify storms from many prover threads.
+ * the ready queue must survive sessions opened mid-flight plus notify
+ * storms from many prover threads, and sessions on many workers must
+ * walk one RefStore's tables at once and still match inline.
  */
 
 #include <memory>
@@ -387,6 +388,38 @@ TEST(VerifierService, NotifyStormFromManyProversStaysCorrect)
         EXPECT_EQ(v.bbValidated, cap.bbValidated);
         // Tiny ring: occupancy may never exceed capacity.
         EXPECT_LE(reports[ids[i]].peakBytes, 1024u);
+    }
+}
+
+TEST(VerifierService, ConcurrentTableWalksOnOneRefStoreMatchInline)
+{
+    // Dedup off, so no session borrows another's walk: four workers
+    // adjudicate sixteen copies of one REV stream, and their lock-free
+    // TableReader walks over the one RefStore overlap.
+    const test::Corpus &c = test::corpus();
+    VerifierService svc(ServiceOptions{4, 0});
+
+    std::vector<u64> ids(16);
+    for (u64 &id : ids)
+        id = svc.openSession(*c.refs, TransportKind::Memory, 1u << 16);
+    std::vector<std::thread> provers;
+    for (std::size_t p = 0; p < 4; ++p)
+        provers.emplace_back([&, p] {
+            for (std::size_t i = p; i < ids.size(); i += 4)
+                pump(svc, ids[i], c.rev.stream, 1u << 16);
+        });
+    for (std::thread &t : provers)
+        t.join();
+    svc.drain();
+
+    const std::vector<SessionReport> reports = svc.reports();
+    for (const u64 id : ids) {
+        const validate::StreamVerdict &v = reports[id].verdict;
+        EXPECT_TRUE(v.complete);
+        EXPECT_EQ(v.detected, c.rev.detected);
+        EXPECT_EQ(v.reason, c.rev.reason);
+        EXPECT_EQ(v.bbValidated, c.rev.bbValidated);
+        EXPECT_EQ(reports[id].dedupHits, 0u);
     }
 }
 
